@@ -4,7 +4,9 @@ The package parametrizes the joint distribution of a binary vector
 through conditional zero-probabilities indexed by the heads and tails
 of an ADMG, evaluates joint probabilities through sparse
 inclusion-exclusion matrices, and maximizes the multinomial likelihood
-by block coordinate gradient ascent with feasibility constraints.
+by block coordinate ascent: a damped Newton ascent with feasibility
+backtracking on each vertex block, and a single projection onto the
+canonical parameters at the end of the fit.
 """
 
 from ._kernels import available_backends, backend

@@ -2,8 +2,10 @@
 
 The two hot loops of the fitting procedure live here: sparse row-wise
 products (evaluating one multiplicative term per row of a CSR pattern)
-and the per-vertex gradient ascent with Armijo backtracking.  Both have
-a compiled implementation (numba) and a vectorized numpy fallback.
+and the per-vertex damped Newton ascent under feasibility constraints.
+The term products have a compiled implementation (numba) and a
+vectorized numpy fallback; the Newton ascent is small dense linear
+algebra, so both backends share its numpy implementation.
 
 The active backend is chosen once at import time: the environment
 variable ``ADMGFIT_BACKEND`` may force ``numba`` or ``numpy``; when it
@@ -53,47 +55,63 @@ def _term_products_numpy(indptr, indices, q):
     return out
 
 
-def _ascent_numpy(A, b, counts, eps, theta, step0, beta, sigma, max_inner, inner_tol):
+def _ascent_numpy(A, b, counts, eps, theta, beta, sigma, max_inner, inner_tol):
     """Maximize sum(counts * log(A theta - b)) subject to A theta - b >= eps.
 
-    Plain gradient ascent with Armijo backtracking; the trial step is
-    warm started from the previous accepted step.  Returns
-    (theta, ll, iterations, moved).
+    Damped Newton ascent on the concave block objective: the direction
+    solves (A' diag(c/f^2) A) d = A'(c/f) over the positive-count rows,
+    the unit step is tried first and backtracked by ``beta`` until every
+    row stays at or above ``eps`` and the Armijo test with ``sigma``
+    passes.  Returns (theta, ll, iterations, moved, decrement), the last
+    being the Newton decrement g'd/2 at the starting point.
     """
     pos = counts > 0.0
-    npos = counts[pos]
+    c = counts[pos]
     Apos = A[pos]
 
     f = A @ theta - b
-    ll = npos @ np.log(f[pos])
-    last = step0
+    ll = c @ np.log(f[pos])
     moved = False
+    decrement = 0.0
     it = 0
     while it < max_inner:
-        grad = Apos.T @ (npos / f[pos])
-        gg = grad @ grad
-        if gg <= 0.0:
+        fp = f[pos]
+        w = c / fp
+        grad = Apos.T @ w
+        hess = (Apos * (w / fp)[:, None]).T @ Apos
+        try:
+            d = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            # zero counts can leave some directions without curvature
+            d = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        gd = grad @ d
+        if not 0.0 < gd < np.inf:
+            d = grad
+            gd = grad @ grad
+        if it == 0:
+            decrement = 0.5 * gd
+        if 0.5 * gd <= inner_tol:
             break
-        step = min(step0, 4.0 * last)
+        step = 1.0
         accepted = False
         while step > 1e-18:
-            t_try = theta + step * grad
+            t_try = theta + step * d
             f_try = A @ t_try - b
             if np.all(f_try >= eps):
-                ll_try = npos @ np.log(f_try[pos])
-                if np.isfinite(ll_try) and ll_try >= ll + sigma * step * gg:
+                ll_try = c @ np.log(f_try[pos])
+                if np.isfinite(ll_try) and ll_try >= ll + sigma * step * gd:
                     accepted = True
                     break
             step *= beta
         if not accepted:
             break
         gain = ll_try - ll
-        theta, f, ll, last = t_try, f_try, ll_try, step
+        theta, f, ll = t_try, f_try, ll_try
         moved = True
         it += 1
         if gain <= inner_tol:
             break
-    return theta, ll, it, moved
+    return theta, ll, it, moved, decrement
 
 
 # -- numba -------------------------------------------------------------
@@ -110,69 +128,6 @@ def _term_products_loops(indptr, indices, q):
     return out
 
 
-def _ascent_loops(A, b, counts, eps, theta, step0, beta, sigma, max_inner, inner_tol):
-    rows, cols = A.shape
-    f = A @ theta - b
-    ll = 0.0
-    for i in range(rows):
-        if counts[i] > 0.0:
-            ll += counts[i] * np.log(f[i])
-    grad = np.empty(cols)
-    t_try = np.empty(cols)
-    last = step0
-    moved = False
-    it = 0
-    while it < max_inner:
-        for c in range(cols):
-            grad[c] = 0.0
-        for i in range(rows):
-            if counts[i] > 0.0:
-                r = counts[i] / f[i]
-                for c in range(cols):
-                    grad[c] += A[i, c] * r
-        gg = 0.0
-        for c in range(cols):
-            gg += grad[c] * grad[c]
-        if gg <= 0.0:
-            break
-        step = step0
-        if 4.0 * last < step:
-            step = 4.0 * last
-        accepted = False
-        ll_try = 0.0
-        while step > 1e-18:
-            for c in range(cols):
-                t_try[c] = theta[c] + step * grad[c]
-            f_try = A @ t_try - b
-            feasible = True
-            for i in range(rows):
-                if f_try[i] < eps[i]:
-                    feasible = False
-                    break
-            if feasible:
-                ll_try = 0.0
-                for i in range(rows):
-                    if counts[i] > 0.0:
-                        ll_try += counts[i] * np.log(f_try[i])
-                if ll_try >= ll + sigma * step * gg:
-                    accepted = True
-                    break
-            step *= beta
-        if not accepted or not np.isfinite(ll_try):
-            break
-        gain = ll_try - ll
-        for c in range(cols):
-            theta[c] = t_try[c]
-        f = f_try
-        ll = ll_try
-        last = step
-        moved = True
-        it += 1
-        if gain <= inner_tol:
-            break
-    return theta, ll, it, moved
-
-
 _NUMPY = Kernels("numpy", _term_products_numpy, _ascent_numpy)
 _numba_kernels = None
 
@@ -183,7 +138,7 @@ def _build_numba():
         _numba_kernels = Kernels(
             "numba",
             njit(cache=True, nogil=True)(_term_products_loops),
-            njit(cache=True, nogil=True)(_ascent_loops),
+            _ascent_numpy,
         )
     return _numba_kernels
 

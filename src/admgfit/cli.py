@@ -89,7 +89,8 @@ def _print_report(rep) -> None:
     else:
         print(f"deviance: {rep.deviance:.4f}  df: {rep.df}")
     print(f"bic: {rep.bic:.4f}  aic: {rep.aic:.4f}")
-    print(f"n: {rep.n:.0f}  cycles: {rep.cycles}  converged: {'yes' if rep.converged else 'no'}")
+    print(f"n: {rep.n:.0f}  cycles: {rep.cycles}  converged: {'yes' if rep.converged else 'no'}"
+          f"  kkt: {rep.kkt:.3g}")
     for note in rep.notes:
         print(f"note: {note}")
 

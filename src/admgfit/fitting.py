@@ -3,11 +3,12 @@
 The log-likelihood of a count vector is concave in the parameters of
 one vertex when all other parameters are held fixed, because the joint
 probabilities are then affine in that block.  Fitting cycles through
-the vertices in canonical order and maximizes each block with gradient
-ascent under the feasibility constraints, using Armijo backtracking;
-after every vertex update the parameter vector is re-extracted from the
-current joint distribution, which leaves the likelihood unchanged but
-keeps the parameters interpretable as conditional probabilities.
+the vertices in canonical order and maximizes each block with damped
+Newton ascent under the feasibility constraints, backtracking from the
+unit step.  Once the fit ends, the parameter vector is re-extracted
+from the fitted joint distribution in a single projection, which
+leaves the likelihood unchanged but keeps the parameters
+interpretable as conditional probabilities.
 
 Districts do not share parameters and their factors multiply, so they
 can also be fitted independently (``fit_districts_parallel``).
@@ -50,9 +51,12 @@ class FitOptions:
     """Tuning knobs for :func:`fit`.
 
     ``tol`` stops the outer loop once a full cycle over all vertices
-    improves the log-likelihood by less than this.  ``step0``, ``beta``
-    and ``sigma`` are the Armijo line search constants (initial step,
-    backtracking factor, acceptance slope).  ``feas_eps`` keeps every
+    improves the log-likelihood by less than this.  Each block is
+    maximized by damped Newton ascent: the unit step is tried first,
+    ``beta`` and ``sigma`` are its backtracking factor and Armijo
+    acceptance slope, and ``max_inner`` bounds the Newton steps per
+    block.  The fitted parameters are canonicalized by one projection
+    at the end of the fit, not during it.  ``feas_eps`` keeps every
     joint probability with a positive count strictly positive.
     ``starts`` adds jittered restarts; ``backend`` picks the kernel
     implementation; ``jobs`` bounds the worker threads of
@@ -61,7 +65,6 @@ class FitOptions:
 
     tol: float = 1e-8
     max_cycles: int = 1000
-    step0: float = 1.0
     beta: float = 0.5
     sigma: float = 1e-4
     max_inner: int = 100
@@ -83,6 +86,9 @@ class FitResult:
     p: np.ndarray
     n: float
     projections: int = 0
+    # largest block Newton decrement at block start in the final cycle:
+    # a stationarity certificate, reported but not used to stop
+    kkt: float = float("nan")
 
     @property
     def n_params(self) -> int:
@@ -182,7 +188,8 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
 
 def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
     """One block maximization in the district-factor form; returns the
-    new district log-likelihood contribution and whether theta moved."""
+    new district log-likelihood contribution, whether theta moved and
+    the block's Newton decrement at its start."""
     A, b, theta_local = dm.affine(q[dm.sl], pos, kern.term_products)
     theta = q[dm.sl][theta_local].copy()
     f = A @ theta - b
@@ -191,20 +198,19 @@ def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
         raise FitError("infeasible point: zero factor at an observed cell")
     # keep the current point strictly inside the working constraints
     eps = np.minimum(eps0, np.where(pos_rows, f / 2.0, 0.0))
-    theta, ll_d, _, moved = kern.ascent(
+    theta, ll_d, _, moved, decrement = kern.ascent(
         A,
         b,
         counts,
         eps,
         theta,
-        opts.step0,
         opts.beta,
         opts.sigma,
         opts.max_inner,
         0.01 * opts.tol,
     )
     q[dm.sl.start + theta_local] = theta
-    return ll_d, moved
+    return ll_d, moved, decrement
 
 
 def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptions()):
@@ -258,11 +264,12 @@ def _district_ll(dm: DistrictMaps, q, counts, kern) -> float:
     return float(counts[pos] @ np.log(f[pos]))
 
 
-def _fit_from(g, par, q0, counts, opts, kern, vertices=None, project=True):
+def _fit_from(g, par, q0, counts, opts, kern, vertices=None):
     """Cycle block updates from one start until converged.
 
     ``vertices`` restricts the sweep (used by the per-district fitter).
-    Returns (q, ll, cycles, converged, projections)."""
+    Returns (q, ll, cycles, converged, kkt), ``kkt`` being the largest
+    block Newton decrement at block start in the last cycle."""
     q = q0.copy()
     eps0 = _eps_rows(counts, opts)
     order = vertices if vertices is not None else list(range(len(g.vertices)))
@@ -270,15 +277,17 @@ def _fit_from(g, par, q0, counts, opts, kern, vertices=None, project=True):
     ll = sum(ll_by_d.values())
     if not np.isfinite(ll):
         raise FitError("infeasible starting point")
-    projections = 0
     converged = False
     cycles = 0
+    kkt = 0.0
     for cycles in range(1, opts.max_cycles + 1):
         ll_cycle_start = ll
         any_moved = False
+        kkt = 0.0
         for pos in order:
             dm = next(m for m in par.maps if m.d_mask >> pos & 1)
-            ll_d, moved = _ascend_vertex(dm, q, pos, counts, eps0, opts, kern)
+            ll_d, moved, decrement = _ascend_vertex(dm, q, pos, counts, eps0, opts, kern)
+            kkt = max(kkt, decrement)
             ll_prev = ll
             ll_by_d[id(dm)] = ll_d
             ll = sum(ll_by_d.values())
@@ -287,19 +296,10 @@ def _fit_from(g, par, q0, counts, opts, kern, vertices=None, project=True):
                     f"vertex update decreased the log-likelihood: {ll_prev} -> {ll}"
                 )
             any_moved = any_moved or moved
-            if project and moved:
-                q, ll2, did = _project(g, par, q, ll, counts, kern)
-                if did:
-                    projections += 1
-                    ll_by_d = {
-                        id(dm2): _district_ll(dm2, q, counts, kern)
-                        for dm2 in par.maps
-                    }
-                    ll = sum(ll_by_d.values())
         if not any_moved or ll - ll_cycle_start < opts.tol:
             converged = True
             break
-    return q, ll, cycles, converged, projections
+    return q, ll, cycles, converged, kkt
 
 
 def fit(
@@ -333,14 +333,10 @@ def fit(
     for _ in range(opts.starts - 1):
         starts.append(_jitter_start(g, q_base, rng))
 
-    best = None
-    for q0 in starts:
-        q, ll, cycles, converged, projections = _fit_from(
-            g, par, q0, counts, opts, kern
-        )
-        if best is None or ll > best[1]:
-            best = (q, ll, cycles, converged, projections)
-    q, ll, cycles, converged, projections = best
+    # the first start with the highest log-likelihood wins
+    runs = [_fit_from(g, par, q0, counts, opts, kern) for q0 in starts]
+    q, ll, cycles, converged, kkt = max(runs, key=lambda run: run[1])
+    q, ll, projections = _project(g, par, q, ll, counts, kern)
     p = par.prob(q, kern.term_products)
     return FitResult(
         graph=g,
@@ -351,6 +347,7 @@ def fit(
         p=p,
         n=float(counts.sum()),
         projections=projections,
+        kkt=kkt,
     )
 
 
@@ -363,9 +360,9 @@ def fit_districts_parallel(
 
     Districts share no parameters and enter the likelihood through
     separate factors, so the joint maximum is the combination of the
-    per-district maxima.  Mid-run canonicalization is deferred to a
-    single pass at the end; the fitted distribution agrees with
-    :func:`fit` up to convergence tolerance.
+    per-district maxima.  As in :func:`fit`, the parameters are
+    canonicalized by a single projection at the end; the fitted
+    distribution agrees with :func:`fit` up to convergence tolerance.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
     kern = get_kernels(opts.backend)
@@ -374,7 +371,7 @@ def fit_districts_parallel(
 
     def work(dm: DistrictMaps):
         vs = [p for p in dm.members]
-        return _fit_from(g, par, q, counts, opts, kern, vertices=vs, project=False)
+        return _fit_from(g, par, q, counts, opts, kern, vertices=vs)
 
     jobs = opts.jobs or len(par.maps)
     if jobs > 1 and len(par.maps) > 1:
@@ -386,10 +383,12 @@ def fit_districts_parallel(
     out = q.copy()
     cycles = 0
     converged = True
-    for dm, (qd, _, cyc, conv, _) in zip(par.maps, results):
+    kkt = 0.0
+    for dm, (qd, _, cyc, conv, kkt_d) in zip(par.maps, results):
         out[dm.sl] = qd[dm.sl]
         cycles = max(cycles, cyc)
         converged = converged and conv
+        kkt = max(kkt, kkt_d)
 
     pos = counts > 0
     p = par.prob(out, kern.term_products)
@@ -405,4 +404,5 @@ def fit_districts_parallel(
         p=p,
         n=float(counts.sum()),
         projections=projections,
+        kkt=kkt,
     )

@@ -153,6 +153,7 @@ class InferenceReport:
     n: float
     cycles: int
     converged: bool
+    kkt: float = float("nan")
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
@@ -189,6 +190,7 @@ class InferenceReport:
             "n": self.n,
             "cycles": self.cycles,
             "converged": self.converged,
+            "kkt": None if np.isnan(self.kkt) else self.kkt,
             "notes": list(self.notes),
         }
 
@@ -223,5 +225,6 @@ def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:
         n=result.n,
         cycles=result.cycles,
         converged=result.converged,
+        kkt=result.kkt,
         notes=tuple(notes),
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from admgfit.cli import _bench_graph
 from admgfit.fitting import (
     FitError,
     FitOptions,
@@ -14,7 +15,8 @@ from admgfit.fitting import (
     vertex_block,
 )
 from admgfit.graph import Admg
-from admgfit.moebius import enumerate_params, prob_vector
+from admgfit.inference import report
+from admgfit.moebius import enumerate_params, prob_vector, q_from_p
 
 from util import (
     dag_loglik_closed_form,
@@ -209,3 +211,43 @@ def test_backend_option_is_validated():
     g = graph_two()
     with pytest.raises(ValueError, match="unknown backend"):
         fit(g, np.ones(8), FitOptions(backend="fortran"))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_large_family_reaches_the_saturated_likelihood(k):
+    # complete bidirected graphs on k + 1 vertices are saturated models
+    rng = np.random.default_rng(22 + k)
+    g = _bench_graph("large", k)
+    counts = random_counts(rng, k + 1, high=50)
+    opts = FitOptions()
+    res = fit(g, counts, opts)
+    saturated = float(counts @ np.log(counts / counts.sum()))
+    assert res.converged and res.cycles <= 20
+    assert abs(res.loglik - saturated) < 1e-8
+    assert 0.0 <= res.kkt < opts.tol
+    assert report(res, counts, with_se=False).to_dict()["kkt"] == res.kkt
+    # the single end-of-fit projection leaves the parameters canonical
+    assert np.max(np.abs(res.q - q_from_p(g, res.p))) < 1e-10
+
+
+def test_zero_count_block_with_singular_hessian():
+    g = _bench_graph("large", 2)
+    counts = np.array([7.0, 0, 0, 12, 0, 0, 9, 0])
+    opts = FitOptions(allow_zero_counts=True)
+    q = initialize(g, counts)
+    A, b, idx = vertex_block(g, q, "x2")
+    f = A @ q[idx] - b
+    pos = counts > 0
+    Apos = A[pos]
+    hess = (Apos * (counts[pos] / f[pos] ** 2)[:, None]).T @ Apos
+    assert np.linalg.matrix_rank(hess) < len(idx)
+    with pytest.raises(FitError, match="allow_zero_counts"):
+        update_vertex(g, q, "x2", counts)
+    before = loglik(g, q, counts)
+    for v in ["x2", "x1", "x3", "x2"]:
+        q = update_vertex(g, q, v, counts, opts)
+        after = loglik(g, q, counts)
+        p = prob_vector(g, q)
+        assert p[pos].min() > 0 and p.min() >= 0
+        assert after >= before - 1e-9
+        before = after
