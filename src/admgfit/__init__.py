@@ -9,14 +9,12 @@ backtracking on each vertex block, and a single projection onto the
 canonical parameters at the end of the fit.
 """
 
-from ._kernels import available_backends, backend
 from .data import Dataset, counts_for, load_data, save_data, simulate
 from .fitting import (
     FitError,
     FitOptions,
     FitResult,
     fit,
-    fit_districts_parallel,
     initialize,
     loglik,
     update_vertex,
@@ -79,7 +77,6 @@ __all__ = [
     "FitResult",
     "FitError",
     "fit",
-    "fit_districts_parallel",
     "initialize",
     "loglik",
     "update_vertex",
@@ -100,7 +97,5 @@ __all__ = [
     "save_data",
     "simulate",
     "counts_for",
-    "backend",
-    "available_backends",
     "__version__",
 ]

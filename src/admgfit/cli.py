@@ -4,7 +4,7 @@ Subcommands: ``fit`` (maximum likelihood fit of a graph to data),
 ``select`` (stepwise BIC/AIC search), ``msep`` (m-separation queries),
 ``info`` (heads, tails, parameters and optionally the sparse model
 matrices of a graph), ``simulate`` (draw data from a model) and
-``bench`` (timing across growing graph families and kernel backends).
+``bench`` (fit timing across growing graph families).
 
 Exit codes: 0 on success, 2 for unusable input (bad graph or data,
 unparsable arguments), 3 for runtime failures (fit divergence,
@@ -20,9 +20,8 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .data import Dataset, counts_for, load_data, save_data, simulate
-from .fitting import FitError, FitOptions, fit, fit_districts_parallel
+from .fitting import FitError, FitOptions, fit
 from .graph import Admg, GraphError, format_graph, parse_graph, read_graph
 from .heads import heads
 from .inference import report
@@ -44,9 +43,6 @@ def _add_fit_options(p: argparse.ArgumentParser, tol_default: float = 1e-8) -> N
                    help="fit even when some cells have count zero")
     p.add_argument("--starts", type=int, default=1, help="number of random restarts")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                   help="kernel backend (default: numba when available)")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
 
 
 def _options(args) -> FitOptions:
@@ -56,8 +52,6 @@ def _options(args) -> FitOptions:
         allow_zero_counts=args.allow_zero_counts,
         starts=args.starts,
         seed=args.seed,
-        backend=args.backend,
-        jobs=args.jobs,
     )
 
 
@@ -99,15 +93,13 @@ def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
     counts = _counts(g, args.data)
     opts = _options(args)
-    fitter = fit_districts_parallel if args.parallel_districts else fit
-    result = fitter(g, counts, opts)
+    result = fit(g, counts, opts)
     rep = report(result, counts, with_se=not args.no_se)
     print(
         f"graph: {len(g.vertices)} vertices, {len(g.directed_edges)} directed, "
         f"{len(g.bidirected_edges)} bidirected; districts: "
         + " ".join(_fmt_set(d) for d in g.districts())
     )
-    print(f"backend: {_kernels.get_kernels(opts.backend).name}")
     _print_report(rep)
     if args.json:
         _write_json(rep.to_dict(), args.json)
@@ -283,49 +275,38 @@ def _bench_graph(family: str, k: int) -> Admg:
 
 
 def _cmd_bench(args) -> int:
-    backends = (
-        _split_list(args.backends)
-        if args.backends
-        else [_kernels.backend()]
-    )
-    for b in backends:
-        _kernels.get_kernels(b)  # validate early
+    opts = FitOptions(tol=args.tol, max_cycles=args.max_cycles)
     rng = np.random.default_rng(args.seed)
     rows = []
-    print(f"{'family':<6} {'k':>2} {'|V|':>3} {'params':>6} {'backend':>7} "
+    print(f"{'family':<6} {'k':>2} {'|V|':>3} {'params':>6} "
           f"{'seconds':>9} {'cycles':>6} conv")
     for k in range(args.k_min, args.k_max + 1):
         g = _bench_graph(args.family, k)
         counts = rng.integers(1, 50, size=1 << len(g.vertices)).astype(float)
         n_params = len(enumerate_params(g))
-        for b in backends:
-            opts_b = FitOptions(
-                tol=args.tol, max_cycles=args.max_cycles, backend=b
-            )
-            fit(g, counts, opts_b)  # warm up kernels and maps
-            best = np.inf
-            cycles = 0
-            conv = True
-            for _ in range(args.reps):
-                t0 = time.perf_counter()
-                res = fit(g, counts, opts_b)
-                dt = time.perf_counter() - t0
-                best = min(best, dt)
-                cycles, conv = res.cycles, res.converged
-            rows.append(
-                {
-                    "family": args.family,
-                    "k": k,
-                    "vertices": len(g.vertices),
-                    "params": n_params,
-                    "backend": b,
-                    "seconds": best,
-                    "cycles": cycles,
-                    "converged": conv,
-                }
-            )
-            print(f"{args.family:<6} {k:>2} {len(g.vertices):>3} {n_params:>6} "
-                  f"{b:>7} {best:>9.4f} {cycles:>6} {'yes' if conv else 'no'}")
+        fit(g, counts, opts)  # warm up the maps
+        best = np.inf
+        cycles = 0
+        conv = True
+        for _ in range(args.reps):
+            t0 = time.perf_counter()
+            res = fit(g, counts, opts)
+            dt = time.perf_counter() - t0
+            best = min(best, dt)
+            cycles, conv = res.cycles, res.converged
+        rows.append(
+            {
+                "family": args.family,
+                "k": k,
+                "vertices": len(g.vertices),
+                "params": n_params,
+                "seconds": best,
+                "cycles": cycles,
+                "converged": conv,
+            }
+        )
+        print(f"{args.family:<6} {k:>2} {len(g.vertices):>3} {n_params:>6} "
+              f"{best:>9.4f} {cycles:>6} {'yes' if conv else 'no'}")
     if args.csv:
         import csv as _csv
 
@@ -348,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file")
     p.add_argument("data", help="CSV data file")
     _add_fit_options(p)
-    p.add_argument("--parallel-districts", action="store_true",
-                   help="fit districts on worker threads")
     p.add_argument("--no-se", action="store_true", help="skip standard errors")
     p.add_argument("--json", help="write a JSON report here ('-' for stdout)")
     p.set_defaults(func=_cmd_fit)
@@ -393,8 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-cycles", type=int, default=1000)
-    p.add_argument("--backends", default="",
-                   help="comma separated backends to compare (default: active)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write timings here")
     p.set_defaults(func=_cmd_bench)
@@ -410,7 +387,7 @@ def main(argv=None) -> int:
     except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, np.linalg.LinAlgError, ImportError) as exc:
+    except (FitError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,21 +2,20 @@
 
 The log-likelihood of a count vector is concave in the parameters of
 one vertex when all other parameters are held fixed, because the joint
-probabilities are then affine in that block.  Fitting cycles through
-the vertices in canonical order and maximizes each block with damped
-Newton ascent under the feasibility constraints, backtracking from the
-unit step.  Once the fit ends, the parameter vector is re-extracted
-from the fitted joint distribution in a single projection, which
-leaves the likelihood unchanged but keeps the parameters
-interpretable as conditional probabilities.
-
-Districts do not share parameters and their factors multiply, so they
-can also be fitted independently (``fit_districts_parallel``).
+probabilities are then affine in that block.  Districts share no
+parameters and their factors multiply, so the likelihood is a sum of
+per-district terms and each district is fitted to convergence in turn.
+Within a district, fitting cycles through its vertices in canonical
+order and maximizes each block with damped Newton ascent under the
+feasibility constraints, backtracking from the unit step.  Once the
+fit ends, the parameter vector is re-extracted from the fitted joint
+distribution in a single projection, which leaves the likelihood
+unchanged but keeps the parameters interpretable as conditional
+probabilities.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +33,14 @@ __all__ = [
     "vertex_block",
     "update_vertex",
     "fit",
-    "fit_districts_parallel",
 ]
 
 # relative slack for the never-decrease assertion; violations beyond
 # this indicate a genuine bug, not roundoff
 _MONO_SLACK = 1e-7
+
+# lower bound on every joint probability with a positive count
+_FEAS_EPS = 1e-12
 
 
 class FitError(RuntimeError):
@@ -50,30 +51,26 @@ class FitError(RuntimeError):
 class FitOptions:
     """Tuning knobs for :func:`fit`.
 
-    ``tol`` stops the outer loop once a full cycle over all vertices
-    improves the log-likelihood by less than this.  Each block is
-    maximized by damped Newton ascent: the unit step is tried first,
-    ``beta`` and ``sigma`` are its backtracking factor and Armijo
-    acceptance slope, and ``max_inner`` bounds the Newton steps per
-    block.  The fitted parameters are canonicalized by one projection
-    at the end of the fit, not during it.  ``feas_eps`` keeps every
-    joint probability with a positive count strictly positive.
-    ``starts`` adds jittered restarts; ``backend`` picks the kernel
-    implementation; ``jobs`` bounds the worker threads of
-    :func:`fit_districts_parallel`.
+    ``tol`` stops a district's fit once a full cycle over its vertices
+    improves its log-likelihood by less than this; ``max_cycles``
+    bounds the cycles per district.  ``allow_zero_counts`` permits
+    empty cells.  ``starts`` counts the starting points, the first
+    plus jittered restarts drawn with ``seed``.
     """
 
     tol: float = 1e-8
     max_cycles: int = 1000
-    beta: float = 0.5
-    sigma: float = 1e-4
-    max_inner: int = 100
-    feas_eps: float = 1e-12
     allow_zero_counts: bool = False
     starts: int = 1
     seed: int | None = None
-    backend: str | None = None
-    jobs: int | None = None
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, not {self.tol}")
+        if self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be at least 1, not {self.max_cycles}")
+        if self.starts < 1:
+            raise ValueError(f"starts must be at least 1, not {self.starts}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,15 @@ class FitResult:
     graph: Admg
     q: np.ndarray
     loglik: float
+    # largest cycle count of any district
     cycles: int
     converged: bool
     p: np.ndarray
     n: float
     projections: int = 0
-    # largest block Newton decrement at block start in the final cycle:
-    # a stationarity certificate, reported but not used to stop
+    # largest block Newton decrement at block start in the final cycle
+    # of any district: a stationarity certificate, reported but not
+    # used to stop
     kkt: float = float("nan")
 
     @property
@@ -199,15 +198,7 @@ def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
     # keep the current point strictly inside the working constraints
     eps = np.minimum(eps0, np.where(pos_rows, f / 2.0, 0.0))
     theta, ll_d, _, moved, decrement = kern.ascent(
-        A,
-        b,
-        counts,
-        eps,
-        theta,
-        opts.beta,
-        opts.sigma,
-        opts.max_inner,
-        0.01 * opts.tol,
+        A, b, counts, eps, theta, 0.01 * opts.tol
     )
     q[dm.sl.start + theta_local] = theta
     return ll_d, moved, decrement
@@ -218,17 +209,17 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     head, all else fixed.  Returns a new parameter vector; never
     decreases the likelihood."""
     counts = _check_counts(g, counts, opts.allow_zero_counts)
-    kern = get_kernels(opts.backend)
+    kern = get_kernels()
     par = parametrization(g)
     pos = g._resolve(v)
     dm = next(m for m in par.maps if m.d_mask >> pos & 1)
     q = np.asarray(q, dtype=float).copy()
-    _ascend_vertex(dm, q, pos, counts, _eps_rows(counts, opts), opts, kern)
+    _ascend_vertex(dm, q, pos, counts, _eps_rows(counts), opts, kern)
     return q
 
 
-def _eps_rows(counts: np.ndarray, opts: FitOptions) -> np.ndarray:
-    return np.where(counts > 0, opts.feas_eps, 0.0)
+def _eps_rows(counts: np.ndarray) -> np.ndarray:
+    return np.where(counts > 0, _FEAS_EPS, 0.0)
 
 
 def _project(g, par: Parametrization, q, ll, counts, kern):
@@ -264,42 +255,42 @@ def _district_ll(dm: DistrictMaps, q, counts, kern) -> float:
     return float(counts[pos] @ np.log(f[pos]))
 
 
-def _fit_from(g, par, q0, counts, opts, kern, vertices=None):
-    """Cycle block updates from one start until converged.
+def _fit_from(par: Parametrization, q0, counts, opts, kern):
+    """Fit each district to convergence in turn from one start.
 
-    ``vertices`` restricts the sweep (used by the per-district fitter).
-    Returns (q, ll, cycles, converged, kkt), ``kkt`` being the largest
-    block Newton decrement at block start in the last cycle."""
+    Returns (q, ll, cycles, converged, kkt): the sum of the district
+    log-likelihoods, the largest district cycle count, whether every
+    district converged, and the largest block Newton decrement at
+    block start in the last cycle of any district."""
     q = q0.copy()
-    eps0 = _eps_rows(counts, opts)
-    order = vertices if vertices is not None else list(range(len(g.vertices)))
-    ll_by_d = {id(dm): _district_ll(dm, q, counts, kern) for dm in par.maps}
-    ll = sum(ll_by_d.values())
-    if not np.isfinite(ll):
-        raise FitError("infeasible starting point")
-    converged = False
-    cycles = 0
-    kkt = 0.0
-    for cycles in range(1, opts.max_cycles + 1):
-        ll_cycle_start = ll
-        any_moved = False
-        kkt = 0.0
-        for pos in order:
-            dm = next(m for m in par.maps if m.d_mask >> pos & 1)
-            ll_d, moved, decrement = _ascend_vertex(dm, q, pos, counts, eps0, opts, kern)
-            kkt = max(kkt, decrement)
-            ll_prev = ll
-            ll_by_d[id(dm)] = ll_d
-            ll = sum(ll_by_d.values())
-            if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
-                raise FitError(
-                    f"vertex update decreased the log-likelihood: {ll_prev} -> {ll}"
-                )
-            any_moved = any_moved or moved
-        if not any_moved or ll - ll_cycle_start < opts.tol:
-            converged = True
-            break
-    return q, ll, cycles, converged, kkt
+    eps0 = _eps_rows(counts)
+    ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
+    for dm in par.maps:
+        ll = _district_ll(dm, q, counts, kern)
+        if not np.isfinite(ll):
+            raise FitError("infeasible starting point")
+        converged = False
+        for cycles in range(1, opts.max_cycles + 1):
+            ll_cycle_start = ll
+            any_moved = False
+            kkt = 0.0
+            for pos in dm.members:
+                ll_prev = ll
+                ll, moved, decrement = _ascend_vertex(dm, q, pos, counts, eps0, opts, kern)
+                kkt = max(kkt, decrement)
+                if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
+                    raise FitError(
+                        f"vertex update decreased the log-likelihood: {ll_prev} -> {ll}"
+                    )
+                any_moved = any_moved or moved
+            if not any_moved or ll - ll_cycle_start < opts.tol:
+                converged = True
+                break
+        ll_total += ll
+        cycles_max = max(cycles_max, cycles)
+        all_converged = all_converged and converged
+        kkt_max = max(kkt_max, kkt)
+    return q, ll_total, cycles_max, all_converged, kkt_max
 
 
 def fit(
@@ -316,7 +307,7 @@ def fit(
     ``opts.starts`` and keep the best likelihood found.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
-    kern = get_kernels(opts.backend)
+    kern = get_kernels()
     par = parametrization(g)
     rng = np.random.default_rng(opts.seed)
 
@@ -334,70 +325,13 @@ def fit(
         starts.append(_jitter_start(g, q_base, rng))
 
     # the first start with the highest log-likelihood wins
-    runs = [_fit_from(g, par, q0, counts, opts, kern) for q0 in starts]
+    runs = [_fit_from(par, q0, counts, opts, kern) for q0 in starts]
     q, ll, cycles, converged, kkt = max(runs, key=lambda run: run[1])
     q, ll, projections = _project(g, par, q, ll, counts, kern)
     p = par.prob(q, kern.term_products)
     return FitResult(
         graph=g,
         q=q,
-        loglik=ll,
-        cycles=cycles,
-        converged=converged,
-        p=p,
-        n=float(counts.sum()),
-        projections=projections,
-        kkt=kkt,
-    )
-
-
-def fit_districts_parallel(
-    g: Admg,
-    counts,
-    opts: FitOptions = FitOptions(),
-) -> FitResult:
-    """Fit each district separately, possibly in worker threads.
-
-    Districts share no parameters and enter the likelihood through
-    separate factors, so the joint maximum is the combination of the
-    per-district maxima.  As in :func:`fit`, the parameters are
-    canonicalized by a single projection at the end; the fitted
-    distribution agrees with :func:`fit` up to convergence tolerance.
-    """
-    counts = _check_counts(g, counts, opts.allow_zero_counts)
-    kern = get_kernels(opts.backend)
-    par = parametrization(g)
-    q = initialize(g, counts, opts)
-
-    def work(dm: DistrictMaps):
-        vs = [p for p in dm.members]
-        return _fit_from(g, par, q, counts, opts, kern, vertices=vs)
-
-    jobs = opts.jobs or len(par.maps)
-    if jobs > 1 and len(par.maps) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(work, par.maps))
-    else:
-        results = [work(dm) for dm in par.maps]
-
-    out = q.copy()
-    cycles = 0
-    converged = True
-    kkt = 0.0
-    for dm, (qd, _, cyc, conv, kkt_d) in zip(par.maps, results):
-        out[dm.sl] = qd[dm.sl]
-        cycles = max(cycles, cyc)
-        converged = converged and conv
-        kkt = max(kkt, kkt_d)
-
-    pos = counts > 0
-    p = par.prob(out, kern.term_products)
-    ll = float(counts[pos] @ np.log(p[pos]))
-    out, ll, projections = _project(g, par, out, ll, counts, kern)
-    p = par.prob(out, kern.term_products)
-    return FitResult(
-        graph=g,
-        q=out,
         loglik=ll,
         cycles=cycles,
         converged=converged,

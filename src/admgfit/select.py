@@ -12,7 +12,6 @@ a search is reproducible run to run.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,9 +130,8 @@ def stepwise(
 ) -> SearchResult:
     """Greedy single-edge search minimizing BIC or AIC.
 
-    Every candidate fit of a step is independent, so they run on worker
-    threads when ``opts.jobs`` allows.  Fits are cached by graph, and
-    the criterion of the accepted sequence is strictly decreasing.
+    Candidate fits run one after another and are cached by graph; the
+    criterion of the accepted sequence is strictly decreasing.
 
     When ``opts`` is not given, fits use a tighter tolerance than the
     plain fitting default: tie detection compares criteria at 1e-6, so
@@ -168,17 +166,11 @@ def stepwise(
 
     for _ in range(max_steps):
         moves = neighbors(current)
-        jobs = opts.jobs or 1
-        fresh = [m for m in moves if _graph_key(m[4]) not in cache]
-        warm = current_fit
-        if jobs > 1 and len(fresh) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                fits = list(ex.map(lambda m: run_fit(m[4], warm), fresh))
-        else:
-            fits = [run_fit(m[4], warm) for m in fresh]
-        for m, res in zip(fresh, fits):
-            cache[_graph_key(m[4])] = res
-            evaluated += 1
+        for m in moves:
+            key = _graph_key(m[4])
+            if key not in cache:
+                cache[key] = run_fit(m[4], current_fit)
+                evaluated += 1
         scored = [
             (_criterion(res, criterion), m, res)
             for m in moves

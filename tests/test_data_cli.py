@@ -168,7 +168,6 @@ def test_cli_fit_text_and_json(workdir, capsys):
     assert code == 0
     assert "graph: 4 vertices, 2 directed, 2 bidirected" in out
     assert "districts: {1} {2,3,4}" in out
-    assert "backend:" in out
     assert "parameter" in out and "estimate" in out and "std.error" in out
     assert "loglik:" in out and "bic:" in out
     assert "converged: yes" in out
@@ -177,14 +176,6 @@ def test_cli_fit_text_and_json(workdir, capsys):
     assert len(payload["parameters"]) == 12
     assert payload["converged"] is True
     assert payload["deviance"] >= 0
-
-
-def test_cli_fit_honors_backend_and_parallel_flags(workdir, capsys):
-    _, gpath, dpath = workdir
-    code = main(["fit", gpath, dpath, "--backend", "numpy", "--parallel-districts"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "backend: numpy" in out
 
 
 def test_cli_fit_exit_three_when_not_converged(workdir, capsys):
@@ -291,7 +282,7 @@ def test_cli_bench_runs_and_writes_csv(tmp_path, capsys):
     cpath = tmp_path / "bench.csv"
     code = main(
         ["bench", "--family", "fixed", "--k-max", "2", "--max-cycles", "50",
-         "--backends", "numpy", "--csv", str(cpath)]
+         "--csv", str(cpath)]
     )
     out = capsys.readouterr().out
     assert code == 0

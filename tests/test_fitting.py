@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from admgfit.cli import _bench_graph
+from admgfit.cli import _bench_graph, main
 from admgfit.fitting import (
     FitError,
     FitOptions,
     fit,
-    fit_districts_parallel,
     initialize,
     loglik,
     update_vertex,
     vertex_block,
 )
-from admgfit.graph import Admg
+from admgfit.graph import Admg, format_graph
 from admgfit.inference import report
 from admgfit.moebius import enumerate_params, prob_vector, q_from_p
 
@@ -193,24 +192,45 @@ def test_tight_cycle_budget_reports_nonconvergence():
     assert np.isfinite(res.loglik)
 
 
-def test_parallel_districts_agree_with_joint_fit():
+def test_multi_district_fits_are_stationary_and_consistent():
     rng = np.random.default_rng(21)
-    for jobs in (1, 3):
-        for _ in range(6):
-            g = random_admg(rng, n_min=3, n_max=5)
-            if len(g.districts()) < 2:
-                continue
-            counts = random_counts(rng, len(g.vertices))
-            a = fit(g, counts, FitOptions(tol=1e-10))
-            b = fit_districts_parallel(g, counts, FitOptions(tol=1e-10, jobs=jobs))
-            assert abs(a.loglik - b.loglik) < 1e-5
-            assert np.max(np.abs(a.p - b.p)) < 1e-4
+    opts = FitOptions(tol=1e-10)
+    checked = 0
+    for _ in range(12):
+        g = random_admg(rng, n_min=3, n_max=5)
+        if len(g.districts()) < 2:
+            continue
+        counts = random_counts(rng, len(g.vertices))
+        res = fit(g, counts, opts)
+        assert res.converged
+        assert res.kkt < opts.tol
+        # the summed district log-likelihoods are the joint one
+        assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
+        assert np.max(np.abs(res.q - q_from_p(g, res.p))) < 1e-10
+        checked += 1
+    assert checked >= 4
 
 
-def test_backend_option_is_validated():
-    g = graph_two()
-    with pytest.raises(ValueError, match="unknown backend"):
-        fit(g, np.ones(8), FitOptions(backend="fortran"))
+def test_fit_options_are_validated(tmp_path, capsys):
+    for bad in (
+        {"tol": 0.0},
+        {"tol": -1e-8},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"max_cycles": 0},
+        {"starts": 0},
+    ):
+        with pytest.raises(ValueError):
+            FitOptions(**bad)
+    # on a saturated model a zero cycle budget would report a
+    # stationarity certificate for a point that was never ascended
+    gpath = tmp_path / "graph.txt"
+    gpath.write_text(format_graph(Admg(["a", "b"], [], [("a", "b")])))
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("a,b,count\n0,0,10\n0,1,20\n1,0,30\n1,1,40\n")
+    for flags in (["--max-cycles", "0"], ["--tol", "nan"], ["--starts", "0"]):
+        assert main(["fit", str(gpath), str(dpath), *flags]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [4, 5])

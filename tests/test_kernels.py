@@ -1,46 +1,31 @@
-"""Backend selection and numerical parity of the two kernel sets."""
+"""Kernel lookup, and the kernels against plain reference loops."""
 
 import numpy as np
 import pytest
 
-from admgfit._kernels import (
-    ENV_VAR,
-    Kernels,
-    _term_products_loops,
-    _term_products_numpy,
-    available_backends,
-    backend,
-    get_kernels,
-)
-from admgfit.fitting import FitOptions, fit, vertex_block
-from admgfit.moebius import prob_vector
+from admgfit._kernels import Kernels, _term_products_numpy, get_kernels
+from admgfit.fitting import vertex_block
 
 from util import graph_one, random_interior_q
 
-HAVE_NUMBA = "numba" in available_backends()
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+
+def _term_products_loops(indptr, indices, q):
+    """Reference: products of q over each CSR row, one row at a time."""
+    m = len(indptr) - 1
+    out = np.ones(m)
+    for k in range(m):
+        acc = 1.0
+        for j in range(indptr[k], indptr[k + 1]):
+            acc *= q[indices[j]]
+        out[k] = acc
+    return out
 
 
-def test_backend_names_and_validation(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert backend() in available_backends()
+def test_backend_names_and_validation():
     assert get_kernels("numpy").name == "numpy"
     assert isinstance(get_kernels(), Kernels)
     with pytest.raises(ValueError, match="unknown backend"):
         get_kernels("fortran")
-
-
-def test_environment_variable_forces_the_default(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "numpy")
-    assert backend() == "numpy"
-    assert get_kernels().name == "numpy"
-    monkeypatch.setenv(ENV_VAR, "cuda")
-    with pytest.raises(ValueError, match="must be 'numba' or 'numpy'"):
-        backend()
-    if not HAVE_NUMBA:
-        monkeypatch.setenv(ENV_VAR, "numba")
-        with pytest.raises(ImportError):
-            backend()
 
 
 def test_term_products_on_hand_pattern():
@@ -82,20 +67,9 @@ def test_ascent_improves_and_stays_feasible():
     f0 = A @ theta0 - b
     ll0 = counts @ np.log(f0)
     theta, ll, _, moved, _ = get_kernels("numpy").ascent(
-        A, b, counts, eps, theta0.copy(), 0.5, 1e-4, 200, 1e-12
+        A, b, counts, eps, theta0.copy(), 1e-12
     )
     assert moved
     assert ll > ll0
     assert np.all(A @ theta - b >= eps * (1 - 1e-12))
 
-
-@needs_numba
-def test_fit_results_agree_across_backends():
-    rng = np.random.default_rng(63)
-    g = graph_one()
-    counts = rng.integers(1, 60, size=16).astype(float)
-    a = fit(g, counts, FitOptions(tol=1e-10, backend="numpy"))
-    b = fit(g, counts, FitOptions(tol=1e-10, backend="numba"))
-    assert abs(a.loglik - b.loglik) < 1e-8
-    assert np.max(np.abs(a.p - b.p)) < 1e-6
-    assert np.max(np.abs(prob_vector(g, a.q) - prob_vector(g, b.q))) < 1e-6

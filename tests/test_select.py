@@ -107,15 +107,13 @@ def test_accepted_criteria_decrease_strictly():
     assert res.value == values[-1]
 
 
-def test_search_is_deterministic_and_thread_count_does_not_matter():
+def test_search_is_deterministic():
     counts = pair_counts(500)
     g0 = Admg(["1", "2", "3"])
     a = stepwise(counts, g0)
     b = stepwise(counts, g0)
-    c = stepwise(counts, g0, opts=FitOptions(tol=1e-10, jobs=4))
-    for other in (b, c):
-        assert [s.describe() for s in a.steps] == [s.describe() for s in other.steps]
-        assert a.graph == other.graph
+    assert [s.describe() for s in a.steps] == [s.describe() for s in b.steps]
+    assert a.graph == b.graph
     assert a.evaluated == b.evaluated
 
 
