@@ -20,9 +20,9 @@ import time
 
 import numpy as np
 
-from .data import Dataset, counts_for, load_data, save_data, simulate
+from .data import counts_for, load_data, save_data, simulate
 from .fitting import FitError, FitOptions, fit
-from .graph import Admg, GraphError, format_graph, parse_graph, read_graph
+from .graph import Admg, GraphError, format_graph, read_graph
 from .heads import heads
 from .inference import report
 from .moebius import enumerate_params, parametrization, prob_vector
@@ -187,8 +187,9 @@ def _cmd_info(args) -> int:
     if args.matrices:
         par = parametrization(g)
         for dm in par.maps:
+            scope = ", ".join(str(g.vertices[p]) for p in dm.scope)
             print(f"district {_fmt_set(dm.district)}: "
-                  f"M is {dm.M.shape[0]}x{dm.M.shape[1]}, "
+                  f"M is {dm.M.shape[0]}x{dm.M.shape[1]} over states of ({scope}), "
                   f"P is {dm.P.shape[0]}x{dm.P.shape[1]}")
             print("M =")
             print(np.array2string(dm.M.toarray().astype(int), max_line_width=200))

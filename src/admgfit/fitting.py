@@ -5,9 +5,12 @@ one vertex when all other parameters are held fixed, because the joint
 probabilities are then affine in that block.  Districts share no
 parameters and their factors multiply, so the likelihood is a sum of
 per-district terms and each district is fitted to convergence in turn.
-Within a district, fitting cycles through its vertices in canonical
-order and maximizes each block with damped Newton ascent under the
-feasibility constraints, backtracking from the unit step.  Once the
+A district's factor depends only on the states of the district and its
+parents, so its term is ``sum n_D(x) log f_D(x)`` over those local
+states x, with n_D the marginal counts, and the district is fitted on
+them.  Within a district, fitting cycles through its vertices in
+canonical order and maximizes each block with damped Newton ascent
+under the feasibility constraints, backtracking from the unit step.  Once the
 fit ends, the parameter vector is re-extracted from the fitted joint
 distribution in a single projection, which leaves the likelihood
 unchanged but keeps the parameters interpretable as conditional
@@ -125,7 +128,7 @@ def loglik(g: Admg, q: np.ndarray, counts) -> float:
     return float(counts[pos] @ np.log(p[pos]))
 
 
-def initialize(g: Admg, counts, opts: FitOptions = FitOptions()) -> np.ndarray:
+def initialize(g: Admg, counts) -> np.ndarray:
     """Independence starting point: every q(H | T = t) is the product of
     the observed marginal zero-probabilities of the head members.
     Always feasible, since the implied joint is the product of the
@@ -179,16 +182,17 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
         if dm.d_mask >> pos & 1:
             target = dm
         else:
-            other *= dm.factor(q[dm.sl], kern.term_products)
+            other *= dm.factor(q[dm.sl], kern.term_products)[dm.rows]
     A, b, theta_local = target.affine(q[target.sl], pos, kern.term_products)
     idx = theta_local + target.sl.start
-    return other[:, None] * A, other * b, idx
+    return other[:, None] * A[target.rows], other * b[target.rows], idx
 
 
 def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
-    """One block maximization in the district-factor form; returns the
-    new district log-likelihood contribution, whether theta moved and
-    the block's Newton decrement at its start."""
+    """One block maximization in the district-factor form, on the
+    district's local counts and row bounds; returns the new district
+    log-likelihood contribution, whether theta moved and the block's
+    Newton decrement at its start."""
     A, b, theta_local = dm.affine(q[dm.sl], pos, kern.term_products)
     theta = q[dm.sl][theta_local].copy()
     f = A @ theta - b
@@ -214,11 +218,20 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     pos = g._resolve(v)
     dm = next(m for m in par.maps if m.d_mask >> pos & 1)
     q = np.asarray(q, dtype=float).copy()
-    _ascend_vertex(dm, q, pos, counts, _eps_rows(counts), opts, kern)
+    counts_d = _local_counts(dm, counts)
+    _ascend_vertex(dm, q, pos, counts_d, _eps_rows(counts_d), opts, kern)
     return q
 
 
+def _local_counts(dm: DistrictMaps, counts: np.ndarray) -> np.ndarray:
+    """Marginal counts over the district's local states."""
+    return np.bincount(dm.rows, weights=counts, minlength=dm.M.shape[0])
+
+
 def _eps_rows(counts: np.ndarray) -> np.ndarray:
+    """Row bounds: a local state with a positive count, that is with a
+    positive count in one of its joint cells, keeps its factor at or
+    above the feasibility floor."""
     return np.where(counts > 0, _FEAS_EPS, 0.0)
 
 
@@ -263,10 +276,11 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
     district converged, and the largest block Newton decrement at
     block start in the last cycle of any district."""
     q = q0.copy()
-    eps0 = _eps_rows(counts)
     ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
     for dm in par.maps:
-        ll = _district_ll(dm, q, counts, kern)
+        counts_d = _local_counts(dm, counts)
+        eps_d = _eps_rows(counts_d)
+        ll = _district_ll(dm, q, counts_d, kern)
         if not np.isfinite(ll):
             raise FitError("infeasible starting point")
         converged = False
@@ -276,7 +290,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
             kkt = 0.0
             for pos in dm.members:
                 ll_prev = ll
-                ll, moved, decrement = _ascend_vertex(dm, q, pos, counts, eps0, opts, kern)
+                ll, moved, decrement = _ascend_vertex(dm, q, pos, counts_d, eps_d, opts, kern)
                 kkt = max(kkt, decrement)
                 if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
                     raise FitError(
@@ -319,7 +333,7 @@ def fit(
         if par.prob(start, kern.term_products)[counts > 0].min() > 0:
             starts.append(start)
     if not starts:
-        starts.append(initialize(g, counts, opts))
+        starts.append(initialize(g, counts))
     q_base = starts[0]
     for _ in range(opts.starts - 1):
         starts.append(_jitter_start(g, q_base, rng))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
 Vertex = Hashable
 

@@ -3,8 +3,9 @@
 The Jacobian of the joint probability vector with respect to the
 parameters follows from the chain rule through the district factors:
 each term product depends multiplicatively on its parameters, so within
-a district d/dq of the factor is ``M @ diag(t) @ P @ diag(1/q)``, and
-the product rule across districts scales each district's block by the
+a district d/dq of the factor is ``M @ diag(t) @ P @ diag(1/q)`` over
+the district's local states, gathered to the joint states, and the
+product rule across districts scales each district's block by the
 product of the other factors.  The observed-information route is not
 needed: with a multinomial likelihood the Fisher information per
 observation is ``J' (diag(1/p) - 11') J``.
@@ -48,14 +49,14 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     if q.min() <= 0:
         raise ValueError("Jacobian requires strictly positive parameters")
     R = 1 << len(g.vertices)
-    factors = [dm.factor(q[dm.sl], kern.term_products) for dm in par.maps]
+    factors = [dm.factor(q[dm.sl], kern.term_products)[dm.rows] for dm in par.maps]
     J = np.empty((R, len(q)))
     for k, dm in enumerate(par.maps):
         q_d = q[dm.sl]
         t = dm.term_values(q_d, kern.term_products)
         # d t_k / d q_j = P[k, j] * t_k / q_j
         T = dm.P.multiply(t[:, None]).multiply(1.0 / q_d[None, :]).tocsr()
-        Jd = (dm.M @ T).toarray()
+        Jd = (dm.M @ T).toarray()[dm.rows]
         other = np.ones(R)
         for kk, f in enumerate(factors):
             if kk != k:

@@ -12,17 +12,22 @@ a state i,
 and the sum factorizes over districts, one factor per district D using
 only the subsets C of D and the zero set O restricted to D.
 
-Per district the factor is affine in the parameter vector: it equals
-``M @ t(q)`` where every column of M is one (C, tail assignment) term
-and ``t_k(q)`` is the product of the parameters listed in row k of the
-0/1 matrix P.  M and P are sparse and built once per graph; everything
-downstream (likelihood, gradients, the Jacobian of p with respect to q)
-is expressed through them.
+The factor of a district D depends on a state only through its values
+on the district's scope D together with pa(D), since every tail of a
+head in D lies in that set.  It is affine in the parameter vector:
+over the 2^|scope| local states it equals ``M @ t(q)`` where every
+column of M is one (C, tail assignment) term and ``t_k(q)`` is the
+product of the parameters listed in row k of the 0/1 matrix P.  M and
+P are sparse and built once per graph; everything downstream
+(likelihood, gradients, the Jacobian of p with respect to q) is
+expressed through them, and joint vectors over all 2^|V| states are
+gathered from the local ones through each district's ``rows`` index.
 
 Canonical orderings
 -------------------
 Joint states are indexed in binary counting order with the first vertex
-as the most significant bit.  Parameters are grouped by district
+as the most significant bit, and a district's local states in the same
+order over its scope.  Parameters are grouped by district
 (districts ordered by smallest member), heads within a district in
 binary counting order over district members (least significant first),
 and tail assignments in binary counting order with the earliest tail
@@ -244,9 +249,12 @@ class _VertexPlan:
 class DistrictMaps:
     """Sparse M and P matrices of one district plus assembly plans.
 
-    Rows of M are the 2^|V| joint states; columns are terms.  Rows of P
-    are terms; columns are the district's parameters (local indexing,
-    offset by ``sl.start`` globally).
+    ``scope`` holds the canonical positions of the district and its
+    parents in ascending order.  Rows of M are the 2^|scope| local
+    states, in binary counting order with the first scope vertex most
+    significant; columns are terms.  ``rows[i]`` is the local row of
+    joint state i.  Rows of P are terms; columns are the district's
+    parameters (local indexing, offset by ``sl.start`` globally).
     """
 
     def __init__(self, g: Admg, district: Iterable[Vertex]):
@@ -254,7 +262,6 @@ class DistrictMaps:
         self.graph = g
         self.district = tuple(district)
         self.sl = table.district_slice(self.district)
-        n = len(g.vertices)
         members = [g._index[v] for v in self.district]
         if members != sorted(members):
             raise ValueError("district must be in canonical order")
@@ -264,6 +271,10 @@ class DistrictMaps:
             d_mask |= 1 << p
         self.members = tuple(members)
         self.d_mask = d_mask
+        self.scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+        L = len(self.scope)
+        slot = {p: k for k, p in enumerate(self.scope)}
+        self.rows = _state_bits(g)[:, self.scope] @ (1 << np.arange(L - 1, -1, -1))
 
         # local offsets of each head's parameter run
         local_offset: dict[int, int] = {}
@@ -280,7 +291,7 @@ class DistrictMaps:
         terms: list[Term] = []
         P_rows: list[list[int]] = []
         c_start: list[int] = []
-        c_tpos: list[tuple[int, ...]] = []
+        c_tslots: list[tuple[int, ...]] = []
         col = 0
         for c_local in range(1 << m):
             c_mask = 0
@@ -294,7 +305,7 @@ class DistrictMaps:
                 t_union |= t
             tpos = tuple(_bits(t_union))
             c_start.append(col)
-            c_tpos.append(tpos)
+            c_tslots.append(tuple(slot[p] for p in tpos))
             for s in range(1 << len(tpos)):
                 cols = []
                 for b, t in zip(blocks, tails):
@@ -330,17 +341,18 @@ class DistrictMaps:
             shape=(K, self.sl.stop - self.sl.start),
         )
 
-        # M: for each joint state, submasks E of the district's ones
-        # give the subsets C = O + E with sign (-1)^|E|
+        # M: for each local state, submasks E of the district's ones
+        # give the subsets C = O + E with sign (-1)^|E|; every tail of
+        # a head in the district lies in the scope
         local_of = {p: k for k, p in enumerate(members)}
         rows_ix: list[int] = []
         cols_ix: list[int] = []
         vals: list[float] = []
-        R = 1 << n
+        R = 1 << L
         for r in range(R):
             ones = 0
             for p in members:
-                if r >> (n - 1 - p) & 1:
+                if r >> (L - 1 - slot[p]) & 1:
                     ones |= 1 << p
             o_mask = d_mask & ~ones
             e = ones
@@ -349,8 +361,7 @@ class DistrictMaps:
                 c_local = 0
                 for p in _bits(c_mask):
                     c_local |= 1 << local_of[p]
-                tpos = c_tpos[c_local]
-                cix = c_start[c_local] + _tail_rank(r, n, tpos)
+                cix = c_start[c_local] + _tail_rank(r, L, c_tslots[c_local])
                 rows_ix.append(r)
                 cols_ix.append(cix)
                 vals.append(-1.0 if bin(e).count("1") & 1 else 1.0)
@@ -377,12 +388,14 @@ class DistrictMaps:
         return term_products(self.P_indptr, self.P_indices, q_local)
 
     def factor(self, q_local: np.ndarray, term_products) -> np.ndarray:
-        """The district's factor of the joint probability vector."""
+        """The district's factor at each local state; ``factor(...)[rows]``
+        is its factor of the joint probability vector."""
         return self.M @ self.term_values(q_local, term_products)
 
     def affine(self, q_local: np.ndarray, vertex: int, term_products):
-        """Dense (A, b) with factor = A @ theta - b, theta being the
-        parameters whose head contains ``vertex`` (a canonical position)."""
+        """Dense (A, b) with factor = A @ theta - b over the local
+        states, theta being the parameters whose head contains
+        ``vertex`` (a canonical position)."""
         plan = self.plans[vertex]
         r = term_products(*plan.rest, q_local)
         plan.scatter.data[:] = r[plan.theta_terms]
@@ -404,12 +417,13 @@ class Parametrization:
         self.maps = tuple(DistrictMaps(g, d) for d in g.districts())
 
     def factors(self, q: np.ndarray, term_products) -> list[np.ndarray]:
+        """Each district's factor over its local states."""
         return [dm.factor(q[dm.sl], term_products) for dm in self.maps]
 
     def prob(self, q: np.ndarray, term_products) -> np.ndarray:
         p = np.ones(1 << len(self.graph.vertices))
-        for f in self.factors(q, term_products):
-            p *= f
+        for dm, f in zip(self.maps, self.factors(q, term_products)):
+            p *= f[dm.rows]
         return p
 
 

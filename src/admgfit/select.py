@@ -144,7 +144,6 @@ def stepwise(
     counts = np.asarray(counts, dtype=float)
 
     cache: dict = {}
-    evaluated = 0
 
     def run_fit(g: Admg, warm_from: FitResult | None):
         q0 = _warm_start(g, counts, warm_from) if warm_from is not None else None

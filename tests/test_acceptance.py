@@ -19,7 +19,6 @@ from admgfit.heads import barren_blocks, head_partition, heads
 from admgfit.inference import deviance, dp_dq, fisher_information, standard_errors
 from admgfit.moebius import (
     build_district_maps,
-    enumerate_params,
     prob_direct,
     prob_vector,
     q_from_p,

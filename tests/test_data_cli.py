@@ -7,7 +7,6 @@ import pytest
 
 from admgfit.cli import main
 from admgfit.data import Dataset, counts_for, load_data, save_data, simulate
-from admgfit.fitting import FitOptions, fit
 from admgfit.graph import Admg, format_graph
 from admgfit.moebius import prob_vector
 
@@ -158,6 +157,14 @@ def test_cli_info_matrices_smoke(tmp_path, capsys):
     assert main(["info", str(gpath), "--matrices"]) == 0
     out = capsys.readouterr().out
     assert "M =" in out and "P =" in out and "terms:" in out
+    # two districts: {a} alone, and {b, c} whose factor also reads a
+    gpath.write_text("vertices: a b c\na -> b\nb <-> c\n")
+    assert main(["info", str(gpath), "--matrices"]) == 0
+    out = capsys.readouterr().out
+    assert "district {a}: M is 2x2 over states of (a), P is 2x1" in out
+    assert "district {b,c}: M is 8x6 over states of (a, b, c), P is 6x5" in out
+    m_blocks = out.split("M =\n")[1:]
+    assert [blk.split("P =")[0].count("[") - 1 for blk in m_blocks] == [2, 8]
 
 
 def test_cli_fit_text_and_json(workdir, capsys):

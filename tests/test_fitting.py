@@ -211,6 +211,24 @@ def test_multi_district_fits_are_stationary_and_consistent():
     assert checked >= 4
 
 
+def test_zero_counts_across_districts():
+    """Districts fit on marginal counts; a local state stays feasible
+    exactly when one of its joint cells has a positive count."""
+    rng = np.random.default_rng(22)
+    opts = FitOptions(tol=1e-10, allow_zero_counts=True)
+    checked = 0
+    while checked < 8:
+        g = random_admg(rng, n_min=3, n_max=6, p_dir=0.3)
+        if len(g.districts()) < 2:
+            continue
+        counts = random_counts(rng, len(g.vertices))
+        counts[rng.random(len(counts)) < 0.3] = 0.0
+        res = fit(g, counts, opts)
+        assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
+        assert res.p[counts > 0].min() > 0
+        checked += 1
+
+
 def test_fit_options_are_validated(tmp_path, capsys):
     for bad in (
         {"tol": 0.0},

@@ -5,7 +5,7 @@ import pytest
 
 from admgfit.graph import Admg, GraphError, format_graph, parse_graph
 
-from util import graph_one, msep_brute, random_admg, subsets
+from util import graph_one, msep_brute, random_admg
 
 
 def test_vertex_and_edge_validation():

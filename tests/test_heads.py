@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from admgfit.graph import Admg
 from admgfit.heads import barren_blocks, head_partition, heads, is_head, tail
 
 from util import (

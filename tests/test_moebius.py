@@ -144,6 +144,35 @@ def test_prob_vector_agrees_with_direct_sum():
         assert abs(pv.sum() - 1.0) < 1e-12
 
 
+def test_district_maps_live_on_the_district_and_its_parents():
+    """Each district's M has one row per state of D with pa(D), in
+    counting order over those vertices, and 3^|D| 2^|pa(D) - D| entries."""
+    import itertools
+
+    from admgfit.cli import _bench_graph
+
+    rng = np.random.default_rng(35)
+    graphs = [_bench_graph("fixed", 7)]
+    while len(graphs) < 13:
+        g = random_admg(rng, n_min=3, n_max=7, p_dir=0.3)
+        if len(g.districts()) >= 2:
+            graphs.append(g)
+    for g in graphs:
+        n = len(g.vertices)
+        states = np.array(list(itertools.product((0, 1), repeat=n)))
+        for dm in parametrization(g).maps:
+            d, pa = set(dm.district), set(g.parents(dm.district))
+            scope = tuple(k for k, v in enumerate(g.vertices) if v in d | pa)
+            assert dm.scope == scope
+            assert dm.M.shape[0] == 2 ** len(scope)
+            assert dm.M.nnz == 3 ** len(d) * 2 ** len(pa - d)
+            assert dm.rows.tolist() == [state_index(s[list(scope)]) for s in states]
+        if n <= 6:
+            q = random_interior_q(g, rng)
+            pd = np.array([prob_direct(g, q, s) for s in states])
+            assert np.max(np.abs(prob_vector(g, q) - pd)) < 1e-10
+
+
 def test_round_trip_through_probabilities():
     """Head conditionals of a distribution in the model reproduce it,
     and mapping those conditionals back to probabilities is exact."""
