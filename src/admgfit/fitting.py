@@ -133,15 +133,14 @@ def initialize(g: Admg, counts) -> np.ndarray:
     the observed marginal zero-probabilities of the head members.
     Always feasible, since the implied joint is the product of the
     (clipped) margins."""
-    from .moebius import _state_bits, enumerate_params
+    from .moebius import enumerate_params
 
     counts = np.asarray(counts, dtype=float)
     table = enumerate_params(g)
-    bits = _state_bits(g)
+    k = len(g.vertices)
+    joint = counts.reshape((2,) * k)
     n = counts.sum()
-    marg0 = np.empty(len(g.vertices))
-    for k in range(len(g.vertices)):
-        marg0[k] = counts[bits[:, k] == 0].sum() / n
+    marg0 = np.array([joint.take(0, axis=v).sum() for v in range(k)]) / n
     marg0 = np.clip(marg0, 1e-3, 1.0 - 1e-3)
     q = np.empty(len(table))
     for j, param in enumerate(table.params):
@@ -177,24 +176,23 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
     par = parametrization(g)
     pos = g._resolve(v)
     other = np.ones(1 << len(g.vertices))
-    target = None
-    for dm in par.maps:
-        if dm.d_mask >> pos & 1:
-            target = dm
-        else:
-            other *= dm.factor(q[dm.sl], kern.term_products)[dm.rows]
-    A, b, theta_local = target.affine(q[target.sl], pos, kern.term_products)
-    idx = theta_local + target.sl.start
+    target, target_sl = par.district_of(pos)
+    for dm, sl in zip(par.maps, par.slices):
+        if dm is not target:
+            other *= dm.factor(q[sl], kern.term_products)[dm.rows]
+    A, b, theta_local = target.affine(q[target_sl], pos, kern.term_products)
+    idx = theta_local + target_sl.start
     return other[:, None] * A[target.rows], other * b[target.rows], idx
 
 
-def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
+def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts, kern):
     """One block maximization in the district-factor form, on the
-    district's local counts and row bounds; returns the new district
-    log-likelihood contribution, whether theta moved and the block's
-    Newton decrement at its start."""
-    A, b, theta_local = dm.affine(q[dm.sl], pos, kern.term_products)
-    theta = q[dm.sl][theta_local].copy()
+    district's local counts and row bounds; ``q_d`` is the district's
+    run of the parameter vector, updated in place.  Returns the new
+    district log-likelihood contribution, whether theta moved and the
+    block's Newton decrement at its start."""
+    A, b, theta_local = dm.affine(q_d, pos, kern.term_products)
+    theta = q_d[theta_local]
     f = A @ theta - b
     pos_rows = counts > 0
     if f[pos_rows].min() <= 0:
@@ -204,7 +202,7 @@ def _ascend_vertex(dm: DistrictMaps, q, pos, counts, eps0, opts, kern):
     theta, ll_d, _, moved, decrement = kern.ascent(
         A, b, counts, eps, theta, 0.01 * opts.tol
     )
-    q[dm.sl.start + theta_local] = theta
+    q_d[theta_local] = theta
     return ll_d, moved, decrement
 
 
@@ -216,10 +214,10 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     kern = get_kernels()
     par = parametrization(g)
     pos = g._resolve(v)
-    dm = next(m for m in par.maps if m.d_mask >> pos & 1)
+    dm, sl = par.district_of(pos)
     q = np.asarray(q, dtype=float).copy()
     counts_d = _local_counts(dm, counts)
-    _ascend_vertex(dm, q, pos, counts_d, _eps_rows(counts_d), opts, kern)
+    _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts, kern)
     return q
 
 
@@ -260,8 +258,8 @@ def _project(g, par: Parametrization, q, ll, counts, kern):
     return q_new, ll_new, 1
 
 
-def _district_ll(dm: DistrictMaps, q, counts, kern) -> float:
-    f = dm.factor(q[dm.sl], kern.term_products)
+def _district_ll(dm: DistrictMaps, q_d, counts, kern) -> float:
+    f = dm.factor(q_d, kern.term_products)
     pos = counts > 0
     if f[pos].min() <= 0:
         return -np.inf
@@ -277,10 +275,12 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
     block start in the last cycle of any district."""
     q = q0.copy()
     ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
-    for dm in par.maps:
+    for dm, sl in zip(par.maps, par.slices):
+        # a basic slice is a view: block updates write through to q
+        q_d = q[sl]
         counts_d = _local_counts(dm, counts)
         eps_d = _eps_rows(counts_d)
-        ll = _district_ll(dm, q, counts_d, kern)
+        ll = _district_ll(dm, q_d, counts_d, kern)
         if not np.isfinite(ll):
             raise FitError("infeasible starting point")
         converged = False
@@ -290,7 +290,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
             kkt = 0.0
             for pos in dm.members:
                 ll_prev = ll
-                ll, moved, decrement = _ascend_vertex(dm, q, pos, counts_d, eps_d, opts, kern)
+                ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts, kern)
                 kkt = max(kkt, decrement)
                 if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
                     raise FitError(

@@ -49,10 +49,10 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     if q.min() <= 0:
         raise ValueError("Jacobian requires strictly positive parameters")
     R = 1 << len(g.vertices)
-    factors = [dm.factor(q[dm.sl], kern.term_products)[dm.rows] for dm in par.maps]
+    factors = [f[dm.rows] for dm, f in zip(par.maps, par.factors(q, kern.term_products))]
     J = np.empty((R, len(q)))
-    for k, dm in enumerate(par.maps):
-        q_d = q[dm.sl]
+    for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
+        q_d = q[sl]
         t = dm.term_values(q_d, kern.term_products)
         # d t_k / d q_j = P[k, j] * t_k / q_j
         T = dm.P.multiply(t[:, None]).multiply(1.0 / q_d[None, :]).tocsr()
@@ -61,7 +61,7 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
         for kk, f in enumerate(factors):
             if kk != k:
                 other *= f
-        J[:, dm.sl] = other[:, None] * Jd
+        J[:, sl] = other[:, None] * Jd
     return J
 
 

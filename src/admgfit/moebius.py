@@ -22,6 +22,15 @@ P are sparse and built once per graph; everything downstream
 (likelihood, gradients, the Jacobian of p with respect to q) is
 expressed through them, and joint vectors over all 2^|V| states are
 gathered from the local ones through each district's ``rows`` index.
+Holding one vertex's parameters fixed everywhere else makes the factor
+affine in them; that form is assembled with one weighted bincount over
+the nonzeros of M.
+
+A district's maps depend only on the structure of the district, never
+on where its parameters sit in the graph's parameter vector, which
+:class:`Parametrization` keeps.  Graphs visited by one structure
+search share a dict of maps, so a district that a single-edge move
+leaves unchanged is built once per search.
 
 Canonical orderings
 -------------------
@@ -202,48 +211,59 @@ class _VertexPlan:
 
     Within its district factor ``M @ t(q)``, every term has at most one
     factor that is a parameter with vertex v in the head.  Splitting
-    each term product into that factor times the rest gives
-    ``f = A(q_rest) @ theta - b(q_rest)`` with theta the v-parameters.
+    each term product into that factor times the rest r gives
+    ``f = A(q_rest) @ theta - b(q_rest)`` with theta the v-parameters:
+    the nonzero M[i, k] adds ``M[i, k] * r_k`` to A[i, j] when term k
+    carries theta_j, and to -b[i] when it carries none.  ``slot`` holds
+    that destination for every nonzero of M, in M's CSR order, as
+    ``i * (|theta| + 1) + j`` with j = |theta| for -b.
     """
 
-    __slots__ = ("theta_cols", "rest", "scatter", "const_ids", "M_const", "theta_terms")
+    __slots__ = ("theta_cols", "rest", "slot", "width")
 
-    def __init__(self, maps: "DistrictMaps", theta_set: set[int]):
-        P_indptr, P_indices = maps.P_indptr, maps.P_indices
+    def __init__(self, maps: "DistrictMaps", theta_cols: np.ndarray):
+        P_indptr, P_indices, M = maps.P_indptr, maps.P_indices, maps.M
         K = len(P_indptr) - 1
-        theta_cols = np.array(sorted(theta_set), dtype=np.int64)
-        pos_of = {c: k for k, c in enumerate(theta_cols)}
+        T = len(theta_cols)
+        theta_pos = np.full(maps.P.shape[1], -1, dtype=np.int64)
+        theta_pos[theta_cols] = np.arange(T)
+        term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
+        mine = theta_pos[P_indices] >= 0
+        if np.bincount(term_of[mine], minlength=K).max(initial=0) > 1:
+            raise AssertionError("term with two parameters of one vertex")
+        term_theta = np.full(K, T, dtype=np.int64)
+        term_theta[term_of[mine]] = theta_pos[P_indices[mine]]
         rest_indptr = np.zeros(K + 1, dtype=np.int64)
-        rest_indices = []
-        s_rows = []
-        s_cols = []
-        const = []
-        for k in range(K):
-            cols = P_indices[P_indptr[k] : P_indptr[k + 1]]
-            mine = [c for c in cols if c in theta_set]
-            if len(mine) > 1:
-                raise AssertionError("term with two parameters of one vertex")
-            if mine:
-                s_rows.append(k)
-                s_cols.append(pos_of[mine[0]])
-            else:
-                const.append(k)
-            others = [c for c in cols if c not in theta_set]
-            rest_indices.extend(others)
-            rest_indptr[k + 1] = rest_indptr[k] + len(others)
+        np.cumsum(np.bincount(term_of[~mine], minlength=K), out=rest_indptr[1:])
         self.theta_cols = theta_cols
-        self.rest = (rest_indptr, np.array(rest_indices, dtype=np.int64))
-        # scatter rows follow term order, so its csr data slots align
-        # one-to-one with theta_terms
-        scatter = sparse.csr_matrix(
-            (np.ones(len(s_rows)), (s_rows, s_cols)),
-            shape=(K, len(theta_cols)),
-        )
-        scatter.sort_indices()
-        self.scatter = scatter
-        self.const_ids = np.array(const, dtype=np.int64)
-        self.M_const = maps.M[:, self.const_ids].tocsr()
-        self.theta_terms = np.array(s_rows, dtype=np.int64)
+        self.rest = (rest_indptr, P_indices[~mine])
+        self.width = T + 1
+        m_row = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
+        self.slot = m_row * self.width + term_theta[M.indices]
+
+
+def _subset_masks(members: Sequence[int]) -> list[int]:
+    """Masks of all subsets of ``members`` in binary counting order,
+    the first member least significant."""
+    out = []
+    for c_local in range(1 << len(members)):
+        c_mask = 0
+        for k, p in enumerate(members):
+            if c_local >> k & 1:
+                c_mask |= 1 << p
+        out.append(c_mask)
+    return out
+
+
+def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
+    """Everything a district's maps are computed from: the vertex
+    order, the district and its scope, the district's heads with their
+    tails in parameter order, and the head partition of every nonempty
+    subset of the district.  Graphs that agree on it have equal maps."""
+    d_mask = g._as_mask(district)
+    heads_d = tuple((ht.head, ht.tail) for ht in heads(g) if g._as_mask(ht.head) & d_mask)
+    partitions = tuple(_partition_masks(g, c) for c in _subset_masks(list(_bits(d_mask)))[1:])
+    return (g.vertices, d_mask, d_mask | g._pa_mask(d_mask), heads_d, partitions)
 
 
 class DistrictMaps:
@@ -254,18 +274,20 @@ class DistrictMaps:
     states, in binary counting order with the first scope vertex most
     significant; columns are terms.  ``rows[i]`` is the local row of
     joint state i.  Rows of P are terms; columns are the district's
-    parameters (local indexing, offset by ``sl.start`` globally).
+    parameters in local indexing.  The maps hold nothing else of the
+    graph: where the district's parameters sit in the graph's
+    parameter vector is kept by :class:`Parametrization`, so graphs
+    whose district has the same structure (see ``_maps_key``) can
+    share one instance.
     """
 
     def __init__(self, g: Admg, district: Iterable[Vertex]):
         table = enumerate_params(g)
-        self.graph = g
         self.district = tuple(district)
-        self.sl = table.district_slice(self.district)
+        sl = table.district_slice(self.district)
         members = [g._index[v] for v in self.district]
         if members != sorted(members):
             raise ValueError("district must be in canonical order")
-        m = len(members)
         d_mask = 0
         for p in members:
             d_mask |= 1 << p
@@ -279,11 +301,11 @@ class DistrictMaps:
         # local offsets of each head's parameter run
         local_offset: dict[int, int] = {}
         head_tpos: dict[int, tuple[int, ...]] = {}
-        for j in range(self.sl.start, self.sl.stop):
+        for j in range(sl.start, sl.stop):
             param = table.params[j]
             h_mask = g._as_mask(param.head)
             if h_mask not in local_offset:
-                local_offset[h_mask] = j - self.sl.start
+                local_offset[h_mask] = j - sl.start
                 head_tpos[h_mask] = tuple(g._index[v] for v in param.tail)
 
         # enumerate terms: subsets C of the district in counting order,
@@ -293,11 +315,7 @@ class DistrictMaps:
         c_start: list[int] = []
         c_tslots: list[tuple[int, ...]] = []
         col = 0
-        for c_local in range(1 << m):
-            c_mask = 0
-            for k in range(m):
-                if c_local >> k & 1:
-                    c_mask |= 1 << members[k]
+        for c_mask in _subset_masks(members):
             blocks = _partition_masks(g, c_mask)
             tails = [_tail_mask(g, b) for b in blocks]
             t_union = 0
@@ -338,7 +356,7 @@ class DistrictMaps:
         self.P_indices = P_indices
         self.P = sparse.csr_matrix(
             (np.ones(len(P_indices)), P_indices, P_indptr),
-            shape=(K, self.sl.stop - self.sl.start),
+            shape=(K, sl.stop - sl.start),
         )
 
         # M: for each local state, submasks E of the district's ones
@@ -373,12 +391,14 @@ class DistrictMaps:
         )
         self.M.sort_indices()
 
-        theta_sets: dict[int, set[int]] = {p: set() for p in members}
-        for j in range(self.sl.start, self.sl.stop):
+        theta_sets: dict[int, list[int]] = {p: [] for p in members}
+        for j in range(sl.start, sl.stop):
             h_mask = g._as_mask(table.params[j].head)
             for p in _bits(h_mask):
-                theta_sets[p].add(j - self.sl.start)
-        self.plans = {p: _VertexPlan(self, theta_sets[p]) for p in members}
+                theta_sets[p].append(j - sl.start)
+        self.plans = {
+            p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
+        }
 
     @property
     def n_terms(self) -> int:
@@ -395,30 +415,57 @@ class DistrictMaps:
     def affine(self, q_local: np.ndarray, vertex: int, term_products):
         """Dense (A, b) with factor = A @ theta - b over the local
         states, theta being the parameters whose head contains
-        ``vertex`` (a canonical position)."""
+        ``vertex`` (a canonical position).  Both come out of one
+        weighted bincount over the nonzeros of M."""
         plan = self.plans[vertex]
         r = term_products(*plan.rest, q_local)
-        plan.scatter.data[:] = r[plan.theta_terms]
-        A = (self.M @ plan.scatter).toarray()
-        b = -(plan.M_const @ r[plan.const_ids])
-        return A, b, plan.theta_cols
+        out = np.bincount(
+            plan.slot,
+            weights=self.M.data * r[self.M.indices],
+            minlength=self.M.shape[0] * plan.width,
+        ).reshape(-1, plan.width)
+        return out[:, :-1], -out[:, -1], plan.theta_cols
 
 
 def build_district_maps(g: Admg, district: Iterable[Vertex]) -> DistrictMaps:
     return DistrictMaps(g, district)
 
 
-class Parametrization:
-    """All district maps of a graph bundled with its parameter table."""
+def _shared_maps(g: Admg, district: tuple[Vertex, ...], maps: dict | None) -> DistrictMaps:
+    if maps is None:
+        return DistrictMaps(g, district)
+    key = _maps_key(g, district)
+    dm = maps.get(key)
+    if dm is None:
+        dm = maps[key] = DistrictMaps(g, district)
+    return dm
 
-    def __init__(self, g: Admg):
+
+class Parametrization:
+    """All district maps of a graph bundled with its parameter table.
+
+    ``slices[k]`` is the run of the graph's parameter vector that
+    belongs to district ``maps[k]``.  ``maps``, when given, is a dict
+    that several graphs share, keyed by ``_maps_key``: a district
+    whose key is already there reuses those maps instead of building
+    its own.
+    """
+
+    def __init__(self, g: Admg, maps: dict | None = None):
         self.graph = g
         self.table = enumerate_params(g)
-        self.maps = tuple(DistrictMaps(g, d) for d in g.districts())
+        districts = g.districts()
+        self.slices = tuple(self.table.district_slice(d) for d in districts)
+        self.maps = tuple(_shared_maps(g, d, maps) for d in districts)
+
+    def district_of(self, pos: int) -> tuple[DistrictMaps, slice]:
+        """Maps and parameter slice of the district holding canonical
+        position ``pos``."""
+        return next((dm, sl) for dm, sl in zip(self.maps, self.slices) if dm.d_mask >> pos & 1)
 
     def factors(self, q: np.ndarray, term_products) -> list[np.ndarray]:
         """Each district's factor over its local states."""
-        return [dm.factor(q[dm.sl], term_products) for dm in self.maps]
+        return [dm.factor(q[sl], term_products) for dm, sl in zip(self.maps, self.slices)]
 
     def prob(self, q: np.ndarray, term_products) -> np.ndarray:
         p = np.ones(1 << len(self.graph.vertices))
@@ -427,9 +474,11 @@ class Parametrization:
         return p
 
 
-def parametrization(g: Admg) -> Parametrization:
+def parametrization(g: Admg, maps: dict | None = None) -> Parametrization:
+    """The graph's parametrization (cached on the graph); a first call
+    with ``maps`` builds it through that shared dict."""
     if "parametrization" not in g._memo:
-        g._memo["parametrization"] = Parametrization(g)
+        g._memo["parametrization"] = Parametrization(g, maps)
     return g._memo["parametrization"]
 
 
@@ -486,23 +535,31 @@ def prob_direct(g: Admg, q: np.ndarray, state: Sequence[int]) -> float:
 def q_from_p(g: Admg, p: np.ndarray) -> np.ndarray:
     """Parameters of a joint distribution: every q(H | T = t) is read
     off ``p`` as a conditional probability.  Requires all conditioning
-    events to have positive probability."""
+    events to have positive probability.
+
+    The parameters of one head form a run over its tail assignments;
+    each run is read off the marginal table of p on H and T."""
     p = np.asarray(p, dtype=float)
     table = enumerate_params(g)
-    bits = _state_bits(g)
     n = len(g.vertices)
     if len(p) != 1 << n:
         raise ValueError("probability vector has wrong length")
+    joint = p.reshape((2,) * n)
     q = np.empty(len(table))
-    for j, param in enumerate(table.params):
+    j = 0
+    while j < len(table):
+        param = table.params[j]
         hpos = [g._index[v] for v in param.head]
         tpos = [g._index[v] for v in param.tail]
-        sel = np.ones(len(p), dtype=bool)
-        for pos, b in zip(tpos, param.tail_state):
-            sel &= bits[:, pos] == b
-        den = p[sel].sum()
-        if den <= 0:
-            raise ValueError(f"conditioning event of {param.name} has mass {den}")
-        num = p[sel & (bits[:, hpos] == 0).all(axis=1)].sum()
-        q[j] = num / den
+        keep = sorted(hpos + tpos)
+        marg = joint.sum(axis=tuple(a for a in range(n) if a not in keep))
+        # rows: tail assignments in counting order; columns: head states
+        marg = marg.transpose([keep.index(a) for a in tpos + hpos]).reshape(1 << len(tpos), -1)
+        den = marg.sum(axis=1)
+        bad = np.flatnonzero(den <= 0)
+        if bad.size:
+            name = table.params[j + bad[0]].name
+            raise ValueError(f"conditioning event of {name} has mass {den[bad[0]]}")
+        q[j : j + len(den)] = marg[:, 0] / den
+        j += len(den)
     return q

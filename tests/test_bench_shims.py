@@ -1,0 +1,60 @@
+"""The traced benchmark's patch points exist in the package.
+
+``bench/tracing.py`` wraps named functions, methods and the kernel
+tuple at run time and refuses to run when one is missing.  Reading its
+shim tables here turns a refactor that drops or renames a patch point
+into a failing test instead of a failing benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("admgfit_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_function_shim_points_exist(tracing):
+    assert tracing._FUNCTION_SHIMS
+    for mod_name, attr, _ in tracing._FUNCTION_SHIMS:
+        mod = importlib.import_module(mod_name)
+        assert callable(mod.__dict__.get(attr)), f"{mod_name}.{attr}"
+
+
+def test_method_shim_points_exist(tracing):
+    assert tracing._METHOD_SHIMS
+    for mod_name, cls_name, attr, _ in tracing._METHOD_SHIMS:
+        cls = importlib.import_module(mod_name).__dict__.get(cls_name)
+        assert isinstance(cls, type), f"{mod_name}.{cls_name}"
+        assert callable(cls.__dict__.get(attr)), f"{mod_name}.{cls_name}.{attr}"
+
+
+def test_kernel_users_look_up_get_kernels(tracing):
+    assert tracing._KERNEL_USERS
+    for mod_name in tracing._KERNEL_USERS:
+        mod = importlib.import_module(mod_name)
+        assert callable(mod.__dict__.get("get_kernels")), mod_name
+
+
+def test_install_patches_and_uninstall_restores(tracing):
+    import admgfit.moebius as moebius
+
+    before = dict(moebius.DistrictMaps.__dict__)
+    tracer = tracing.Tracer()
+    tracer.begin_op()
+    tracer.install()
+    try:
+        assert moebius.DistrictMaps.__dict__["affine"] is not before["affine"]
+    finally:
+        tracer.uninstall()
+    assert moebius.DistrictMaps.__dict__["affine"] is before["affine"]
+    assert moebius.DistrictMaps.__dict__["__init__"] is before["__init__"]

@@ -81,6 +81,87 @@ def test_load_data_error_messages(tmp_path):
             load_data(path)
 
 
+def test_load_data_skips_blank_lines_and_strips_padding(tmp_path):
+    path = tmp_path / "loose.csv"
+    path.write_text("a,b,count\n\n 1 , 0 , 2\n,,\n  \n0,1,3\n+1,0,1\n\t0\t,1,0\n")
+    ds = load_data(path)
+    assert ds.names == ("a", "b")
+    assert [tuple(r) for r in ds.states] == [(1, 0), (0, 1)]
+    assert list(ds.counts) == [3, 3]
+
+
+def test_load_data_errors_name_the_line_after_blank_lines(tmp_path):
+    cases = [
+        ("a,b\n\n0,1\n,\n0,x\n", ":5: non-integer value"),
+        ("a,b\n0,1\n\n \n1,1,1\n0,x\n", ":5: expected 2 fields"),
+        ("a,b\n0,1\n1 1,0\n", ":3: non-integer value"),
+        ("a,b,count\n\n1,2,-1\n", ":3: negative count"),
+        ("a,b\n0,1\n\n-1,0\n", ":4: values must be 0 or 1"),
+    ]
+    for text, message in cases:
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv{message}$"):
+            load_data(path)
+
+
+def _load_rows_reference(path):
+    """The row by row reading ``load_data`` must agree with: (names,
+    distinct states in first-seen order, summed counts), or the error
+    message."""
+    import csv
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        has_count = header[-1].lower() == "count"
+        agg = {}
+        for lineno, row in enumerate(reader, 2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                return f"{path}:{lineno}: expected {len(header)} fields"
+            try:
+                vals = [int(c) for c in row]
+            except ValueError:
+                return f"{path}:{lineno}: non-integer value"
+            c = vals.pop() if has_count else 1
+            if c < 0:
+                return f"{path}:{lineno}: negative count"
+            if any(v not in (0, 1) for v in vals):
+                return f"{path}:{lineno}: values must be 0 or 1"
+            agg[tuple(vals)] = agg.get(tuple(vals), 0) + c
+    names = tuple(header[:-1] if has_count else header)
+    return names, list(agg), list(agg.values())
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 9])
+def test_load_data_agrees_with_row_by_row_reading(tmp_path, monkeypatch, chunk):
+    import admgfit.data
+
+    if chunk is not None:  # parse a few lines at a time, to cross chunk boundaries
+        monkeypatch.setattr(admgfit.data, "_CHUNK", chunk)
+    rng = np.random.default_rng(14)
+    tokens = ["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-"]
+    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2])
+    path = tmp_path / "fuzz.csv"
+    for k in range(400):
+        header = ("a,b\n", "a,b,count\n", "a\n")[k % 3]
+        width = header.count(",") + 1
+        lines = []
+        for _ in range(rng.integers(0, 8)):
+            n = width if rng.random() < 0.95 else int(rng.integers(0, width + 2))
+            lines.append(",".join(rng.choice(tokens, size=n, p=weights / weights.sum())))
+        path.write_text(header + "\n".join(lines) + rng.choice(["", "\n"]))
+        want = _load_rows_reference(path)
+        try:
+            ds = load_data(path)
+            got = ds.names, [tuple(r) for r in ds.states.tolist()], ds.counts.tolist()
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, path.read_text()
+
+
 def test_simulate_is_seeded_and_counts_sum_to_n():
     g = graph_one()
     q = strong_params_graph_one()
@@ -224,6 +305,8 @@ def test_cli_select_transcript(workdir, capsys):
     assert "evaluated" in out and "candidate fits" in out
     assert "final graph:" in out
     payload = json.loads(jpath.read_text())
+    assert f"district maps: {payload['maps_built']} built, {payload['maps_reused']} reused" in out
+    assert payload["maps_built"] > 0 and payload["maps_reused"] > 0
     assert payload["criterion"] == "bic"
     assert payload["steps"]
     assert payload["steps"][0]["action"] == "add"

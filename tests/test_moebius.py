@@ -238,3 +238,106 @@ def test_vertex_limit_enforced():
     names = [f"v{i}" for i in range(21)]
     with pytest.raises(ValueError):
         parametrization(Admg(names))
+
+
+def _dense_affine(dm, q_d, vertex):
+    """(A, b) of one vertex block from the dense M and P: each term is
+    its theta factor times the product r of its other parameters."""
+    M, P = dm.M.toarray(), dm.P.toarray().astype(bool)
+    theta = dm.plans[vertex].theta_cols
+    mine = np.zeros(P.shape[1], dtype=bool)
+    mine[theta] = True
+    r = np.where(P & ~mine, q_d, 1.0).prod(axis=1)
+    carries = P[:, theta]
+    A = M @ (carries * r[:, None])
+    b = -(M @ (r * ~carries.any(axis=1)))
+    return A, b
+
+
+def test_affine_matches_a_dense_reference():
+    from admgfit._kernels import get_kernels
+
+    tp = get_kernels().term_products
+    rng = np.random.default_rng(36)
+    for _ in range(25):
+        g = random_admg(rng, n_max=6, p_bi=0.4)
+        par = parametrization(g)
+        q = random_interior_q(g, rng)
+        for dm, sl in zip(par.maps, par.slices):
+            for vertex in dm.members:
+                A, b, theta = dm.affine(q[sl], vertex, tp)
+                A_ref, b_ref = _dense_affine(dm, q[sl], vertex)
+                assert np.max(np.abs(A - A_ref), initial=0.0) < 1e-14
+                assert np.max(np.abs(b - b_ref)) < 1e-14
+                assert np.max(np.abs(A @ q[sl][theta] - b - dm.factor(q[sl], tp))) < 1e-14
+
+
+def _same_maps(shared, fresh, rng):
+    from admgfit._kernels import get_kernels
+
+    assert shared.scope == fresh.scope
+    assert np.array_equal(shared.rows, fresh.rows)
+    assert shared.terms == fresh.terms
+    for attr in ("M", "P"):
+        a, b = getattr(shared, attr), getattr(fresh, attr)
+        assert a.shape == b.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+    tp = get_kernels().term_products
+    q_d = rng.uniform(0.05, 0.95, fresh.P.shape[1])
+    for vertex in fresh.members:
+        A, b, theta = shared.affine(q_d, vertex, tp)
+        A_ref, b_ref, theta_ref = fresh.affine(q_d, vertex, tp)
+        assert np.array_equal(theta, theta_ref)
+        assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+
+def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
+    """Every map a structure search hands out equals a map built for
+    that graph alone, and each district request is either a build or
+    a reuse."""
+    import admgfit.select as select
+    from admgfit.moebius import DistrictMaps
+
+    real_fit = select.fit
+    fitted = []
+
+    def recording_fit(g, counts, opts, start=None):
+        fitted.append(g)
+        return real_fit(g, counts, opts, start=start)
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        g0 = random_admg(rng, n_min=4, n_max=6, p_dir=0.3, p_bi=0.3)
+        counts = np.round(markov_joint(g0, rng) * 5000) + 1
+        fitted.clear()
+        res = select.stepwise(counts, g0, max_steps=2)
+        requests = 0
+        for g in fitted:
+            par = parametrization(g)
+            requests += len(par.maps)
+            for dm, d in zip(par.maps, g.districts()):
+                assert dm.district == d
+                _same_maps(dm, DistrictMaps(g, d), rng)
+        assert res.maps_built + res.maps_reused == requests
+        assert res.maps_reused > 0
+        assert res.maps_built < requests
+
+
+def test_q_from_p_matches_the_masked_reference():
+    """The marginal-table extraction against the direct definition:
+    each q(H | T = t) as a ratio of sums over masked joint states."""
+    rng = np.random.default_rng(38)
+    for _ in range(15):
+        g = random_admg(rng, n_max=6)
+        p = markov_joint(g, rng)
+        n = len(g.vertices)
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        want = []
+        for prm in enumerate_params(g).params:
+            hpos = [g.vertices.index(v) for v in prm.head]
+            tpos = [g.vertices.index(v) for v in prm.tail]
+            sel = (bits[:, tpos] == prm.tail_state).all(axis=1)
+            want.append(p[sel & (bits[:, hpos] == 0).all(axis=1)].sum() / p[sel].sum())
+        assert np.max(np.abs(q_from_p(g, p) - want)) < 1e-14

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 import admgfit.select as select
+from admgfit.data import counts_for, simulate
 from admgfit.fitting import FitError, FitOptions, fit
 from admgfit.graph import Admg
 from admgfit.select import TIE_TOL, neighbors, stepwise
+
+from util import graph_one, random_interior_q, strong_params_graph_one
 
 
 def product_counts(margins, n):
@@ -164,3 +167,52 @@ def test_unfittable_start_raises(monkeypatch):
     with pytest.warns(UserWarning, match="skipping candidate"):
         with pytest.raises(FitError, match="starting graph cannot be fitted"):
             stepwise(np.ones(8), Admg(["1", "2", "3"]))
+
+
+# Two searches recorded before district maps were shared within a
+# search: start criterion, accepted moves with their criteria, and the
+# number of candidate fits.
+GOLDEN_BIC = (
+    110941.08322179216,
+    [
+        ("add 1 <-> 2", 105742.08245339495),
+        ("add 2 -> 4", 104002.1571524876),
+        ("add 3 <-> 4", 102345.36249905216),
+        ("add 2 <-> 3", 101228.58669780324),
+    ],
+    81,
+)
+GOLDEN_AIC = (
+    34192.712349972055,
+    [
+        ("add d <-> e", 34087.73688360254),
+        ("add c <-> d", 33651.55396821318),
+        ("add b <-> c", 33537.04757218995),
+        ("add c -> b", 33247.47821444975),
+    ],
+    137,
+)
+
+
+def _assert_transcript(res, golden):
+    start, steps, evaluated = golden
+    assert res.start_value == pytest.approx(start, rel=0, abs=1e-9)
+    assert [s.describe() for s in res.steps] == [m for m, _ in steps]
+    for step, (_, value) in zip(res.steps, steps):
+        assert step.criterion == pytest.approx(value, rel=0, abs=1e-9)
+    assert res.evaluated == evaluated
+    assert res.maps_reused > 0
+
+
+def test_golden_transcripts():
+    g1 = graph_one()
+    ds = simulate(g1, strong_params_graph_one(), 20000, seed=3)
+    _assert_transcript(stepwise(counts_for(g1, ds), Admg(["1", "2", "3", "4"])), GOLDEN_BIC)
+
+    names = ["a", "b", "c", "d", "e"]
+    g5 = Admg(names, directed=[("a", "b"), ("b", "c")],
+              bidirected=[("c", "d"), ("d", "e"), ("b", "d")])
+    q = random_interior_q(g5, np.random.default_rng(7), min_p=1e-3)
+    ds = simulate(g5, q, 5000, seed=11)
+    start = Admg(names, directed=[("a", "c")])
+    _assert_transcript(stepwise(counts_for(g5, ds), start, criterion="aic"), GOLDEN_AIC)
