@@ -1,14 +1,24 @@
 """Standard errors, goodness of fit and information criteria.
 
-The Jacobian of the joint probability vector with respect to the
-parameters follows from the chain rule through the district factors:
-each term product depends multiplicatively on its parameters, so within
-a district d/dq of the factor is ``M @ diag(t) @ P @ diag(1/q)`` over
-the district's local states, gathered to the joint states, and the
-product rule across districts scales each district's block by the
-product of the other factors.  The observed-information route is not
-needed: with a multinomial likelihood the Fisher information per
-observation is ``J' (diag(1/p) - 11') J``.
+The log-likelihood is a sum of district terms ``log f_D`` whose
+parameters are disjoint, so the Fisher information is block diagonal
+with one block per district, and each block lives on the district's
+local states (the states of D and pa(D)).  Within a district the
+Jacobian of the factor follows from the chain rule: each term product
+depends multiplicatively on its parameters, so d/dq of ``M @ t(q)`` is
+``M @ T`` with ``T[k, j] = P[k, j] t_k / q_j``.  With the score
+``s_D = J_D / f_D`` and p marginalized to the local states as
+``p_S``, the block per observation is
+
+    I_D = sum_r p_S(r) s_D(r) s_D(r)' - u_D u_D',   u_D = sum_r p_S(r) s_D(r),
+
+the multinomial information ``J' (diag(1/p) - 11') J`` restricted to
+the district.  ``u_D`` vanishes identically, as the probabilities sum
+to one; it is subtracted all the same, as in the dense form, so the
+two agree to roundoff.  :func:`dp_dq` gathers the same local
+Jacobians into the dense Jacobian of the joint probability vector over
+all 2^|V| states; it is kept as the reference the block form is
+tested against.
 """
 
 from __future__ import annotations
@@ -37,6 +47,22 @@ __all__ = [
 COND_WARN = 1e10
 
 
+def _local_jacobian(dm, q_d: np.ndarray, term_products) -> tuple[np.ndarray, np.ndarray]:
+    """The district factor ``f`` over its local states and its dense
+    Jacobian ``J = M @ T`` with respect to the district's parameters,
+    where ``T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j``."""
+    t = dm.term_values(q_d, term_products)
+    term_of = np.repeat(np.arange(len(t)), np.diff(dm.P_indptr))
+    T = np.zeros(dm.P.shape)
+    T[term_of, dm.P_indices] = t[term_of] / q_d[dm.P_indices]
+    return dm.M @ t, dm.M @ T
+
+
+def _check_positive(q: np.ndarray) -> None:
+    if q.min() <= 0:
+        raise ValueError("Jacobian requires strictly positive parameters")
+
+
 def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     """Dense Jacobian d p / d q, one row per joint state, one column per
     parameter.  Requires strictly positive parameters.  Columns sum to
@@ -46,38 +72,42 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if len(q) != len(par.table):
         raise ValueError(f"expected {len(par.table)} parameters")
-    if q.min() <= 0:
-        raise ValueError("Jacobian requires strictly positive parameters")
+    _check_positive(q)
     R = 1 << len(g.vertices)
-    factors = [f[dm.rows] for dm, f in zip(par.maps, par.factors(q, kern.term_products))]
+    local = [_local_jacobian(dm, q[sl], kern.term_products) for dm, sl in zip(par.maps, par.slices)]
+    factors = [f[dm.rows] for dm, (f, _) in zip(par.maps, local)]
     J = np.empty((R, len(q)))
     for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
-        q_d = q[sl]
-        t = dm.term_values(q_d, kern.term_products)
-        # d t_k / d q_j = P[k, j] * t_k / q_j
-        T = dm.P.multiply(t[:, None]).multiply(1.0 / q_d[None, :]).tocsr()
-        Jd = (dm.M @ T).toarray()[dm.rows]
+        # product rule: the other districts' factors scale this block
         other = np.ones(R)
         for kk, f in enumerate(factors):
             if kk != k:
                 other *= f
-        J[:, sl] = other[:, None] * Jd
+        J[:, sl] = other[:, None] * local[k][1][dm.rows]
     return J
 
 
 def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
     """Expected information per observation at ``q``; symmetric positive
-    semidefinite.  Requires the implied distribution to be strictly
-    positive."""
+    semidefinite and block diagonal over districts.  Requires strictly
+    positive parameters and a strictly positive implied distribution."""
     from .moebius import prob_vector
 
     p = prob_vector(g, q)
     if p.min() <= 0:
         raise ValueError("Fisher information requires a strictly positive distribution")
-    J = dp_dq(g, q)
-    u = J.sum(axis=0)
-    I = (J / p[:, None]).T @ J - np.outer(u, u)
-    return (I + I.T) / 2.0
+    q = np.asarray(q, dtype=float)
+    _check_positive(q)
+    kern = get_kernels()
+    par = parametrization(g)
+    I = np.zeros((len(q), len(q)))
+    for dm, sl in zip(par.maps, par.slices):
+        f, J = _local_jacobian(dm, q[sl], kern.term_products)
+        w = np.bincount(dm.rows, weights=p, minlength=len(f)) / f
+        u = J.T @ w
+        I_d = (J * (w / f)[:, None]).T @ J - np.outer(u, u)
+        I[sl, sl] = (I_d + I_d.T) / 2.0
+    return I
 
 
 def standard_errors(g: Admg, q: np.ndarray, n: float) -> np.ndarray:

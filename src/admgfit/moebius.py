@@ -400,10 +400,6 @@ class DistrictMaps:
             p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
         }
 
-    @property
-    def n_terms(self) -> int:
-        return self.M.shape[1]
-
     def term_values(self, q_local: np.ndarray, term_products) -> np.ndarray:
         return term_products(self.P_indptr, self.P_indices, q_local)
 

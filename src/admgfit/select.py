@@ -25,7 +25,7 @@ import numpy as np
 from .fitting import FitError, FitOptions, FitResult, fit, initialize
 from .graph import Admg, GraphError
 from .inference import information_criteria
-from .moebius import enumerate_params, parametrization
+from .moebius import _maps_key, enumerate_params, parametrization
 
 __all__ = ["Step", "SearchResult", "neighbors", "stepwise"]
 
@@ -155,8 +155,14 @@ def stepwise(
     counts = np.asarray(counts, dtype=float)
 
     cache: dict = {}
-    # district maps shared by every graph of this search
+    # district maps shared by every graph of this search; a start graph
+    # parametrized before the search brings maps the search did not build
     maps: dict = {}
+    start_maps = parametrization(start, maps).maps
+    built_here = len(maps)
+    for d, dm in zip(start.districts(), start_maps):
+        maps.setdefault(_maps_key(start, d), dm)
+    brought = len(maps) - built_here
     requests = 0
 
     def run_fit(g: Admg, warm_from: FitResult | None):
@@ -211,6 +217,6 @@ def stepwise(
         start_value=start_value,
         steps=tuple(steps),
         evaluated=evaluated,
-        maps_built=len(maps),
-        maps_reused=requests - len(maps),
+        maps_built=len(maps) - brought,
+        maps_reused=requests - len(maps) + brought,
     )

@@ -1,11 +1,16 @@
 """Derivatives, standard errors, fit statistics, and the report bundle."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+import admgfit.inference as inference
 
 from admgfit.fitting import FitOptions, FitResult, fit
 from admgfit.graph import Admg
 from admgfit.inference import (
+    COND_WARN,
     deviance,
     dp_dq,
     fisher_information,
@@ -190,3 +195,73 @@ def test_report_notes_on_failure_paths():
     assert any(n.startswith("standard errors unavailable") for n in rep.notes)
     assert any("did not converge" in n for n in rep.notes)
     assert rep.std_errors is None
+
+
+def test_fisher_information_matches_the_dense_reference():
+    """The district-block information against (J/p)'J - uu' over all
+    joint states from the dense Jacobian; entries between districts are
+    exactly zero and the standard errors agree."""
+    rng = np.random.default_rng(50)
+    checked = 0
+    while checked < 20:
+        g = random_admg(rng, n_min=3, n_max=8)
+        if len(g.districts()) < 2:
+            continue
+        checked += 1
+        q = random_interior_q(g, rng)
+        J = dp_dq(g, q)
+        p = prob_vector(g, q)
+        u = J.sum(axis=0)
+        ref = (J / p[:, None]).T @ J - np.outer(u, u)
+        ref = (ref + ref.T) / 2.0
+        I = fisher_information(g, q)
+        # entries reach 1e3 at interior points near the boundary, where
+        # summing 2^n rows in another order moves the last digits
+        assert np.max(np.abs(I - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())
+        block = np.zeros(I.shape, dtype=bool)
+        for sl in enumerate_params(g).district_slices:
+            block[sl[1], sl[1]] = True
+        assert np.all(I[~block] == 0.0)
+        for n in (50.0, 1e4):
+            se_ref = np.sqrt(np.diag(np.linalg.inv(ref)) / n)
+            se = standard_errors(g, q, n)
+            assert np.max(np.abs(se - se_ref) / se_ref) < 1e-10
+
+
+def chain_with_pair_districts(n):
+    """x1 -> x2 -> ... -> xn with x1 <-> x2, x3 <-> x4, ...: n/2
+    two-vertex districts."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    return Admg(
+        names,
+        directed=[(names[i], names[i + 1]) for i in range(n - 1)],
+        bidirected=[(names[2 * i], names[2 * i + 1]) for i in range(n // 2)],
+    )
+
+
+def test_report_never_forms_the_dense_jacobian(monkeypatch):
+    def refuse(g, q):
+        raise AssertionError("dense Jacobian formed")
+
+    monkeypatch.setattr(inference, "dp_dq", refuse)
+    g = chain_with_pair_districts(14)
+    counts = np.random.default_rng(51).integers(1, 50, size=1 << 14).astype(float)
+    rep = report(fit(g, counts), counts, with_se=True)
+    assert rep.notes == ()
+    assert rep.std_errors is not None
+    assert len(rep.std_errors) == len(enumerate_params(g))
+    assert np.all(np.isfinite(rep.std_errors)) and rep.std_errors.min() > 0
+
+
+def test_standard_errors_warn_on_an_ill_conditioned_information():
+    """Two independent vertices have I = diag(1 / (q (1 - q))); q near
+    0 makes its condition number about 2.5e11."""
+    g = Admg(["a", "b"])
+    q = np.array([1e-12, 0.5])
+    assert np.linalg.cond(fisher_information(g, q)) > COND_WARN
+    with pytest.warns(UserWarning, match="condition number"):
+        se = standard_errors(g, q, 100.0)
+    assert np.allclose(se, np.sqrt(q * (1 - q) / 100.0), rtol=1e-6, atol=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        standard_errors(g, np.array([0.3, 0.5]), 100.0)

@@ -19,6 +19,7 @@ from util import (
     markov_joint,
     random_admg,
     random_interior_q,
+    strong_params_graph_one,
     subsets,
 )
 
@@ -324,6 +325,46 @@ def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
         assert res.maps_reused > 0
         assert res.maps_built < requests
 
+
+def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
+    """A start graph parametrized before the search brings its maps
+    along: no district is built twice within the search, and only the
+    maps the search built count as built."""
+    import admgfit.select as select
+    from admgfit.data import counts_for, simulate
+    from admgfit.moebius import DistrictMaps, _maps_key
+
+    real_init = DistrictMaps.__init__
+    built = []
+
+    def counting_init(self, g, district):
+        real_init(self, g, district)
+        built.append(_maps_key(g, self.district))
+
+    real_fit = select.fit
+    fitted = []
+
+    def recording_fit(g, counts, opts, start=None):
+        fitted.append(g)
+        return real_fit(g, counts, opts, start=start)
+
+    g1 = graph_one()
+    counts = counts_for(g1, simulate(g1, strong_params_graph_one(), 20000, seed=3))
+    starts = [Admg(["1", "2", "3", "4"]), Admg(["1", "2", "3", "4"], directed=[("1", "2")])]
+    for start in starts:
+        start_keys = {_maps_key(start, d) for d in start.districts()}
+        parametrization(start)
+        built.clear()
+        fitted.clear()
+        monkeypatch.setattr(DistrictMaps, "__init__", counting_init)
+        monkeypatch.setattr(select, "fit", recording_fit)
+        res = select.stepwise(counts, start, max_steps=2)
+        monkeypatch.undo()
+        assert len(set(built)) == len(built)
+        assert not start_keys & set(built)
+        requests = sum(len(parametrization(g).maps) for g in fitted)
+        assert res.maps_built == len(built)
+        assert res.maps_built + res.maps_reused == requests
 
 def test_q_from_p_matches_the_masked_reference():
     """The marginal-table extraction against the direct definition:
