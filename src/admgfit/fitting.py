@@ -10,11 +10,20 @@ parents, so its term is ``sum n_D(x) log f_D(x)`` over those local
 states x, with n_D the marginal counts, and the district is fitted on
 them.  Within a district, fitting cycles through its vertices in
 canonical order and maximizes each block with damped Newton ascent
-under the feasibility constraints, backtracking from the unit step.  Once the
-fit ends, the parameter vector is re-extracted from the fitted joint
-distribution in a single projection, which leaves the likelihood
-unchanged but keeps the parameters interpretable as conditional
-probabilities.
+under the feasibility constraints, backtracking from the unit step.
+Block coordinate ascent converges only linearly, so a district that
+has not stopped after two cycles enters a district Newton phase: a few
+damped Newton steps on all of its parameters at once, with the
+observed information of its local term as the Hessian.  The phase
+stops the district once the Newton decrement falls below the block
+ascent's inner tolerance, which certifies it stationary, and hands
+back to the block cycles when the information is not positive
+definite or no step is accepted.  A district stops on that
+certificate, on a cycle that gains less than ``tol``, or at
+``max_cycles``.  Once the fit ends, the parameter vector is
+re-extracted from the fitted joint distribution in a single
+projection, which leaves the likelihood unchanged but keeps the
+parameters interpretable as conditional probabilities.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import get_kernels
+from ._kernels import _BETA, _SIGMA, get_kernels
 from .graph import Admg
 from .moebius import DistrictMaps, Parametrization, parametrization, q_from_p
 
@@ -45,6 +54,13 @@ _MONO_SLACK = 1e-7
 # lower bound on every joint probability with a positive count
 _FEAS_EPS = 1e-12
 
+# accepted steps of one district Newton phase before block cycles
+# resume, and the shortest step it takes: a Newton step damped further
+# than that (as when a row without counts sits at the boundary) gains
+# next to nothing, and the block cycles go on instead
+_NEWTON_STEPS = 5
+_NEWTON_MIN_STEP = 1e-3
+
 
 class FitError(RuntimeError):
     """Raised when fitting cannot proceed (bad counts, lost feasibility)."""
@@ -55,10 +71,12 @@ class FitOptions:
     """Tuning knobs for :func:`fit`.
 
     ``tol`` stops a district's fit once a full cycle over its vertices
-    improves its log-likelihood by less than this; ``max_cycles``
-    bounds the cycles per district.  ``allow_zero_counts`` permits
-    empty cells.  ``starts`` counts the starting points, the first
-    plus jittered restarts drawn with ``seed``.
+    improves its log-likelihood by less than this, and its Newton
+    phase once the Newton decrement is at most ``0.01 * tol``;
+    ``max_cycles`` bounds the cycles per district.
+    ``allow_zero_counts`` permits empty cells.  ``starts`` counts the
+    starting points, the first plus jittered restarts drawn with
+    ``seed``.
     """
 
     tol: float = 1e-8
@@ -87,9 +105,10 @@ class FitResult:
     p: np.ndarray
     n: float
     projections: int = 0
-    # largest block Newton decrement at block start in the final cycle
-    # of any district: a stationarity certificate, reported but not
-    # used to stop
+    # stationarity certificate, the largest over districts: the Newton
+    # decrement on which the district Newton phase stopped a district,
+    # otherwise the largest block Newton decrement at block start in
+    # its final cycle
     kkt: float = float("nan")
 
     @property
@@ -266,13 +285,63 @@ def _district_ll(dm: DistrictMaps, q_d, counts, kern) -> float:
     return float(counts[pos] @ np.log(f[pos]))
 
 
+def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
+    """Damped Newton ascent on all of a district's parameters at once.
+
+    Each step solves ``H d = g`` for the district's score g and observed
+    information H; the Newton decrement ``g'd / 2`` at or below the
+    block ascent's inner tolerance certifies the district stationary.
+    Otherwise the step is backtracked from the unit step as in the
+    block ascent: every local row stays at or above its bound and the
+    Armijo test holds.  ``q_d`` is updated in place.  Returns the new
+    district log-likelihood and the certifying decrement, or None when
+    the block cycles are to resume: after ``_NEWTON_STEPS`` accepted
+    steps, or when H is not positive definite (or a parameter not
+    positive) or no step of at least ``_NEWTON_MIN_STEP`` is
+    accepted."""
+    pos = counts > 0
+    c = counts[pos]
+    for steps in range(_NEWTON_STEPS + 1):
+        if q_d.min() <= 0:
+            return ll, None
+        f, g, H = dm.observed_information(q_d, counts, kern.term_products)
+        try:
+            # the Cholesky factorization is the positive definiteness test
+            np.linalg.cholesky(H)
+            d = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError:
+            return ll, None
+        gd = g @ d
+        if not 0.0 <= gd < np.inf:
+            return ll, None
+        if 0.5 * gd <= 0.01 * opts.tol:
+            return ll, 0.5 * gd
+        if steps == _NEWTON_STEPS:
+            break
+        eps = np.minimum(eps0, np.where(pos, f / 2.0, 0.0))
+        step = 1.0
+        while True:
+            q_try = q_d + step * d
+            f_try = dm.factor(q_try, kern.term_products)
+            if np.all(f_try >= eps):
+                ll_try = c @ np.log(f_try[pos])
+                if np.isfinite(ll_try) and ll_try >= ll + _SIGMA * step * gd:
+                    break
+            step *= _BETA
+            if step < _NEWTON_MIN_STEP:
+                return ll, None
+        q_d[:] = q_try
+        ll = float(ll_try)
+    return ll, None
+
+
 def _fit_from(par: Parametrization, q0, counts, opts, kern):
     """Fit each district to convergence in turn from one start.
 
     Returns (q, ll, cycles, converged, kkt): the sum of the district
     log-likelihoods, the largest district cycle count, whether every
-    district converged, and the largest block Newton decrement at
-    block start in the last cycle of any district."""
+    district converged, and the largest district certificate (see
+    ``FitResult.kkt``)."""
     q = q0.copy()
     ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
     for dm, sl in zip(par.maps, par.slices):
@@ -300,6 +369,12 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
             if not any_moved or ll - ll_cycle_start < opts.tol:
                 converged = True
                 break
+            if cycles >= 2:
+                ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts, kern)
+                if decrement is not None:
+                    kkt = decrement
+                    converged = True
+                    break
         ll_total += ll
         cycles_max = max(cycles_max, cycles)
         all_converged = all_converged and converged

@@ -6,7 +6,9 @@ with one block per district, and each block lives on the district's
 local states (the states of D and pa(D)).  Within a district the
 Jacobian of the factor follows from the chain rule: each term product
 depends multiplicatively on its parameters, so d/dq of ``M @ t(q)`` is
-``M @ T`` with ``T[k, j] = P[k, j] t_k / q_j``.  With the score
+``M @ T`` with ``T[k, j] = P[k, j] t_k / q_j``
+(:meth:`~admgfit.moebius.DistrictMaps.jacobian`, which the fit's
+district Newton phase shares).  With the score
 ``s_D = J_D / f_D`` and p marginalized to the local states as
 ``p_S``, the block per observation is
 
@@ -18,7 +20,9 @@ to one; it is subtracted all the same, as in the dense form, so the
 two agree to roundoff.  :func:`dp_dq` gathers the same local
 Jacobians into the dense Jacobian of the joint probability vector over
 all 2^|V| states; it is kept as the reference the block form is
-tested against.
+tested against.  Standard errors invert the information block by
+block, and its condition number comes from the blocks' singular
+values.
 """
 
 from __future__ import annotations
@@ -47,17 +51,6 @@ __all__ = [
 COND_WARN = 1e10
 
 
-def _local_jacobian(dm, q_d: np.ndarray, term_products) -> tuple[np.ndarray, np.ndarray]:
-    """The district factor ``f`` over its local states and its dense
-    Jacobian ``J = M @ T`` with respect to the district's parameters,
-    where ``T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j``."""
-    t = dm.term_values(q_d, term_products)
-    term_of = np.repeat(np.arange(len(t)), np.diff(dm.P_indptr))
-    T = np.zeros(dm.P.shape)
-    T[term_of, dm.P_indices] = t[term_of] / q_d[dm.P_indices]
-    return dm.M @ t, dm.M @ T
-
-
 def _check_positive(q: np.ndarray) -> None:
     if q.min() <= 0:
         raise ValueError("Jacobian requires strictly positive parameters")
@@ -74,7 +67,7 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {len(par.table)} parameters")
     _check_positive(q)
     R = 1 << len(g.vertices)
-    local = [_local_jacobian(dm, q[sl], kern.term_products) for dm, sl in zip(par.maps, par.slices)]
+    local = [dm.jacobian(q[sl], kern.term_products) for dm, sl in zip(par.maps, par.slices)]
     factors = [f[dm.rows] for dm, (f, _) in zip(par.maps, local)]
     J = np.empty((R, len(q)))
     for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
@@ -102,7 +95,7 @@ def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
     par = parametrization(g)
     I = np.zeros((len(q), len(q)))
     for dm, sl in zip(par.maps, par.slices):
-        f, J = _local_jacobian(dm, q[sl], kern.term_products)
+        f, J = dm.jacobian(q[sl], kern.term_products)
         w = np.bincount(dm.rows, weights=p, minlength=len(f)) / f
         u = J.T @ w
         I_d = (J * (w / f)[:, None]).T @ J - np.outer(u, u)
@@ -115,18 +108,22 @@ def standard_errors(g: Admg, q: np.ndarray, n: float) -> np.ndarray:
 
     Raises numpy.linalg.LinAlgError when the information matrix is
     singular (non-identified or boundary solution); warns when it is
-    poorly conditioned.
+    poorly conditioned.  The information is block diagonal over
+    districts, so its singular values, and with them its condition
+    number, are those of its blocks taken together, and the diagonal
+    of its inverse is that of the blocks' inverses.
     """
     I = fisher_information(g, q)
-    cond = np.linalg.cond(I)
+    blocks = [I[sl, sl] for sl in parametrization(g).slices]
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    cond = np.inf if s.min() == 0 else s.max() / s.min()
     if cond > COND_WARN:
         warnings.warn(
             f"information matrix condition number {cond:.2e}; "
             "standard errors may be unreliable",
             stacklevel=2,
         )
-    inv = np.linalg.inv(I)
-    d = np.diag(inv).copy()
+    d = np.concatenate([np.diag(np.linalg.inv(b)) for b in blocks])
     if d.min() < 0:
         if d.min() < -1e-8:
             raise np.linalg.LinAlgError(

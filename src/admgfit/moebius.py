@@ -47,6 +47,7 @@ and counting order for tail assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -227,7 +228,7 @@ class _VertexPlan:
         T = len(theta_cols)
         theta_pos = np.full(maps.P.shape[1], -1, dtype=np.int64)
         theta_pos[theta_cols] = np.arange(T)
-        term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
+        term_of = maps.term_of
         mine = theta_pos[P_indices] >= 0
         if np.bincount(term_of[mine], minlength=K).max(initial=0) > 1:
             raise AssertionError("term with two parameters of one vertex")
@@ -274,7 +275,8 @@ class DistrictMaps:
     states, in binary counting order with the first scope vertex most
     significant; columns are terms.  ``rows[i]`` is the local row of
     joint state i.  Rows of P are terms; columns are the district's
-    parameters in local indexing.  The maps hold nothing else of the
+    parameters in local indexing; ``term_of`` is the row of each
+    nonzero of P.  The maps hold nothing else of the
     graph: where the district's parameters sit in the graph's
     parameter vector is kept by :class:`Parametrization`, so graphs
     whose district has the same structure (see ``_maps_key``) can
@@ -354,6 +356,7 @@ class DistrictMaps:
         )
         self.P_indptr = P_indptr
         self.P_indices = P_indices
+        self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
         self.P = sparse.csr_matrix(
             (np.ones(len(P_indices)), P_indices, P_indptr),
             shape=(K, sl.stop - sl.start),
@@ -421,6 +424,64 @@ class DistrictMaps:
             minlength=self.M.shape[0] * plan.width,
         ).reshape(-1, plan.width)
         return out[:, :-1], -out[:, -1], plan.theta_cols
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(term, i, j)`` for every ordered pair i != j of parameters
+        that share a term: each nonzero of P paired with every other
+        nonzero of its row."""
+        term_of = self.term_of
+        reps = np.diff(self.P_indptr)[term_of]
+        first = np.repeat(np.arange(len(term_of)), reps)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = self.P_indptr[term_of[first]] + offset
+        keep = first != second
+        first, second = first[keep], second[keep]
+        return term_of[first], self.P_indices[first], self.P_indices[second]
+
+    def _jacobian(self, q_local: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # chain rule: T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j
+        term_of = self.term_of
+        T = np.zeros(self.P.shape)
+        T[term_of, self.P_indices] = t[term_of] / q_local[self.P_indices]
+        return self.M @ T
+
+    def jacobian(self, q_local: np.ndarray, term_products) -> tuple[np.ndarray, np.ndarray]:
+        """The factor ``f`` over the local states and its dense Jacobian
+        ``J = M @ T`` with respect to the district's parameters, where
+        ``T[k, j] = P[k, j] t_k / q_j``.  Requires positive parameters."""
+        t = self.term_values(q_local, term_products)
+        return self.M @ t, self._jacobian(q_local, t)
+
+    def observed_information(self, q_local: np.ndarray, counts: np.ndarray, term_products):
+        """The factor ``f`` over the local states with the score and the
+        observed information of ``sum(counts * log f)`` at ``q_local``.
+
+        With ``w = counts / f`` (0 on rows without counts) the score is
+        ``J' w`` and the information, minus the Hessian, is
+
+            J' diag(w / f) J - sum_k (M' w)_k t_k / (q_i q_j),
+
+        the second sum running over the ordered pairs i != j of
+        parameters of term k: each parameter enters a term product at
+        most once, so only those pairs have second derivatives.
+        Requires positive parameters."""
+        t = self.term_values(q_local, term_products)
+        f = self.M @ t
+        J = self._jacobian(q_local, t)
+        pos = counts > 0
+        w = np.zeros(len(f))
+        w[pos] = counts[pos] / f[pos]
+        Jp = J[pos]
+        info = (Jp * (w[pos] / f[pos])[:, None]).T @ Jp
+        info = (info + info.T) / 2.0
+        term, i, j = self._pairs
+        s = (self.M.T @ w) * t
+        m = len(q_local)
+        info -= np.bincount(
+            i * m + j, weights=s[term] / (q_local[i] * q_local[j]), minlength=m * m
+        ).reshape(m, m)
+        return f, J.T @ w, info
 
 
 def build_district_maps(g: Admg, district: Iterable[Vertex]) -> DistrictMaps:

@@ -58,3 +58,46 @@ def test_install_patches_and_uninstall_restores(tracing):
         tracer.uninstall()
     assert moebius.DistrictMaps.__dict__["affine"] is before["affine"]
     assert moebius.DistrictMaps.__dict__["__init__"] is before["__init__"]
+
+
+def _patch_points(tracing):
+    """Every name the tracer patches, with its current value."""
+    points = {}
+    for mod_name, attr, _ in tracing._FUNCTION_SHIMS:
+        points[(mod_name, attr)] = importlib.import_module(mod_name).__dict__[attr]
+    for mod_name, cls_name, attr, _ in tracing._METHOD_SHIMS:
+        cls = importlib.import_module(mod_name).__dict__[cls_name]
+        points[(mod_name, cls_name, attr)] = cls.__dict__[attr]
+    for mod_name in tracing._KERNEL_USERS:
+        points[(mod_name, "get_kernels")] = importlib.import_module(mod_name).get_kernels
+    return points
+
+
+def test_traced_fit_and_search_record_their_spans(tracing):
+    """One fit and one search step under the installed tracer: the
+    kernel tuple that the tracer rebuilds positionally must still
+    work, and uninstalling restores every patched name."""
+    import numpy as np
+
+    from admgfit import Admg, fit, stepwise
+
+    from util import graph_one
+
+    before = _patch_points(tracing)
+    counts = np.random.default_rng(70).integers(1, 60, size=16).astype(float)
+    tracer = tracing.Tracer()
+    tracer.begin_op()
+    tracer.install()
+    try:
+        assert _patch_points(tracing) != before
+        res = fit(graph_one(), counts)
+        search = stepwise(counts, Admg(["1", "2", "3", "4"]), max_steps=1)
+    finally:
+        tracer.uninstall()
+    assert _patch_points(tracing) == before
+    assert res.converged and search.evaluated > 0
+    _, spans = tracer.summary()
+    assert spans[(0, "kernels.ascent")] > 0
+    assert spans[(0, "kernels.term_products")] > 0
+    # every candidate fit of the search goes through select.fit
+    assert spans[(0, "fitting.fit")] == search.evaluated

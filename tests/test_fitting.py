@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import admgfit.fitting as fitting
+
 from admgfit.cli import _bench_graph, main
 from admgfit.fitting import (
     FitError,
@@ -251,9 +253,10 @@ def test_fit_options_are_validated(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_large_family_reaches_the_saturated_likelihood(k):
-    # complete bidirected graphs on k + 1 vertices are saturated models
+    # complete bidirected graphs on k + 1 vertices are saturated models;
+    # the district Newton phase ends them at the maximum itself
     rng = np.random.default_rng(22 + k)
     g = _bench_graph("large", k)
     counts = random_counts(rng, k + 1, high=50)
@@ -261,7 +264,7 @@ def test_large_family_reaches_the_saturated_likelihood(k):
     res = fit(g, counts, opts)
     saturated = float(counts @ np.log(counts / counts.sum()))
     assert res.converged and res.cycles <= 20
-    assert abs(res.loglik - saturated) < 1e-8
+    assert abs(res.loglik - saturated) < 1e-10
     assert 0.0 <= res.kkt < opts.tol
     assert report(res, counts, with_se=False).to_dict()["kkt"] == res.kkt
     # the single end-of-fit projection leaves the parameters canonical
@@ -289,3 +292,50 @@ def test_zero_count_block_with_singular_hessian():
         assert p[pos].min() > 0 and p.min() >= 0
         assert after >= before - 1e-9
         before = after
+
+
+def test_converged_fits_carry_a_stationarity_certificate(monkeypatch):
+    """With positive counts every district stops within two block
+    cycles or on a Newton decrement below the inner tolerance, so the
+    reported certificate is below tol and a much tighter fit gains
+    nothing."""
+    certified = []
+    phase = fitting._newton_phase
+
+    def spy(*args):
+        out = phase(*args)
+        certified.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(fitting, "_newton_phase", spy)
+    rng = np.random.default_rng(23)
+    opts = FitOptions()
+    tight = FitOptions(tol=1e-13, max_cycles=100_000)
+    checked = 0
+    while checked < 15:
+        g = random_admg(rng, n_min=3, n_max=6, p_dir=0.3, p_bi=0.4)
+        if len(g.districts()) < 2:
+            continue
+        counts = random_counts(rng, len(g.vertices))
+        res = fit(g, counts, opts)
+        assert res.converged
+        assert 0.0 <= res.kkt < opts.tol
+        assert abs(res.loglik - fit(g, counts, tight).loglik) < 1e-9
+        checked += 1
+    assert sum(certified) >= 5
+
+
+def test_zero_count_fits_never_end_below_their_start():
+    rng = np.random.default_rng(24)
+    opts = FitOptions(allow_zero_counts=True)
+    graphs = [_bench_graph("large", k) for k in (2, 3, 4)]
+    graphs += [random_admg(rng, n_min=3, n_max=6, p_dir=0.3, p_bi=0.4) for _ in range(12)]
+    for g in graphs:
+        counts = random_counts(rng, len(g.vertices))
+        counts[rng.random(len(counts)) < 0.3] = 0.0
+        if counts.sum() == 0:
+            continue
+        res = fit(g, counts, opts)
+        assert res.loglik >= loglik(g, initialize(g, counts), counts)
+        assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
+        assert res.p[counts > 0].min() > 0

@@ -265,3 +265,30 @@ def test_standard_errors_warn_on_an_ill_conditioned_information():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         standard_errors(g, np.array([0.3, 0.5]), 100.0)
+
+
+def test_standard_errors_by_block_keep_the_whole_matrix_behaviour(monkeypatch):
+    """Condition number, singular information and the negative-diagonal
+    check, block by block, as for the whole matrix: two independent
+    vertices give two one-parameter blocks."""
+    g = Admg(["a", "b"])
+    q = np.array([0.3, 0.5])
+
+    def information(diag):
+        monkeypatch.setattr(inference, "fisher_information", lambda g, q: np.diag(diag))
+
+    information([4.0, 1e-11])
+    assert np.linalg.cond(np.diag([4.0, 1e-11])) > COND_WARN
+    with pytest.warns(UserWarning, match="condition number 4.00e"):
+        se = standard_errors(g, q, 4.0)
+    assert np.allclose(se, [0.25, np.sqrt(1e11 / 4.0)], rtol=1e-12, atol=0)
+    information([4.0, 0.0])
+    with pytest.warns(UserWarning, match="condition number inf"):
+        with pytest.raises(np.linalg.LinAlgError):
+            standard_errors(g, q, 4.0)
+    information([4.0, -1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="negative diagonal"):
+        standard_errors(g, q, 4.0)
+    # roundoff-sized negative entries of the inverse are clipped to 0
+    information([4.0, -1e9])
+    assert np.array_equal(standard_errors(g, q, 4.0), [0.25, 0.0])

@@ -382,3 +382,45 @@ def test_q_from_p_matches_the_masked_reference():
             sel = (bits[:, tpos] == prm.tail_state).all(axis=1)
             want.append(p[sel & (bits[:, hpos] == 0).all(axis=1)].sum() / p[sel].sum())
         assert np.max(np.abs(q_from_p(g, p) - want)) < 1e-14
+
+
+def test_district_derivatives_match_finite_differences():
+    """The district factor's Jacobian, and the score and observed
+    information of sum(n log f) over its local states, against central
+    differences: of the factor and the log-likelihood for the first
+    derivatives, of the analytic score for the information."""
+    from admgfit._kernels import get_kernels
+
+    tp = get_kernels().term_products
+    rng = np.random.default_rng(60)
+    h = 1e-6
+    for _ in range(20):
+        g = random_admg(rng, n_min=3, n_max=7, p_dir=0.3, p_bi=0.35)
+        q = random_interior_q(g, rng, min_p=1e-4)
+        par = parametrization(g)
+        for dm, sl in zip(par.maps, par.slices):
+            q_d = q[sl]
+            counts = rng.integers(1, 50, size=dm.M.shape[0]).astype(float)
+
+            def ll(x):
+                return counts @ np.log(dm.factor(x, tp))
+
+            f, J = dm.jacobian(q_d, tp)
+            f2, score, info = dm.observed_information(q_d, counts, tp)
+            assert np.array_equal(f, f2) and np.array_equal(f, dm.factor(q_d, tp))
+            m = len(q_d)
+            J_fd = np.empty_like(J)
+            score_fd = np.empty(m)
+            info_fd = np.empty((m, m))
+            for j in range(m):
+                up, dn = q_d.copy(), q_d.copy()
+                up[j] += h
+                dn[j] -= h
+                J_fd[:, j] = (dm.factor(up, tp) - dm.factor(dn, tp)) / (2 * h)
+                score_fd[j] = (ll(up) - ll(dn)) / (2 * h)
+                s_up = dm.observed_information(up, counts, tp)[1]
+                s_dn = dm.observed_information(dn, counts, tp)[1]
+                info_fd[:, j] = -(s_up - s_dn) / (2 * h)
+            for got, want in ((J, J_fd), (score, score_fd), (info, info_fd)):
+                assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.abs(want).max())
+            assert np.array_equal(info, info.T)
