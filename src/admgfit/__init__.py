@@ -37,7 +37,6 @@ from .moebius import (
     ParamTable,
     Parametrization,
     Term,
-    build_district_maps,
     enumerate_params,
     parametrization,
     prob_direct,
@@ -67,7 +66,6 @@ __all__ = [
     "DistrictMaps",
     "Parametrization",
     "enumerate_params",
-    "build_district_maps",
     "parametrization",
     "prob_vector",
     "prob_direct",

@@ -22,7 +22,7 @@ probabilities in :mod:`admgfit.moebius`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Admg, Vertex, _bits
 
@@ -39,6 +39,19 @@ class HeadTail:
 
     head: tuple[Vertex, ...]
     tail: tuple[Vertex, ...]
+
+
+def _subset_masks(members: Sequence[int]) -> list[int]:
+    """Masks of all subsets of ``members`` in binary counting order,
+    the first member least significant."""
+    out = []
+    for c_local in range(1 << len(members)):
+        c_mask = 0
+        for k, p in enumerate(members):
+            if c_local >> k & 1:
+                c_mask |= 1 << p
+        out.append(c_mask)
+    return out
 
 
 def _is_head_mask(g: Admg, h: int) -> bool:
@@ -91,11 +104,7 @@ def heads(g: Admg) -> tuple[HeadTail, ...]:
                 raise ValueError(
                     f"district of size {len(members)} is too large to enumerate"
                 )
-            for c in range(1, 1 << len(members)):
-                h = 0
-                for k in range(len(members)):
-                    if c >> k & 1:
-                        h |= 1 << members[k]
+            for h in _subset_masks(members)[1:]:
                 if _is_head_mask(g, h):
                     out.append(HeadTail(g._labels(h), g._labels(_tail_mask(g, h))))
         g._memo["heads"] = tuple(out)

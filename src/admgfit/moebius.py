@@ -46,6 +46,7 @@ and counting order for tail assignments.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -54,7 +55,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import Admg, Vertex, _bits
-from .heads import heads, _partition_masks, _tail_mask
+from .heads import heads, _partition_masks, _subset_masks, _tail_mask
 
 __all__ = [
     "Param",
@@ -63,7 +64,6 @@ __all__ = [
     "DistrictMaps",
     "Parametrization",
     "enumerate_params",
-    "build_district_maps",
     "parametrization",
     "prob_vector",
     "prob_direct",
@@ -243,19 +243,6 @@ class _VertexPlan:
         self.slot = m_row * self.width + term_theta[M.indices]
 
 
-def _subset_masks(members: Sequence[int]) -> list[int]:
-    """Masks of all subsets of ``members`` in binary counting order,
-    the first member least significant."""
-    out = []
-    for c_local in range(1 << len(members)):
-        c_mask = 0
-        for k, p in enumerate(members):
-            if c_local >> k & 1:
-                c_mask |= 1 << p
-        out.append(c_mask)
-    return out
-
-
 def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
     """Everything a district's maps are computed from: the vertex
     order, the district and its scope, the district's heads with their
@@ -281,6 +268,16 @@ class DistrictMaps:
     parameter vector is kept by :class:`Parametrization`, so graphs
     whose district has the same structure (see ``_maps_key``) can
     share one instance.
+
+    M is built in one array pass over the scope, growing the list of
+    its nonzeros (local state r, subset C, sign) one scope vertex at a
+    time: a district vertex at 0 must lie in C, one at 1 lies outside
+    C or inside it with the sign flipped, and a parent only doubles
+    the list.  A nonzero's column is the first column of its C plus
+    the rank of r's values on the tail of C's head partition.
+    ``terms`` describes every column as a :class:`Term`; it is built
+    on first access from one (C, blocks, tail) mask record per subset
+    C, so fits and searches never create them.
     """
 
     def __init__(self, g: Admg, district: Iterable[Vertex]):
@@ -297,7 +294,7 @@ class DistrictMaps:
         self.d_mask = d_mask
         self.scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
         L = len(self.scope)
-        slot = {p: k for k, p in enumerate(self.scope)}
+        row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(self.scope)}
         self.rows = _state_bits(g)[:, self.scope] @ (1 << np.arange(L - 1, -1, -1))
 
         # local offsets of each head's parameter run
@@ -311,43 +308,36 @@ class DistrictMaps:
                 head_tpos[h_mask] = tuple(g._index[v] for v in param.tail)
 
         # enumerate terms: subsets C of the district in counting order,
-        # then tail assignments of the union of block tails
-        terms: list[Term] = []
+        # then tail assignments of the union of block tails; c_tail is
+        # that union as a mask over the bits of a local state
+        subsets: list[tuple] = []
         P_rows: list[list[int]] = []
         c_start: list[int] = []
-        c_tslots: list[tuple[int, ...]] = []
+        c_tail: list[int] = []
         col = 0
         for c_mask in _subset_masks(members):
             blocks = _partition_masks(g, c_mask)
-            tails = [_tail_mask(g, b) for b in blocks]
             t_union = 0
-            for t in tails:
-                t_union |= t
+            for b in blocks:
+                t_union |= _tail_mask(g, b)
             tpos = tuple(_bits(t_union))
+            subsets.append((c_mask, blocks, t_union))
             c_start.append(col)
-            c_tslots.append(tuple(slot[p] for p in tpos))
+            c_tail.append(sum(row_bit[p] for p in tpos))
             for s in range(1 << len(tpos)):
                 cols = []
-                for b, t in zip(blocks, tails):
-                    btp = head_tpos[b]
+                for b in blocks:
                     rank = 0
-                    for p in btp:
+                    for p in head_tpos[b]:
                         j = tpos.index(p)
                         rank = rank << 1 | (s >> (len(tpos) - 1 - j) & 1)
                     cols.append(local_offset[b] + rank)
                 cols.sort()
                 P_rows.append(cols)
-                terms.append(
-                    Term(
-                        g._labels(c_mask),
-                        tuple(g._labels(b) for b in blocks),
-                        g._labels(t_union),
-                        tuple(s >> (len(tpos) - 1 - j) & 1 for j in range(len(tpos))),
-                    )
-                )
             col += 1 << len(tpos)
         K = col
-        self.terms = tuple(terms)
+        self._subsets = tuple(subsets)
+        self._vertices = g.vertices
         P_indptr = np.zeros(K + 1, dtype=np.int64)
         for k, cols in enumerate(P_rows):
             P_indptr[k + 1] = P_indptr[k] + len(cols)
@@ -362,36 +352,29 @@ class DistrictMaps:
             shape=(K, sl.stop - sl.start),
         )
 
-        # M: for each local state, submasks E of the district's ones
-        # give the subsets C = O + E with sign (-1)^|E|; every tail of
-        # a head in the district lies in the scope
-        local_of = {p: k for k, p in enumerate(members)}
-        rows_ix: list[int] = []
-        cols_ix: list[int] = []
-        vals: list[float] = []
-        R = 1 << L
-        for r in range(R):
-            ones = 0
-            for p in members:
-                if r >> (L - 1 - slot[p]) & 1:
-                    ones |= 1 << p
-            o_mask = d_mask & ~ones
-            e = ones
-            while True:
-                c_mask = o_mask | e
-                c_local = 0
-                for p in _bits(c_mask):
-                    c_local |= 1 << local_of[p]
-                cix = c_start[c_local] + _tail_rank(r, L, c_tslots[c_local])
-                rows_ix.append(r)
-                cols_ix.append(cix)
-                vals.append(-1.0 if bin(e).count("1") & 1 else 1.0)
-                if e == 0:
-                    break
-                e = (e - 1) & ones
-        self.M = sparse.csr_matrix(
-            (vals, (rows_ix, cols_ix)), shape=(R, K)
-        )
+        # M: the nonzeros (r, C, sign) with O(r) <= C, sign
+        # (-1)^{|C - O(r)|}, C in local counting order; every tail of a
+        # head in the district lies in the scope
+        r = np.zeros(1, dtype=np.int64)
+        c = np.zeros(1, dtype=np.int64)
+        sign = np.ones(1)
+        for p in self.scope:
+            w = row_bit[p]
+            if d_mask >> p & 1:
+                bit = 1 << members.index(p)
+                r = np.concatenate([r, r | w, r | w])
+                c = np.concatenate([c | bit, c, c | bit])
+                sign = np.concatenate([sign, sign, -sign])
+            else:
+                r = np.concatenate([r, r | w])
+                c = np.concatenate([c, c])
+                sign = np.concatenate([sign, sign])
+        tail = np.array(c_tail, dtype=np.int64)[c]
+        rank = np.zeros_like(r)
+        for w in row_bit.values():
+            rank = np.where(tail & w, rank << 1 | ((r & w) > 0), rank)
+        cols = np.array(c_start, dtype=np.int64)[c] + rank
+        self.M = sparse.csr_matrix((sign, (r, cols)), shape=(1 << L, K))
         self.M.sort_indices()
 
         theta_sets: dict[int, list[int]] = {p: [] for p in members}
@@ -402,6 +385,18 @@ class DistrictMaps:
         self.plans = {
             p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
         }
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        """One :class:`Term` per column of M, in column order."""
+        def labels(mask: int) -> tuple[Vertex, ...]:
+            return tuple(self._vertices[p] for p in _bits(mask))
+
+        return tuple(
+            Term(labels(c), tuple(map(labels, blocks)), labels(t), state)
+            for c, blocks, t in self._subsets
+            for state in itertools.product((0, 1), repeat=t.bit_count())
+        )
 
     def term_values(self, q_local: np.ndarray, term_products) -> np.ndarray:
         return term_products(self.P_indptr, self.P_indices, q_local)
@@ -484,10 +479,6 @@ class DistrictMaps:
         return f, J.T @ w, info
 
 
-def build_district_maps(g: Admg, district: Iterable[Vertex]) -> DistrictMaps:
-    return DistrictMaps(g, district)
-
-
 def _shared_maps(g: Admg, district: tuple[Vertex, ...], maps: dict | None) -> DistrictMaps:
     if maps is None:
         return DistrictMaps(g, district)
@@ -520,14 +511,10 @@ class Parametrization:
         position ``pos``."""
         return next((dm, sl) for dm, sl in zip(self.maps, self.slices) if dm.d_mask >> pos & 1)
 
-    def factors(self, q: np.ndarray, term_products) -> list[np.ndarray]:
-        """Each district's factor over its local states."""
-        return [dm.factor(q[sl], term_products) for dm, sl in zip(self.maps, self.slices)]
-
     def prob(self, q: np.ndarray, term_products) -> np.ndarray:
         p = np.ones(1 << len(self.graph.vertices))
-        for dm, f in zip(self.maps, self.factors(q, term_products)):
-            p *= f[dm.rows]
+        for dm, sl in zip(self.maps, self.slices):
+            p *= dm.factor(q[sl], term_products)[dm.rows]
         return p
 
 

@@ -18,7 +18,7 @@ from admgfit.graph import Admg, format_graph
 from admgfit.heads import barren_blocks, head_partition, heads
 from admgfit.inference import deviance, dp_dq, fisher_information, standard_errors
 from admgfit.moebius import (
-    build_district_maps,
+    DistrictMaps,
     prob_direct,
     prob_vector,
     q_from_p,
@@ -92,7 +92,7 @@ M_GOLD_101 = np.array([0, 0, 0, 1, 0, -1, 0, 0, 0, -1, 0, 1])
 
 def test_criterion_02_golden_term_matrices_of_the_three_vertex_graph():
     g = graph_two()
-    dm = build_district_maps(g, g.districts()[0])
+    dm = DistrictMaps(g, g.districts()[0])
     P = dm.P.toarray().astype(int)
     M = dm.M.toarray().astype(int)
     ok = (

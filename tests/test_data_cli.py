@@ -232,20 +232,115 @@ def test_cli_info_lists_heads_and_tails(capsys):
     assert "parameters: 12" in out
 
 
-def test_cli_info_matrices_smoke(tmp_path, capsys):
+# ``info --matrices`` on graph_two (one district) and on a graph with two
+# districts, {a} alone and {b,c} whose factor also reads a
+INFO_MATRICES_GRAPH_TWO = """\
+vertices: 1 2 3
+directed edges: 1 -> 2
+bidirected edges: 1 <-> 3, 2 <-> 3
+districts: {1,2,3}
+heads and tails:
+  {1} | {}
+  {2} | {1}
+  {3} | {}
+  {1,3} | {}
+  {2,3} | {1}
+parameters: 7
+district {1,2,3}: M is 8x12 over states of (1, 2, 3), P is 12x7
+M =
+[[ 0  0  0  0  0  0  0  0  0  0  1  0]
+ [ 0  0  0  0  1  0  0  0  0  0 -1  0]
+ [ 0  0  0  0  0  0  0  1  0  0 -1  0]
+ [ 0  1  0  0 -1  0  0 -1  0  0  1  0]
+ [ 0  0  0  0  0  0  0  0  0  1  0 -1]
+ [ 0  0  0  1  0 -1  0  0  0 -1  0  1]
+ [ 0  0  0  0  0  0  1 -1  0 -1  0  1]
+ [ 1 -1  0 -1  0  1 -1  1  0  1  0 -1]]
+P =
+[[0 0 0 0 0 0 0]
+ [1 0 0 0 0 0 0]
+ [0 1 0 0 0 0 0]
+ [0 0 1 0 0 0 0]
+ [1 1 0 0 0 0 0]
+ [1 0 1 0 0 0 0]
+ [0 0 0 1 0 0 0]
+ [0 0 0 0 1 0 0]
+ [0 0 0 0 0 1 0]
+ [0 0 0 0 0 0 1]
+ [1 0 0 0 0 1 0]
+ [1 0 0 0 0 0 1]]
+terms:
+  0: C={} tail={}=- blocks: -
+  1: C={1} tail={}=- blocks: {1}
+  2: C={2} tail={1}=0 blocks: {2}
+  3: C={2} tail={1}=1 blocks: {2}
+  4: C={1,2} tail={1}=0 blocks: {1} {2}
+  5: C={1,2} tail={1}=1 blocks: {1} {2}
+  6: C={3} tail={}=- blocks: {3}
+  7: C={1,3} tail={}=- blocks: {1,3}
+  8: C={2,3} tail={1}=0 blocks: {2,3}
+  9: C={2,3} tail={1}=1 blocks: {2,3}
+  10: C={1,2,3} tail={1}=0 blocks: {1} {2,3}
+  11: C={1,2,3} tail={1}=1 blocks: {1} {2,3}
+"""
+
+INFO_MATRICES_TWO_DISTRICTS = """\
+vertices: a b c
+directed edges: a -> b
+bidirected edges: b <-> c
+districts: {a} {b,c}
+heads and tails:
+  {a} | {}
+  {b} | {a}
+  {c} | {}
+  {b,c} | {a}
+parameters: 6
+district {a}: M is 2x2 over states of (a), P is 2x1
+M =
+[[ 0  1]
+ [ 1 -1]]
+P =
+[[0]
+ [1]]
+terms:
+  0: C={} tail={}=- blocks: -
+  1: C={a} tail={}=- blocks: {a}
+district {b,c}: M is 8x6 over states of (a, b, c), P is 6x5
+M =
+[[ 0  0  0  0  1  0]
+ [ 0  1  0  0 -1  0]
+ [ 0  0  0  1 -1  0]
+ [ 1 -1  0 -1  1  0]
+ [ 0  0  0  0  0  1]
+ [ 0  0  1  0  0 -1]
+ [ 0  0  0  1  0 -1]
+ [ 1  0 -1 -1  0  1]]
+P =
+[[0 0 0 0 0]
+ [1 0 0 0 0]
+ [0 1 0 0 0]
+ [0 0 1 0 0]
+ [0 0 0 1 0]
+ [0 0 0 0 1]]
+terms:
+  0: C={} tail={}=- blocks: -
+  1: C={b} tail={a}=0 blocks: {b}
+  2: C={b} tail={a}=1 blocks: {b}
+  3: C={c} tail={}=- blocks: {c}
+  4: C={b,c} tail={a}=0 blocks: {b,c}
+  5: C={b,c} tail={a}=1 blocks: {b,c}
+"""
+
+
+def test_cli_info_matrices_golden_text(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
-    gpath.write_text("vertices: 1 2\n1 <-> 2\n")
-    assert main(["info", str(gpath), "--matrices"]) == 0
-    out = capsys.readouterr().out
-    assert "M =" in out and "P =" in out and "terms:" in out
-    # two districts: {a} alone, and {b, c} whose factor also reads a
-    gpath.write_text("vertices: a b c\na -> b\nb <-> c\n")
-    assert main(["info", str(gpath), "--matrices"]) == 0
-    out = capsys.readouterr().out
-    assert "district {a}: M is 2x2 over states of (a), P is 2x1" in out
-    assert "district {b,c}: M is 8x6 over states of (a, b, c), P is 6x5" in out
-    m_blocks = out.split("M =\n")[1:]
-    assert [blk.split("P =")[0].count("[") - 1 for blk in m_blocks] == [2, 8]
+    for text, want in (
+        (format_graph(graph_two()), INFO_MATRICES_GRAPH_TWO),
+        ("vertices: a b c\na -> b\nb <-> c\n", INFO_MATRICES_TWO_DISTRICTS),
+    ):
+        gpath.write_text(text)
+        assert main(["info", str(gpath), "--matrices"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_cli_fit_text_and_json(workdir, capsys):

@@ -1,4 +1,5 @@
-"""Import hygiene: every imported name in the package and the tests is used."""
+"""Import hygiene: every imported name in the package, the tests and the
+benchmark scripts is used."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,7 @@ def test_no_unused_imports():
     files = [p for p in sorted((ROOT / "src" / "admgfit").glob("*.py"))
              if p.name != "__init__.py"]
     files += sorted((ROOT / "tests").glob("*.py"))
+    files += sorted((ROOT / "bench").glob("*.py"))
     assert len(files) > 10
     bad = [f"{p.relative_to(ROOT)}:{line}: {name}"
            for p in files for name, line in unused_imports(p)]

@@ -110,6 +110,37 @@ def test_term_count_is_sum_over_subsets_of_tail_states():
             assert dm.M.shape[1] == dm.P.shape[0] == len(dm.terms) == want
 
 
+def test_m_entries_follow_their_term_records():
+    """M[r, k] is (-1)^{|C - O(r)|} for C = terms[k].c when the zeros
+    O(r) of the district lie in C and r agrees with terms[k] on its
+    tail, and 0 otherwise; the records are built only when read."""
+    import itertools
+
+    from admgfit.cli import _bench_graph
+    from admgfit.moebius import DistrictMaps
+
+    rng = np.random.default_rng(37)
+    graphs = [_bench_graph("large", 4)]
+    while len(graphs) < 16:
+        g = random_admg(rng, n_min=3, n_max=7, p_dir=0.3, p_bi=0.4)
+        if max(len(d) for d in g.districts()) >= 3:
+            graphs.append(g)
+    for g in graphs:
+        for d in g.districts():
+            dm = DistrictMaps(g, d)
+            assert "terms" not in dm.__dict__
+            M = dm.M.toarray()
+            assert M.shape[1] == len(dm.terms)
+            states = np.array(list(itertools.product((0, 1), repeat=len(dm.scope))))
+            value = {g.vertices[p]: states[:, j] for j, p in enumerate(dm.scope)}
+            for k, t in enumerate(dm.terms):
+                zeros_in_c = np.all([value[v] == 1 for v in d if v not in t.c], axis=0)
+                on_tail = np.all([value[v] == b for v, b in zip(t.tail, t.tail_state)], axis=0)
+                sign = (-1) ** sum(value[v] for v in t.c)
+                want = np.where(zeros_in_c & on_tail, sign, 0)
+                assert np.array_equal(M[:, k], want)
+
+
 def test_factored_probability_identity():
     """For the four-vertex reference graph the probability of state
     (1,1,0,1) collapses to a short product; check both the raw eight
