@@ -117,6 +117,7 @@ def _cmd_select(args) -> int:
             raise GraphError("start graph vertices do not match data columns")
     else:
         g0 = Admg(ds.names)
+    format_graph(g0)  # a column the graph text cannot hold fails before the search
     counts = counts_for(g0, ds)
     opts = _options(args)
     res = stepwise(counts, g0, criterion=args.criterion, opts=opts)
@@ -279,6 +280,12 @@ def _bench_graph(family: str, k: int) -> Admg:
 
 
 def _cmd_bench(args) -> int:
+    if args.k_min < 0:
+        raise ValueError(f"--k-min must be at least 0, not {args.k_min}")
+    if args.k_max < args.k_min:
+        raise ValueError(f"--k-max ({args.k_max}) must be at least --k-min ({args.k_min})")
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, not {args.reps}")
     opts = FitOptions(tol=args.tol, max_cycles=args.max_cycles)
     rng = np.random.default_rng(args.seed)
     rows = []

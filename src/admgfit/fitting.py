@@ -34,7 +34,9 @@ import numpy as np
 
 from ._kernels import _BETA, _SIGMA, get_kernels
 from .graph import Admg
-from .moebius import DistrictMaps, Parametrization, parametrization, q_from_p
+from .moebius import (
+    DistrictMaps, Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
+)
 
 __all__ = [
     "FitOptions",
@@ -137,8 +139,6 @@ def _check_counts(g: Admg, counts, allow_zero: bool) -> np.ndarray:
 
 def loglik(g: Admg, q: np.ndarray, counts) -> float:
     """Multinomial log-likelihood sum(counts * log p(q)) over observed cells."""
-    from .moebius import prob_vector
-
     counts = np.asarray(counts, dtype=float)
     p = prob_vector(g, q)
     pos = counts > 0
@@ -152,8 +152,6 @@ def initialize(g: Admg, counts) -> np.ndarray:
     the observed marginal zero-probabilities of the head members.
     Always feasible, since the implied joint is the product of the
     (clipped) margins."""
-    from .moebius import enumerate_params
-
     counts = np.asarray(counts, dtype=float)
     table = enumerate_params(g)
     k = len(g.vertices)
@@ -173,8 +171,6 @@ def initialize(g: Admg, counts) -> np.ndarray:
 def _jitter_start(g: Admg, q0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random feasible start near ``q0``; backs off the noise until the
     implied joint distribution is strictly positive."""
-    from .moebius import prob_vector
-
     scale = 0.3
     while scale > 1e-4:
         q = np.clip(q0 * np.exp(rng.normal(0.0, scale, len(q0))), 1e-6, 1 - 1e-6)
@@ -194,14 +190,15 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
     kern = get_kernels()
     par = parametrization(g)
     pos = g._resolve(v)
-    other = np.ones(1 << len(g.vertices))
+    other = np.ones((2,) * len(g.vertices))
     target, target_sl = par.district_of(pos)
     for dm, sl in zip(par.maps, par.slices):
         if dm is not target:
-            other *= dm.factor(q[sl], kern.term_products)[dm.rows]
+            other *= dm.factor(q[sl], kern.term_products).reshape(dm.broadcast_shape)
+    other = other.ravel()
     A, b, theta_local = target.affine(q[target_sl], pos, kern.term_products)
     idx = theta_local + target_sl.start
-    return other[:, None] * A[target.rows], other * b[target.rows], idx
+    return other[:, None] * target.joint(A), other * target.joint(b), idx
 
 
 def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts, kern):
@@ -235,14 +232,9 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     pos = g._resolve(v)
     dm, sl = par.district_of(pos)
     q = np.asarray(q, dtype=float).copy()
-    counts_d = _local_counts(dm, counts)
+    counts_d = dm.marginal(counts)
     _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts, kern)
     return q
-
-
-def _local_counts(dm: DistrictMaps, counts: np.ndarray) -> np.ndarray:
-    """Marginal counts over the district's local states."""
-    return np.bincount(dm.rows, weights=counts, minlength=dm.M.shape[0])
 
 
 def _eps_rows(counts: np.ndarray) -> np.ndarray:
@@ -347,7 +339,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
     for dm, sl in zip(par.maps, par.slices):
         # a basic slice is a view: block updates write through to q
         q_d = q[sl]
-        counts_d = _local_counts(dm, counts)
+        counts_d = dm.marginal(counts)
         eps_d = _eps_rows(counts_d)
         ll = _district_ll(dm, q_d, counts_d, kern)
         if not np.isfinite(ll):

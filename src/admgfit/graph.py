@@ -503,8 +503,18 @@ def parse_graph(text: str) -> Admg:
 
 
 def format_graph(g: Admg) -> str:
-    """Serialize a graph to the text format; ``parse_graph`` inverts it."""
-    lines = ["vertices: " + " ".join(str(v) for v in g.vertices)]
+    """Serialize a graph to the text format; ``parse_graph`` inverts it.
+
+    Raises GraphError for a label that the text cannot hold: one that
+    is empty or holds whitespace, ``#`` or ``->``, that begins with
+    ``vertices:``, or that another vertex's label also reads as."""
+    labels = [str(v) for v in g.vertices]
+    for s in labels:
+        if s.split() != [s] or "#" in s or "->" in s or s.startswith("vertices:"):
+            raise GraphError(f"vertex label {s!r} cannot be written as graph text")
+    if len(set(labels)) < len(labels):
+        raise GraphError("two vertices have the same label as text")
+    lines = ["vertices: " + " ".join(labels)]
     lines += [f"{a} -> {b}" for a, b in g.directed_edges]
     lines += [f"{a} <-> {b}" for a, b in g.bidirected_edges]
     return "\n".join(lines) + "\n"

@@ -36,7 +36,7 @@ from scipy import stats
 from ._kernels import get_kernels
 from .fitting import FitResult
 from .graph import Admg
-from .moebius import parametrization
+from .moebius import parametrization, prob_vector
 
 __all__ = [
     "dp_dq",
@@ -68,7 +68,7 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     _check_positive(q)
     R = 1 << len(g.vertices)
     local = [dm.jacobian(q[sl], kern.term_products) for dm, sl in zip(par.maps, par.slices)]
-    factors = [f[dm.rows] for dm, (f, _) in zip(par.maps, local)]
+    factors = [dm.joint(f) for dm, (f, _) in zip(par.maps, local)]
     J = np.empty((R, len(q)))
     for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
         # product rule: the other districts' factors scale this block
@@ -76,7 +76,7 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
         for kk, f in enumerate(factors):
             if kk != k:
                 other *= f
-        J[:, sl] = other[:, None] * local[k][1][dm.rows]
+        J[:, sl] = other[:, None] * dm.joint(local[k][1])
     return J
 
 
@@ -84,8 +84,6 @@ def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
     """Expected information per observation at ``q``; symmetric positive
     semidefinite and block diagonal over districts.  Requires strictly
     positive parameters and a strictly positive implied distribution."""
-    from .moebius import prob_vector
-
     p = prob_vector(g, q)
     if p.min() <= 0:
         raise ValueError("Fisher information requires a strictly positive distribution")
@@ -96,7 +94,7 @@ def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
     I = np.zeros((len(q), len(q)))
     for dm, sl in zip(par.maps, par.slices):
         f, J = dm.jacobian(q[sl], kern.term_products)
-        w = np.bincount(dm.rows, weights=p, minlength=len(f)) / f
+        w = dm.marginal(p) / f
         u = J.T @ w
         I_d = (J * (w / f)[:, None]).T @ J - np.outer(u, u)
         I[sl, sl] = (I_d + I_d.T) / 2.0

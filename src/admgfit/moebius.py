@@ -20,8 +20,9 @@ column of M is one (C, tail assignment) term and ``t_k(q)`` is the
 product of the parameters listed in row k of the 0/1 matrix P.  M and
 P are sparse and built once per graph; everything downstream
 (likelihood, gradients, the Jacobian of p with respect to q) is
-expressed through them, and joint vectors over all 2^|V| states are
-gathered from the local ones through each district's ``rows`` index.
+expressed through them.  A joint vector over all 2^|V| states is a
+``(2,)*|V|`` table, one axis per vertex, raveled in C order; a local
+vector is that table's marginal on the scope and broadcasts back.
 Holding one vertex's parameters fixed everywhere else makes the factor
 affine in them; that form is assembled with one weighted bincount over
 the nonzeros of M.
@@ -113,15 +114,6 @@ def state_index(state: Sequence[int]) -> int:
     for b in state:
         idx = idx << 1 | (b & 1)
     return idx
-
-
-def _state_bits(g: Admg) -> np.ndarray:
-    """(2^n, n) matrix of joint states in canonical row order."""
-    if "bits" not in g._memo:
-        n = len(g.vertices)
-        rows = np.arange(1 << n, dtype=np.int64)
-        g._memo["bits"] = (rows[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return g._memo["bits"]
 
 
 def _tail_rank(row: int, n: int, tpos: tuple[int, ...]) -> int:
@@ -260,14 +252,15 @@ class DistrictMaps:
     ``scope`` holds the canonical positions of the district and its
     parents in ascending order.  Rows of M are the 2^|scope| local
     states, in binary counting order with the first scope vertex most
-    significant; columns are terms.  ``rows[i]`` is the local row of
-    joint state i.  Rows of P are terms; columns are the district's
-    parameters in local indexing; ``term_of`` is the row of each
-    nonzero of P.  The maps hold nothing else of the
-    graph: where the district's parameters sit in the graph's
-    parameter vector is kept by :class:`Parametrization`, so graphs
-    whose district has the same structure (see ``_maps_key``) can
-    share one instance.
+    significant; columns are terms.  The local states are the scope's
+    axes of a joint vector viewed as a ``(2,)*n`` table: :meth:`marginal`
+    sums the other axes out, :meth:`joint` broadcasts over them.  Rows
+    of P are terms; columns are the district's parameters in local
+    indexing; ``term_of`` is the row of each nonzero of P.  The maps
+    hold nothing else of the graph: where the district's parameters
+    sit in the graph's parameter vector is kept by
+    :class:`Parametrization`, so graphs whose district has the same
+    structure (see ``_maps_key``) can share one instance.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign) one scope vertex at a
@@ -295,7 +288,8 @@ class DistrictMaps:
         self.scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
         L = len(self.scope)
         row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(self.scope)}
-        self.rows = _state_bits(g)[:, self.scope] @ (1 << np.arange(L - 1, -1, -1))
+        self.broadcast_shape = tuple(2 if p in row_bit else 1 for p in range(len(g.vertices)))
+        self._outside = tuple(p for p, w in enumerate(self.broadcast_shape) if w == 1)
 
         # local offsets of each head's parameter run
         local_offset: dict[int, int] = {}
@@ -398,12 +392,26 @@ class DistrictMaps:
             for state in itertools.product((0, 1), repeat=t.bit_count())
         )
 
+    def marginal(self, joint_vec: np.ndarray) -> np.ndarray:
+        """A joint vector summed over the vertices outside the scope, in
+        local row order."""
+        table = joint_vec.reshape((2,) * len(self.broadcast_shape))
+        return table.sum(axis=self._outside).ravel()
+
+    def joint(self, local: np.ndarray) -> np.ndarray:
+        """A local vector, or a matrix with one row per local state,
+        repeated over all joint states in canonical order."""
+        rest = local.shape[1:]
+        table = local.reshape(self.broadcast_shape + rest)
+        full = np.broadcast_to(table, (2,) * len(self.broadcast_shape) + rest)
+        return full.reshape((-1,) + rest)
+
     def term_values(self, q_local: np.ndarray, term_products) -> np.ndarray:
         return term_products(self.P_indptr, self.P_indices, q_local)
 
     def factor(self, q_local: np.ndarray, term_products) -> np.ndarray:
-        """The district's factor at each local state; ``factor(...)[rows]``
-        is its factor of the joint probability vector."""
+        """The district's factor at each local state; ``joint`` of it is
+        its factor of the joint probability vector."""
         return self.M @ self.term_values(q_local, term_products)
 
     def affine(self, q_local: np.ndarray, vertex: int, term_products):
@@ -512,10 +520,10 @@ class Parametrization:
         return next((dm, sl) for dm, sl in zip(self.maps, self.slices) if dm.d_mask >> pos & 1)
 
     def prob(self, q: np.ndarray, term_products) -> np.ndarray:
-        p = np.ones(1 << len(self.graph.vertices))
+        p = np.ones((2,) * len(self.graph.vertices))
         for dm, sl in zip(self.maps, self.slices):
-            p *= dm.factor(q[sl], term_products)[dm.rows]
-        return p
+            p *= dm.factor(q[sl], term_products).reshape(dm.broadcast_shape)
+        return p.ravel()
 
 
 def parametrization(g: Admg, maps: dict | None = None) -> Parametrization:

@@ -418,6 +418,18 @@ def test_cli_select_rejects_mismatched_start(workdir, tmp_path, capsys):
     assert "do not match data columns" in capsys.readouterr().err
 
 
+def test_cli_select_rejects_columns_the_graph_text_cannot_hold(tmp_path, capsys):
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("a b,c,count\n0,0,3\n0,1,2\n1,0,4\n1,1,1\n")
+    jpath = tmp_path / "steps.json"
+    code = main(["select", str(dpath), "--json", str(jpath)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "'a b'" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not jpath.exists()
+
+
 def test_cli_simulate_stdout_and_file(tmp_path, capsys):
     gpath = tmp_path / "g.txt"
     gpath.write_text(format_graph(graph_two()))
@@ -475,6 +487,25 @@ def test_cli_bench_runs_and_writes_csv(tmp_path, capsys):
     lines = cpath.read_text().strip().splitlines()
     assert lines[0].startswith("family,")
     assert len(lines) == 3  # header plus k = 1, 2
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--k-min", "3", "--k-max", "2"], "--k-max"),
+        (["--k-max", "2", "--reps", "0"], "--reps"),
+        (["--k-min", "-1", "--k-max", "1"], "--k-min"),
+    ],
+)
+def test_cli_bench_rejects_ranges_it_cannot_run(tmp_path, capsys, extra, flag):
+    cpath = tmp_path / "bench.csv"
+    code = main(["bench", "--family", "fixed", "--csv", str(cpath)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {flag}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not cpath.exists()
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

@@ -103,6 +103,18 @@ def test_parse_and_format_round_trip():
         assert parse_graph(format_graph(g)) == g
 
 
+def test_format_rejects_labels_that_do_not_read_back():
+    for label in ("", "a b", "a\tb", "a#b", "a->b", "a<->b", "vertices:", "vertices:x"):
+        g = Admg([label, "z"], [("z", label)])
+        with pytest.raises(GraphError, match="cannot be written"):
+            format_graph(g)
+    with pytest.raises(GraphError, match="same label"):
+        format_graph(Admg([1, "1"]))
+    for label in ("a<", "-", ">b", "<-", "x:y", "Vertices:"):
+        g = Admg([label, "z"], [("z", label)], [(label, "z")])
+        assert parse_graph(format_graph(g)) == g
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(GraphError):
         parse_graph("vertices: a b\na => b\n")

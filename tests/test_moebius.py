@@ -198,11 +198,56 @@ def test_district_maps_live_on_the_district_and_its_parents():
             assert dm.scope == scope
             assert dm.M.shape[0] == 2 ** len(scope)
             assert dm.M.nnz == 3 ** len(d) * 2 ** len(pa - d)
-            assert dm.rows.tolist() == [state_index(s[list(scope)]) for s in states]
+            local = np.arange(2 ** len(scope))
+            assert dm.joint(local).tolist() == [state_index(s[list(scope)]) for s in states]
         if n <= 6:
             q = random_interior_q(g, rng)
             pd = np.array([prob_direct(g, q, s) for s in states])
             assert np.max(np.abs(prob_vector(g, q) - pd)) < 1e-10
+
+
+def test_marginal_and_joint_follow_the_local_state_index():
+    """``marginal`` adds each joint entry into the local row of its
+    state and ``joint`` gives each joint state the row of its local
+    state, for a matrix as for a vector."""
+    import itertools
+
+    rng = np.random.default_rng(37)
+    for _ in range(12):
+        g = random_admg(rng, n_min=2, n_max=7, p_dir=0.3)
+        n = len(g.vertices)
+        states = np.array(list(itertools.product((0, 1), repeat=n)))
+        x = rng.integers(0, 50, size=2**n).astype(float)
+        for dm in parametrization(g).maps:
+            local_of = [state_index(s[list(dm.scope)]) for s in states]
+            R = dm.M.shape[0]
+            want = np.zeros(R)
+            for i, r in enumerate(local_of):
+                want[r] += x[i]
+            assert np.array_equal(dm.marginal(x), want)
+            local = rng.normal(size=(R, 3))
+            full = dm.joint(local)
+            assert full.shape == (2**n, 3)
+            for i, r in enumerate(local_of):
+                assert np.array_equal(full[i], local[r])
+
+
+def test_parametrization_allocates_nothing_of_joint_size():
+    """The maps of a 20-vertex chain are built without an array over its
+    2^20 joint states: the build peaks far below one such vector of
+    float64 (8 MiB)."""
+    import tracemalloc
+
+    from admgfit.cli import _bench_graph
+
+    g = _bench_graph("fixed", 19)
+    tracemalloc.start()
+    try:
+        parametrization(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_round_trip_through_probabilities():
@@ -308,7 +353,8 @@ def _same_maps(shared, fresh, rng):
     from admgfit._kernels import get_kernels
 
     assert shared.scope == fresh.scope
-    assert np.array_equal(shared.rows, fresh.rows)
+    R = fresh.M.shape[0]
+    assert np.array_equal(shared.joint(np.arange(R)), fresh.joint(np.arange(R)))
     assert shared.terms == fresh.terms
     for attr in ("M", "P"):
         a, b = getattr(shared, attr), getattr(fresh, attr)
