@@ -5,8 +5,8 @@ through conditional zero-probabilities indexed by the heads and tails
 of an ADMG, evaluates joint probabilities through sparse
 inclusion-exclusion matrices, and maximizes the multinomial likelihood
 by block coordinate ascent: a damped Newton ascent with feasibility
-backtracking on each vertex block, and a single projection onto the
-canonical parameters at the end of the fit.
+backtracking on each vertex block, and damped Newton steps on a whole
+district once the block cycles slow down.
 """
 
 from .data import Dataset, counts_for, load_data, save_data, simulate

@@ -25,7 +25,7 @@ from .fitting import FitError, FitOptions, fit
 from .graph import Admg, GraphError, format_graph, read_graph
 from .heads import heads
 from .inference import report
-from .moebius import enumerate_params, parametrization, prob_vector
+from .moebius import MAX_VERTICES, enumerate_params, parametrization, prob_vector
 from .select import stepwise
 
 __all__ = ["main", "build_parser"]
@@ -284,6 +284,9 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"--k-min must be at least 0, not {args.k_min}")
     if args.k_max < args.k_min:
         raise ValueError(f"--k-max ({args.k_max}) must be at least --k-min ({args.k_min})")
+    if args.k_max > MAX_VERTICES - 1:
+        # the graph for k has k + 1 vertices
+        raise ValueError(f"--k-max must be at most {MAX_VERTICES - 1}, not {args.k_max}")
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, not {args.reps}")
     opts = FitOptions(tol=args.tol, max_cycles=args.max_cycles)

@@ -232,6 +232,8 @@ def simulate(g: Admg, q: np.ndarray, n: int, seed: int | None = None) -> Dataset
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if not np.all(np.isfinite(np.asarray(q, dtype=float))):
+        raise ValueError("parameters must be finite")
     p = prob_vector(g, q)
     if p.min() < -1e-9:
         raise ValueError("parameters lie outside the model (negative probability)")

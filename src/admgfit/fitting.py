@@ -20,10 +20,8 @@ ascent's inner tolerance, which certifies it stationary, and hands
 back to the block cycles when the information is not positive
 definite or no step is accepted.  A district stops on that
 certificate, on a cycle that gains less than ``tol``, or at
-``max_cycles``.  Once the fit ends, the parameter vector is
-re-extracted from the fitted joint distribution in a single
-projection, which leaves the likelihood unchanged but keeps the
-parameters interpretable as conditional probabilities.
+``max_cycles``.  Both ascents pick their steps with the same
+backtracking line search.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _BETA, _SIGMA, get_kernels
+from ._kernels import _line_search, get_kernels
 from .graph import Admg
 from .moebius import (
     DistrictMaps, Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
@@ -47,6 +45,9 @@ __all__ = [
     "vertex_block",
     "update_vertex",
     "fit",
+    # re-exported, not used here: bench/tracing.py wraps
+    # fitting.q_from_p and fails on a missing name
+    "q_from_p",
 ]
 
 # relative slack for the never-decrease assertion; violations beyond
@@ -106,7 +107,6 @@ class FitResult:
     converged: bool
     p: np.ndarray
     n: float
-    projections: int = 0
     # stationarity certificate, the largest over districts: the Newton
     # decrement on which the district Newton phase stopped a district,
     # otherwise the largest block Newton decrement at block start in
@@ -244,31 +244,6 @@ def _eps_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, _FEAS_EPS, 0.0)
 
 
-def _project(g, par: Parametrization, q, ll, counts, kern):
-    """Re-extract the parameters from the implied joint distribution.
-
-    The joint distribution, and with it the likelihood, is unchanged;
-    only the representation is canonicalized.  Skipped silently when a
-    conditioning event has zero mass (possible with zero counts)."""
-    p = par.prob(q, kern.term_products)
-    try:
-        q_new = q_from_p(g, p)
-    except ValueError:
-        return q, ll, 0
-    if np.max(np.abs(q_new - q)) <= 1e-10:
-        return q, ll, 0
-    pos = counts > 0
-    p_new = par.prob(q_new, kern.term_products)
-    if p_new[pos].min() <= 0:
-        return q, ll, 0
-    ll_new = float(counts[pos] @ np.log(p_new[pos]))
-    if ll_new < ll - _MONO_SLACK * (1.0 + abs(ll)):
-        raise FitError(
-            f"projection decreased the log-likelihood: {ll} -> {ll_new}"
-        )
-    return q_new, ll_new, 1
-
-
 def _district_ll(dm: DistrictMaps, q_d, counts, kern) -> float:
     f = dm.factor(q_d, kern.term_products)
     pos = counts > 0
@@ -283,16 +258,19 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
     Each step solves ``H d = g`` for the district's score g and observed
     information H; the Newton decrement ``g'd / 2`` at or below the
     block ascent's inner tolerance certifies the district stationary.
-    Otherwise the step is backtracked from the unit step as in the
-    block ascent: every local row stays at or above its bound and the
-    Armijo test holds.  ``q_d`` is updated in place.  Returns the new
-    district log-likelihood and the certifying decrement, or None when
-    the block cycles are to resume: after ``_NEWTON_STEPS`` accepted
-    steps, or when H is not positive definite (or a parameter not
-    positive) or no step of at least ``_NEWTON_MIN_STEP`` is
-    accepted."""
+    Otherwise the block ascent's line search picks the step, keeping
+    every local row at or above its bound.  ``q_d`` is updated in
+    place.  Returns the new district log-likelihood and the certifying
+    decrement, or None when the block cycles are to resume: after
+    ``_NEWTON_STEPS`` accepted steps, or when H is not positive
+    definite (or a parameter not positive) or no step of at least
+    ``_NEWTON_MIN_STEP`` is accepted."""
     pos = counts > 0
     c = counts[pos]
+
+    def factor(x):
+        return dm.factor(x, kern.term_products)
+
     for steps in range(_NEWTON_STEPS + 1):
         if q_d.min() <= 0:
             return ll, None
@@ -311,19 +289,11 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
         if steps == _NEWTON_STEPS:
             break
         eps = np.minimum(eps0, np.where(pos, f / 2.0, 0.0))
-        step = 1.0
-        while True:
-            q_try = q_d + step * d
-            f_try = dm.factor(q_try, kern.term_products)
-            if np.all(f_try >= eps):
-                ll_try = c @ np.log(f_try[pos])
-                if np.isfinite(ll_try) and ll_try >= ll + _SIGMA * step * gd:
-                    break
-            step *= _BETA
-            if step < _NEWTON_MIN_STEP:
-                return ll, None
-        q_d[:] = q_try
-        ll = float(ll_try)
+        found = _line_search(factor, q_d, d, gd, ll, c, pos, eps, _NEWTON_MIN_STEP)
+        if found is None:
+            return ll, None
+        q_d[:] = found[0]
+        ll = float(found[2])
     return ll, None
 
 
@@ -408,7 +378,6 @@ def fit(
     # the first start with the highest log-likelihood wins
     runs = [_fit_from(par, q0, counts, opts, kern) for q0 in starts]
     q, ll, cycles, converged, kkt = max(runs, key=lambda run: run[1])
-    q, ll, projections = _project(g, par, q, ll, counts, kern)
     p = par.prob(q, kern.term_products)
     return FitResult(
         graph=g,
@@ -418,6 +387,5 @@ def fit(
         converged=converged,
         p=p,
         n=float(counts.sum()),
-        projections=projections,
         kkt=kkt,
     )

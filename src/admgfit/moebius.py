@@ -168,15 +168,19 @@ class ParamTable:
 
     def index(self, head: Iterable[Vertex], tail_state: Sequence[int] = ()) -> int:
         """Global position of q(head | tail = tail_state); the state is
-        given in canonical tail order."""
+        given in canonical tail order, one 0 or 1 per tail vertex."""
         h_mask = self.graph._as_mask(head)
-        rank = 0
-        for b in tail_state:
-            rank = rank << 1 | (b & 1)
-        try:
-            return self._lookup[(h_mask, rank)]
-        except KeyError:
-            raise KeyError(f"no parameter for head {tuple(head)!r}") from None
+        first = self._lookup.get((h_mask, 0))
+        if first is None:
+            raise KeyError(f"no parameter for head {tuple(head)!r}")
+        tail = self.params[first].tail
+        state = tuple(tail_state)
+        if len(state) != len(tail) or any(b not in (0, 1) for b in state):
+            raise KeyError(
+                f"tail state {state!r} for head {tuple(head)!r}: expected "
+                f"{len(tail)} values of 0 or 1 for tail {tail!r}"
+            )
+        return self._lookup[(h_mask, state_index(map(int, state)))]
 
     def _index_by_row(self, h_mask: int, row: int) -> int:
         """Position of the parameter for head ``h_mask`` with its tail

@@ -196,6 +196,10 @@ def test_simulate_rejects_bad_inputs():
     assert prob_vector(g, bad).min() < -1e-9
     with pytest.raises(ValueError, match="outside the model"):
         simulate(g, bad, 10)
+    # a NaN parameter would otherwise put every draw in the first state
+    chain = Admg(["a", "b"], directed=[("a", "b")])
+    with pytest.raises(ValueError, match="finite"):
+        simulate(chain, [0.5, np.nan, 0.3], 100)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +477,30 @@ def test_cli_simulate_with_explicit_params(tmp_path, capsys):
     code = main(["simulate", str(gpath), "10", "--params", str(ppath)])
     assert code == 2
     assert "expected 12 values" in capsys.readouterr().err
+    ppath.write_text(json.dumps({"values": [0.5] * 11 + [float("nan")]}))
+    code = main(["simulate", str(gpath), "10", "--params", str(ppath)])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_malformed_tail_states(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    ppath = tmp_path / "params.json"
+    gpath.write_text(format_graph(Admg(["a", "b", "c"], directed=[("a", "c"), ("b", "c")])))
+    entries = [
+        {"head": ["a"], "value": 0.5},
+        {"head": ["b"], "value": 0.5},
+        *({"head": ["c"], "tail_state": [i >> 1, i & 1], "value": 0.5} for i in range(4)),
+    ]
+    ppath.write_text(json.dumps(entries))
+    assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 0
+    capsys.readouterr()
+    entries[2]["tail_state"] = [0, 0.5]
+    ppath.write_text(json.dumps(entries))
+    assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "tail state" in err
+    assert "Traceback" not in err
 
 
 def test_cli_bench_runs_and_writes_csv(tmp_path, capsys):
@@ -495,6 +523,7 @@ def test_cli_bench_runs_and_writes_csv(tmp_path, capsys):
         (["--k-min", "3", "--k-max", "2"], "--k-max"),
         (["--k-max", "2", "--reps", "0"], "--reps"),
         (["--k-min", "-1", "--k-max", "1"], "--k-min"),
+        (["--k-max", "20"], "--k-max"),
     ],
 )
 def test_cli_bench_rejects_ranges_it_cannot_run(tmp_path, capsys, extra, flag):

@@ -228,6 +228,7 @@ def test_zero_counts_across_districts():
         res = fit(g, counts, opts)
         assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
         assert res.p[counts > 0].min() > 0
+        assert np.max(np.abs(res.q - q_from_p(g, res.p))) < 1e-10
         checked += 1
 
 
@@ -267,7 +268,7 @@ def test_large_family_reaches_the_saturated_likelihood(k):
     assert abs(res.loglik - saturated) < 1e-10
     assert 0.0 <= res.kkt < opts.tol
     assert report(res, counts, with_se=False).to_dict()["kkt"] == res.kkt
-    # the single end-of-fit projection leaves the parameters canonical
+    # the fitted parameters are the conditional probabilities of res.p
     assert np.max(np.abs(res.q - q_from_p(g, res.p))) < 1e-10
 
 

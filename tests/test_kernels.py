@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from admgfit._kernels import Kernels, _term_products_numpy, get_kernels
+from admgfit._kernels import Kernels, _line_search, _term_products_numpy, get_kernels
 from admgfit.fitting import vertex_block
 
 from util import graph_one, random_interior_q
@@ -73,3 +73,21 @@ def test_ascent_improves_and_stays_feasible():
     assert ll > ll0
     assert np.all(A @ theta - b >= eps * (1 - 1e-12))
 
+
+def test_line_search_accepts_an_ascent_step_and_rejects_a_descent():
+    A, b, counts, eps, theta0 = ascent_problem()
+    pos = counts > 0
+    c = counts[pos]
+
+    def factor(t):
+        return A @ t - b
+
+    f0 = factor(theta0)
+    ll0 = c @ np.log(f0[pos])
+    grad = A[pos].T @ (c / f0[pos])
+    gd = grad @ grad
+    x, f, ll = _line_search(factor, theta0, grad, gd, ll0, c, pos, eps, 1e-18)
+    assert np.array_equal(f, factor(x)) and np.all(f >= eps)
+    assert ll == c @ np.log(f[pos]) and ll > ll0
+    # no step along the descent direction passes the Armijo test
+    assert _line_search(factor, theta0, -grad, gd, ll0, c, pos, eps, 1e-3) is None

@@ -44,6 +44,15 @@ def test_param_table_index_lookup():
     assert table.params[j].name == "q[3,4|1,2=10]"
     with pytest.raises(KeyError):
         table.index(("2", "4"), ())
+    # a tail state has one 0 or 1 per tail vertex
+    table = enumerate_params(Admg(["a", "b", "c"], directed=[("a", "c"), ("b", "c")]))
+    assert table.params[table.index(("c",), (0, 1))].name == "q[c|a,b=01]"
+    assert table.params[table.index(("c",), (True, 0))].name == "q[c|a,b=10]"
+    for state in ((1,), (0, 1, 1), (2, 0), (0, 0.5), (0, -1)):
+        with pytest.raises(KeyError, match="tail state"):
+            table.index(("c",), state)
+    with pytest.raises(KeyError, match="tail state"):
+        table.index(("a",), (0,))
 
 
 def test_state_index_is_big_endian():
