@@ -4,10 +4,11 @@ The two hot loops live here: sparse row-wise products (evaluating one
 multiplicative term per row of a CSR pattern, vectorized with
 ``np.multiply.reduceat``) and the per-vertex damped Newton ascent
 under feasibility constraints, which is small dense linear algebra.
-Call sites resolve them through :func:`get_kernels`, so the benchmark
-can wrap the kernel tuple at run time.  The backtracking line search
-of that ascent, :func:`_line_search`, also serves the district Newton
-phase in ``fitting``.
+Call sites look them up through :func:`get_kernels` on every call
+(``DistrictMaps.term_values`` and ``affine``, the block ascent in
+``fitting``) and take no kernel argument, so the benchmark can wrap
+the kernel tuple at run time.  The backtracking line search of that
+ascent, :func:`_line_search`, also serves the district Newton phase.
 """
 
 from __future__ import annotations

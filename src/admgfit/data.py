@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Admg
-from .moebius import prob_vector
+from .moebius import MAX_VERTICES, prob_vector
 
 __all__ = ["Dataset", "load_data", "save_data", "simulate", "counts_for"]
 
@@ -49,7 +49,9 @@ class Dataset:
         """Counts of all 2^k joint states in canonical row order.
 
         ``order`` reorders variables (default: the dataset's own column
-        order); it must name every column exactly once.
+        order); it must name every column exactly once.  More than
+        ``MAX_VERTICES`` variables raise ``ValueError`` before anything
+        of size 2^k is allocated.
         """
         if order is None:
             cols = list(range(len(self.names)))
@@ -61,6 +63,8 @@ class Dataset:
                 )
             cols = [self.names.index(v) for v in order]
         k = len(cols)
+        if k > MAX_VERTICES:
+            raise ValueError(f"too many variables ({k}): at most {MAX_VERTICES}")
         out = np.zeros(1 << k, dtype=np.int64)
         weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
         idx = self.states[:, cols].astype(np.int64) @ weights

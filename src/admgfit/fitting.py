@@ -21,7 +21,9 @@ back to the block cycles when the information is not positive
 definite or no step is accepted.  A district stops on that
 certificate, on a cycle that gains less than ``tol``, or at
 ``max_cycles``.  Both ascents pick their steps with the same
-backtracking line search.
+backtracking line search.  No kernel is passed between these
+functions: the block step looks its ascent up through ``get_kernels``,
+and ``DistrictMaps`` looks up its own term-product kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _line_search, get_kernels
-from .graph import Admg
+from .graph import Admg, _bits
 from .moebius import (
     DistrictMaps, Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
 )
@@ -160,11 +162,11 @@ def initialize(g: Admg, counts) -> np.ndarray:
     marg0 = np.array([joint.take(0, axis=v).sum() for v in range(k)]) / n
     marg0 = np.clip(marg0, 1e-3, 1.0 - 1e-3)
     q = np.empty(len(table))
-    for j, param in enumerate(table.params):
+    for h_mask, t_mask, j in table.runs:
         v = 1.0
-        for lab in param.head:
-            v *= marg0[g._index[lab]]
-        q[j] = v
+        for p in _bits(h_mask):
+            v *= marg0[p]
+        q[j : j + (1 << t_mask.bit_count())] = v
     return q
 
 
@@ -187,27 +189,26 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
     where ``idx`` are the positions of the parameters whose head
     contains ``v``.  Rows follow the canonical state order.
     """
-    kern = get_kernels()
     par = parametrization(g)
     pos = g._resolve(v)
     other = np.ones((2,) * len(g.vertices))
     target, target_sl = par.district_of(pos)
     for dm, sl in zip(par.maps, par.slices):
         if dm is not target:
-            other *= dm.factor(q[sl], kern.term_products).reshape(dm.broadcast_shape)
+            other *= dm.factor(q[sl]).reshape(dm.broadcast_shape)
     other = other.ravel()
-    A, b, theta_local = target.affine(q[target_sl], pos, kern.term_products)
+    A, b, theta_local = target.affine(q[target_sl], pos)
     idx = theta_local + target_sl.start
     return other[:, None] * target.joint(A), other * target.joint(b), idx
 
 
-def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts, kern):
+def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts):
     """One block maximization in the district-factor form, on the
     district's local counts and row bounds; ``q_d`` is the district's
     run of the parameter vector, updated in place.  Returns the new
     district log-likelihood contribution, whether theta moved and the
     block's Newton decrement at its start."""
-    A, b, theta_local = dm.affine(q_d, pos, kern.term_products)
+    A, b, theta_local = dm.affine(q_d, pos)
     theta = q_d[theta_local]
     f = A @ theta - b
     pos_rows = counts > 0
@@ -215,7 +216,7 @@ def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts, kern):
         raise FitError("infeasible point: zero factor at an observed cell")
     # keep the current point strictly inside the working constraints
     eps = np.minimum(eps0, np.where(pos_rows, f / 2.0, 0.0))
-    theta, ll_d, _, moved, decrement = kern.ascent(
+    theta, ll_d, _, moved, decrement = get_kernels().ascent(
         A, b, counts, eps, theta, 0.01 * opts.tol
     )
     q_d[theta_local] = theta
@@ -227,13 +228,12 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     head, all else fixed.  Returns a new parameter vector; never
     decreases the likelihood."""
     counts = _check_counts(g, counts, opts.allow_zero_counts)
-    kern = get_kernels()
     par = parametrization(g)
     pos = g._resolve(v)
     dm, sl = par.district_of(pos)
     q = np.asarray(q, dtype=float).copy()
     counts_d = dm.marginal(counts)
-    _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts, kern)
+    _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts)
     return q
 
 
@@ -244,15 +244,15 @@ def _eps_rows(counts: np.ndarray) -> np.ndarray:
     return np.where(counts > 0, _FEAS_EPS, 0.0)
 
 
-def _district_ll(dm: DistrictMaps, q_d, counts, kern) -> float:
-    f = dm.factor(q_d, kern.term_products)
+def _district_ll(dm: DistrictMaps, q_d, counts) -> float:
+    f = dm.factor(q_d)
     pos = counts > 0
     if f[pos].min() <= 0:
         return -np.inf
     return float(counts[pos] @ np.log(f[pos]))
 
 
-def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
+def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts):
     """Damped Newton ascent on all of a district's parameters at once.
 
     Each step solves ``H d = g`` for the district's score g and observed
@@ -267,14 +267,10 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
     ``_NEWTON_MIN_STEP`` is accepted."""
     pos = counts > 0
     c = counts[pos]
-
-    def factor(x):
-        return dm.factor(x, kern.term_products)
-
     for steps in range(_NEWTON_STEPS + 1):
         if q_d.min() <= 0:
             return ll, None
-        f, g, H = dm.observed_information(q_d, counts, kern.term_products)
+        f, g, H = dm.observed_information(q_d, counts)
         try:
             # the Cholesky factorization is the positive definiteness test
             np.linalg.cholesky(H)
@@ -289,7 +285,7 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
         if steps == _NEWTON_STEPS:
             break
         eps = np.minimum(eps0, np.where(pos, f / 2.0, 0.0))
-        found = _line_search(factor, q_d, d, gd, ll, c, pos, eps, _NEWTON_MIN_STEP)
+        found = _line_search(dm.factor, q_d, d, gd, ll, c, pos, eps, _NEWTON_MIN_STEP)
         if found is None:
             return ll, None
         q_d[:] = found[0]
@@ -297,7 +293,7 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts, kern):
     return ll, None
 
 
-def _fit_from(par: Parametrization, q0, counts, opts, kern):
+def _fit_from(par: Parametrization, q0, counts, opts):
     """Fit each district to convergence in turn from one start.
 
     Returns (q, ll, cycles, converged, kkt): the sum of the district
@@ -311,7 +307,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
         q_d = q[sl]
         counts_d = dm.marginal(counts)
         eps_d = _eps_rows(counts_d)
-        ll = _district_ll(dm, q_d, counts_d, kern)
+        ll = _district_ll(dm, q_d, counts_d)
         if not np.isfinite(ll):
             raise FitError("infeasible starting point")
         converged = False
@@ -321,7 +317,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
             kkt = 0.0
             for pos in dm.members:
                 ll_prev = ll
-                ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts, kern)
+                ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts)
                 kkt = max(kkt, decrement)
                 if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
                     raise FitError(
@@ -332,7 +328,7 @@ def _fit_from(par: Parametrization, q0, counts, opts, kern):
                 converged = True
                 break
             if cycles >= 2:
-                ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts, kern)
+                ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts)
                 if decrement is not None:
                     kkt = decrement
                     converged = True
@@ -358,7 +354,6 @@ def fit(
     ``opts.starts`` and keep the best likelihood found.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
-    kern = get_kernels()
     par = parametrization(g)
     rng = np.random.default_rng(opts.seed)
 
@@ -367,7 +362,7 @@ def fit(
         start = np.asarray(start, dtype=float)
         if len(start) != len(par.table):
             raise FitError("start vector has wrong length")
-        if par.prob(start, kern.term_products)[counts > 0].min() > 0:
+        if par.prob(start)[counts > 0].min() > 0:
             starts.append(start)
     if not starts:
         starts.append(initialize(g, counts))
@@ -376,9 +371,9 @@ def fit(
         starts.append(_jitter_start(g, q_base, rng))
 
     # the first start with the highest log-likelihood wins
-    runs = [_fit_from(par, q0, counts, opts, kern) for q0 in starts]
+    runs = [_fit_from(par, q0, counts, opts) for q0 in starts]
     q, ll, cycles, converged, kkt = max(runs, key=lambda run: run[1])
-    p = par.prob(q, kern.term_products)
+    p = par.prob(q)
     return FitResult(
         graph=g,
         q=q,

@@ -65,14 +65,10 @@ def _is_head_mask(g: Admg, h: int) -> bool:
 
 
 def _tail_mask(g: Admg, h: int) -> int:
-    memo = g._memo
-    key = ("tail", h)
-    if key not in memo:
-        an = g._an_mask(h)
-        first = (h & -h).bit_length() - 1
-        dis = g._district_mask(first, an)
-        memo[key] = (dis | g._pa_mask(dis)) & ~h
-    return memo[key]
+    an = g._an_mask(h)
+    first = (h & -h).bit_length() - 1
+    dis = g._district_mask(first, an)
+    return (dis | g._pa_mask(dis)) & ~h
 
 
 def is_head(g: Admg, vs: Iterable[Vertex]) -> bool:
@@ -88,6 +84,21 @@ def tail(g: Admg, head: Iterable[Vertex]) -> tuple[Vertex, ...]:
     return g._labels(_tail_mask(g, h))
 
 
+def _district_heads(g: Admg, d_mask: int) -> tuple[tuple[int, int], ...]:
+    """(head mask, tail mask) of every head inside the district
+    ``d_mask`` in parameter order (see :func:`heads`), memoized on the
+    graph: the district's parametrization is built from this record."""
+    key = ("district_heads", d_mask)
+    if key not in g._memo:
+        members = list(_bits(d_mask))
+        if len(members) > MAX_DISTRICT:
+            raise ValueError(f"district of size {len(members)} is too large to enumerate")
+        g._memo[key] = tuple(
+            (h, _tail_mask(g, h)) for h in _subset_masks(members)[1:] if _is_head_mask(g, h)
+        )
+    return g._memo[key]
+
+
 def heads(g: Admg) -> tuple[HeadTail, ...]:
     """All heads of ``g`` with their tails, in canonical order.
 
@@ -97,17 +108,11 @@ def heads(g: Admg) -> tuple[HeadTail, ...]:
     ordering is the index order of the parameter vector.
     """
     if "heads" not in g._memo:
-        out = []
-        for dmask in g._district_masks(g.full_mask):
-            members = list(_bits(dmask))
-            if len(members) > MAX_DISTRICT:
-                raise ValueError(
-                    f"district of size {len(members)} is too large to enumerate"
-                )
-            for h in _subset_masks(members)[1:]:
-                if _is_head_mask(g, h):
-                    out.append(HeadTail(g._labels(h), g._labels(_tail_mask(g, h))))
-        g._memo["heads"] = tuple(out)
+        g._memo["heads"] = tuple(
+            HeadTail(g._labels(h), g._labels(t))
+            for d_mask in g._district_masks(g.full_mask)
+            for h, t in _district_heads(g, d_mask)
+        )
     return g._memo["heads"]
 
 

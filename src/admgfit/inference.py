@@ -22,7 +22,7 @@ Jacobians into the dense Jacobian of the joint probability vector over
 all 2^|V| states; it is kept as the reference the block form is
 tested against.  Standard errors invert the information block by
 block, and its condition number comes from the blocks' singular
-values.
+values.  ``DistrictMaps.jacobian`` looks up its own term-product kernel.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ __all__ = [
     "information_criteria",
     "InferenceReport",
     "report",
+    # re-exported, not used here: bench/tracing.py patches
+    # inference.get_kernels and fails on a missing name
+    "get_kernels",
 ]
 
 COND_WARN = 1e10
@@ -60,14 +63,13 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     """Dense Jacobian d p / d q, one row per joint state, one column per
     parameter.  Requires strictly positive parameters.  Columns sum to
     zero since the probabilities sum to one identically."""
-    kern = get_kernels()
     par = parametrization(g)
     q = np.asarray(q, dtype=float)
     if len(q) != len(par.table):
         raise ValueError(f"expected {len(par.table)} parameters")
     _check_positive(q)
     R = 1 << len(g.vertices)
-    local = [dm.jacobian(q[sl], kern.term_products) for dm, sl in zip(par.maps, par.slices)]
+    local = [dm.jacobian(q[sl]) for dm, sl in zip(par.maps, par.slices)]
     factors = [dm.joint(f) for dm, (f, _) in zip(par.maps, local)]
     J = np.empty((R, len(q)))
     for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
@@ -89,11 +91,10 @@ def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
         raise ValueError("Fisher information requires a strictly positive distribution")
     q = np.asarray(q, dtype=float)
     _check_positive(q)
-    kern = get_kernels()
     par = parametrization(g)
     I = np.zeros((len(q), len(q)))
     for dm, sl in zip(par.maps, par.slices):
-        f, J = dm.jacobian(q[sl], kern.term_products)
+        f, J = dm.jacobian(q[sl])
         w = dm.marginal(p) / f
         u = J.T @ w
         I_d = (J * (w / f)[:, None]).T @ J - np.outer(u, u)

@@ -25,11 +25,15 @@ expressed through them.  A joint vector over all 2^|V| states is a
 vector is that table's marginal on the scope and broadcasts back.
 Holding one vertex's parameters fixed everywhere else makes the factor
 affine in them; that form is assembled with one weighted bincount over
-the nonzeros of M.
+the nonzeros of M.  The term products are evaluated by the kernel that
+``_kernels.get_kernels()`` returns, looked up on every call.
 
 A district's maps depend only on the structure of the district, never
 on where its parameters sit in the graph's parameter vector, which
-:class:`Parametrization` keeps.  Graphs visited by one structure
+:class:`Parametrization` keeps.  They are built from the district's
+head record, ``heads._district_heads``: its (head, tail) masks in
+parameter order, the same record that :class:`ParamTable` and
+``_maps_key`` read.  Graphs visited by one structure
 search share a dict of maps, so a district that a single-edge move
 leaves unchanged is built once per search.
 
@@ -55,8 +59,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
+from . import _kernels
 from .graph import Admg, Vertex, _bits
-from .heads import heads, _partition_masks, _subset_masks, _tail_mask
+from .heads import _district_heads, _partition_masks, _subset_masks
 
 __all__ = [
     "Param",
@@ -126,39 +131,34 @@ def _tail_rank(row: int, n: int, tpos: tuple[int, ...]) -> int:
 class ParamTable:
     """Canonical parameter enumeration for a graph.
 
-    Supports position lookup by head and tail assignment, and exposes
-    the contiguous slice of parameters belonging to each district.
+    Supports position lookup by head and tail assignment.  ``runs``
+    holds (head mask, tail mask, first position) for every head, in
+    parameter order: a head's parameters are the run of its
+    2^|tail| tail assignments from that position.  ``district_slices``
+    pairs each district with its contiguous slice of parameters.
     """
 
     def __init__(self, g: Admg):
         if len(g.vertices) > MAX_VERTICES:
             raise ValueError(f"too many vertices ({len(g.vertices)})")
         self.graph = g
-        n = len(g.vertices)
         params: list[Param] = []
-        lookup: dict[tuple[int, int], int] = {}
+        runs: list[tuple[int, int, int]] = []
         slices: list[tuple[tuple[Vertex, ...], slice]] = []
-        start = 0
-        by_district: dict[int, list] = {}
-        dmasks = g._district_masks(g.full_mask)
-        for ht in heads(g):
-            h_mask = g._as_mask(ht.head)
-            d_idx = next(k for k, dm in enumerate(dmasks) if dm & h_mask)
-            by_district.setdefault(d_idx, []).append((ht, h_mask))
-        for d_idx, dm in enumerate(dmasks):
-            begin = start
-            for ht, h_mask in by_district.get(d_idx, []):
-                tpos = tuple(g._index[v] for v in ht.tail)
-                for s in range(1 << len(tpos)):
-                    lookup[(h_mask, s)] = start
-                    bits = tuple(s >> (len(tpos) - 1 - j) & 1 for j in range(len(tpos)))
-                    params.append(Param(ht.head, ht.tail, bits))
-                    start += 1
-            slices.append((g._labels(dm), slice(begin, start)))
+        for d_mask in g._district_masks(g.full_mask):
+            begin = len(params)
+            for h_mask, t_mask in _district_heads(g, d_mask):
+                runs.append((h_mask, t_mask, len(params)))
+                head, tail = g._labels(h_mask), g._labels(t_mask)
+                k = len(tail)
+                for s in range(1 << k):
+                    bits = tuple(s >> (k - 1 - j) & 1 for j in range(k))
+                    params.append(Param(head, tail, bits))
+            slices.append((g._labels(d_mask), slice(begin, len(params))))
         self.params: tuple[Param, ...] = tuple(params)
-        self._lookup = lookup
+        self.runs = tuple(runs)
+        self._run_of = {h_mask: (t_mask, j) for h_mask, t_mask, j in runs}
         self.district_slices = tuple(slices)
-        self._n = n
 
     def __len__(self) -> int:
         return len(self.params)
@@ -169,31 +169,24 @@ class ParamTable:
     def index(self, head: Iterable[Vertex], tail_state: Sequence[int] = ()) -> int:
         """Global position of q(head | tail = tail_state); the state is
         given in canonical tail order, one 0 or 1 per tail vertex."""
-        h_mask = self.graph._as_mask(head)
-        first = self._lookup.get((h_mask, 0))
-        if first is None:
+        run = self._run_of.get(self.graph._as_mask(head))
+        if run is None:
             raise KeyError(f"no parameter for head {tuple(head)!r}")
-        tail = self.params[first].tail
+        t_mask, first = run
+        tail = self.graph._labels(t_mask)
         state = tuple(tail_state)
         if len(state) != len(tail) or any(b not in (0, 1) for b in state):
             raise KeyError(
                 f"tail state {state!r} for head {tuple(head)!r}: expected "
                 f"{len(tail)} values of 0 or 1 for tail {tail!r}"
             )
-        return self._lookup[(h_mask, state_index(map(int, state)))]
+        return first + state_index(map(int, state))
 
     def _index_by_row(self, h_mask: int, row: int) -> int:
         """Position of the parameter for head ``h_mask`` with its tail
         read off the joint state with row index ``row``."""
-        tpos = tuple(_bits(_tail_mask(self.graph, h_mask)))
-        return self._lookup[(h_mask, _tail_rank(row, self._n, tpos))]
-
-    def district_slice(self, district: Iterable[Vertex]) -> slice:
-        want = tuple(district)
-        for d, sl in self.district_slices:
-            if d == want:
-                return sl
-        raise KeyError(f"{want!r} is not a district")
+        t_mask, first = self._run_of[h_mask]
+        return first + _tail_rank(row, len(self.graph.vertices), tuple(_bits(t_mask)))
 
 
 def enumerate_params(g: Admg) -> ParamTable:
@@ -241,13 +234,14 @@ class _VertexPlan:
 
 def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
     """Everything a district's maps are computed from: the vertex
-    order, the district and its scope, the district's heads with their
-    tails in parameter order, and the head partition of every nonempty
-    subset of the district.  Graphs that agree on it have equal maps."""
+    order, the district and its scope, the district's head record
+    (head and tail masks in parameter order) and the head partition of
+    every nonempty subset of the district.  Graphs that agree on it
+    have equal maps."""
     d_mask = g._as_mask(district)
-    heads_d = tuple((ht.head, ht.tail) for ht in heads(g) if g._as_mask(ht.head) & d_mask)
     partitions = tuple(_partition_masks(g, c) for c in _subset_masks(list(_bits(d_mask)))[1:])
-    return (g.vertices, d_mask, d_mask | g._pa_mask(d_mask), heads_d, partitions)
+    return (g.vertices, d_mask, d_mask | g._pa_mask(d_mask), _district_heads(g, d_mask),
+            partitions)
 
 
 class DistrictMaps:
@@ -260,11 +254,13 @@ class DistrictMaps:
     axes of a joint vector viewed as a ``(2,)*n`` table: :meth:`marginal`
     sums the other axes out, :meth:`joint` broadcasts over them.  Rows
     of P are terms; columns are the district's parameters in local
-    indexing; ``term_of`` is the row of each nonzero of P.  The maps
-    hold nothing else of the graph: where the district's parameters
-    sit in the graph's parameter vector is kept by
+    indexing, the runs of its head record ``heads._district_heads``
+    one after another; ``term_of`` is the row of each nonzero of P.
+    The maps hold nothing else of the graph: where the district's
+    parameters sit in the graph's parameter vector is kept by
     :class:`Parametrization`, so graphs whose district has the same
-    structure (see ``_maps_key``) can share one instance.
+    structure (see ``_maps_key``) can share one instance.  A vertex
+    set that is not a district of ``g`` raises ``KeyError``.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign) one scope vertex at a
@@ -278,15 +274,13 @@ class DistrictMaps:
     """
 
     def __init__(self, g: Admg, district: Iterable[Vertex]):
-        table = enumerate_params(g)
         self.district = tuple(district)
-        sl = table.district_slice(self.district)
         members = [g._index[v] for v in self.district]
-        if members != sorted(members):
+        d_mask = g._as_mask(self.district)
+        if list(_bits(d_mask)) != members:
             raise ValueError("district must be in canonical order")
-        d_mask = 0
-        for p in members:
-            d_mask |= 1 << p
+        if not d_mask or g._district_mask(members[0], g.full_mask) != d_mask:
+            raise KeyError(f"{self.district!r} is not a district")
         self.members = tuple(members)
         self.d_mask = d_mask
         self.scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
@@ -295,15 +289,18 @@ class DistrictMaps:
         self.broadcast_shape = tuple(2 if p in row_bit else 1 for p in range(len(g.vertices)))
         self._outside = tuple(p for p, w in enumerate(self.broadcast_shape) if w == 1)
 
-        # local offsets of each head's parameter run
+        # local offset of each head's parameter run, and the local
+        # parameters whose head holds each member
+        head_tail = dict(_district_heads(g, d_mask))
         local_offset: dict[int, int] = {}
-        head_tpos: dict[int, tuple[int, ...]] = {}
-        for j in range(sl.start, sl.stop):
-            param = table.params[j]
-            h_mask = g._as_mask(param.head)
-            if h_mask not in local_offset:
-                local_offset[h_mask] = j - sl.start
-                head_tpos[h_mask] = tuple(g._index[v] for v in param.tail)
+        theta_sets: dict[int, list[int]] = {p: [] for p in members}
+        n_params = 0
+        for h_mask, t_mask in head_tail.items():
+            local_offset[h_mask] = n_params
+            run = range(n_params, n_params + (1 << t_mask.bit_count()))
+            for p in _bits(h_mask):
+                theta_sets[p].extend(run)
+            n_params = run.stop
 
         # enumerate terms: subsets C of the district in counting order,
         # then tail assignments of the union of block tails; c_tail is
@@ -317,19 +314,21 @@ class DistrictMaps:
             blocks = _partition_masks(g, c_mask)
             t_union = 0
             for b in blocks:
-                t_union |= _tail_mask(g, b)
+                t_union |= head_tail[b]
             tpos = tuple(_bits(t_union))
             subsets.append((c_mask, blocks, t_union))
             c_start.append(col)
             c_tail.append(sum(row_bit[p] for p in tpos))
+            # each block's run offset and the places of its tail in tpos
+            block_runs = [(local_offset[b], [tpos.index(p) for p in _bits(head_tail[b])])
+                          for b in blocks]
             for s in range(1 << len(tpos)):
                 cols = []
-                for b in blocks:
+                for offset, places in block_runs:
                     rank = 0
-                    for p in head_tpos[b]:
-                        j = tpos.index(p)
+                    for j in places:
                         rank = rank << 1 | (s >> (len(tpos) - 1 - j) & 1)
-                    cols.append(local_offset[b] + rank)
+                    cols.append(offset + rank)
                 cols.sort()
                 P_rows.append(cols)
             col += 1 << len(tpos)
@@ -347,7 +346,7 @@ class DistrictMaps:
         self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
         self.P = sparse.csr_matrix(
             (np.ones(len(P_indices)), P_indices, P_indptr),
-            shape=(K, sl.stop - sl.start),
+            shape=(K, n_params),
         )
 
         # M: the nonzeros (r, C, sign) with O(r) <= C, sign
@@ -375,11 +374,6 @@ class DistrictMaps:
         self.M = sparse.csr_matrix((sign, (r, cols)), shape=(1 << L, K))
         self.M.sort_indices()
 
-        theta_sets: dict[int, list[int]] = {p: [] for p in members}
-        for j in range(sl.start, sl.stop):
-            h_mask = g._as_mask(table.params[j].head)
-            for p in _bits(h_mask):
-                theta_sets[p].append(j - sl.start)
         self.plans = {
             p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
         }
@@ -410,21 +404,22 @@ class DistrictMaps:
         full = np.broadcast_to(table, (2,) * len(self.broadcast_shape) + rest)
         return full.reshape((-1,) + rest)
 
-    def term_values(self, q_local: np.ndarray, term_products) -> np.ndarray:
-        return term_products(self.P_indptr, self.P_indices, q_local)
+    def term_values(self, q_local: np.ndarray) -> np.ndarray:
+        """The term products t(q), one per column of M."""
+        return _kernels.get_kernels().term_products(self.P_indptr, self.P_indices, q_local)
 
-    def factor(self, q_local: np.ndarray, term_products) -> np.ndarray:
+    def factor(self, q_local: np.ndarray) -> np.ndarray:
         """The district's factor at each local state; ``joint`` of it is
         its factor of the joint probability vector."""
-        return self.M @ self.term_values(q_local, term_products)
+        return self.M @ self.term_values(q_local)
 
-    def affine(self, q_local: np.ndarray, vertex: int, term_products):
+    def affine(self, q_local: np.ndarray, vertex: int):
         """Dense (A, b) with factor = A @ theta - b over the local
         states, theta being the parameters whose head contains
         ``vertex`` (a canonical position).  Both come out of one
         weighted bincount over the nonzeros of M."""
         plan = self.plans[vertex]
-        r = term_products(*plan.rest, q_local)
+        r = _kernels.get_kernels().term_products(*plan.rest, q_local)
         out = np.bincount(
             plan.slot,
             weights=self.M.data * r[self.M.indices],
@@ -453,14 +448,14 @@ class DistrictMaps:
         T[term_of, self.P_indices] = t[term_of] / q_local[self.P_indices]
         return self.M @ T
 
-    def jacobian(self, q_local: np.ndarray, term_products) -> tuple[np.ndarray, np.ndarray]:
+    def jacobian(self, q_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The factor ``f`` over the local states and its dense Jacobian
         ``J = M @ T`` with respect to the district's parameters, where
         ``T[k, j] = P[k, j] t_k / q_j``.  Requires positive parameters."""
-        t = self.term_values(q_local, term_products)
+        t = self.term_values(q_local)
         return self.M @ t, self._jacobian(q_local, t)
 
-    def observed_information(self, q_local: np.ndarray, counts: np.ndarray, term_products):
+    def observed_information(self, q_local: np.ndarray, counts: np.ndarray):
         """The factor ``f`` over the local states with the score and the
         observed information of ``sum(counts * log f)`` at ``q_local``.
 
@@ -473,7 +468,7 @@ class DistrictMaps:
         parameters of term k: each parameter enters a term product at
         most once, so only those pairs have second derivatives.
         Requires positive parameters."""
-        t = self.term_values(q_local, term_products)
+        t = self.term_values(q_local)
         f = self.M @ t
         J = self._jacobian(q_local, t)
         pos = counts > 0
@@ -505,7 +500,8 @@ class Parametrization:
     """All district maps of a graph bundled with its parameter table.
 
     ``slices[k]`` is the run of the graph's parameter vector that
-    belongs to district ``maps[k]``.  ``maps``, when given, is a dict
+    belongs to district ``maps[k]``, read off the table's
+    ``district_slices``.  ``maps``, when given, is a dict
     that several graphs share, keyed by ``_maps_key``: a district
     whose key is already there reuses those maps instead of building
     its own.
@@ -514,19 +510,18 @@ class Parametrization:
     def __init__(self, g: Admg, maps: dict | None = None):
         self.graph = g
         self.table = enumerate_params(g)
-        districts = g.districts()
-        self.slices = tuple(self.table.district_slice(d) for d in districts)
-        self.maps = tuple(_shared_maps(g, d, maps) for d in districts)
+        self.slices = tuple(sl for _, sl in self.table.district_slices)
+        self.maps = tuple(_shared_maps(g, d, maps) for d, _ in self.table.district_slices)
 
     def district_of(self, pos: int) -> tuple[DistrictMaps, slice]:
         """Maps and parameter slice of the district holding canonical
         position ``pos``."""
         return next((dm, sl) for dm, sl in zip(self.maps, self.slices) if dm.d_mask >> pos & 1)
 
-    def prob(self, q: np.ndarray, term_products) -> np.ndarray:
+    def prob(self, q: np.ndarray) -> np.ndarray:
         p = np.ones((2,) * len(self.graph.vertices))
         for dm, sl in zip(self.maps, self.slices):
-            p *= dm.factor(q[sl], term_products).reshape(dm.broadcast_shape)
+            p *= dm.factor(q[sl]).reshape(dm.broadcast_shape)
         return p.ravel()
 
 
@@ -544,13 +539,11 @@ def prob_vector(g: Admg, q: np.ndarray) -> np.ndarray:
     Entries sum to one for any parameter vector; they are nonnegative
     exactly when ``q`` lies in the model's parameter space.
     """
-    from ._kernels import get_kernels
-
     q = np.asarray(q, dtype=float)
     par = parametrization(g)
     if len(q) != len(par.table):
         raise ValueError(f"expected {len(par.table)} parameters, got {len(q)}")
-    return par.prob(q, get_kernels().term_products)
+    return par.prob(q)
 
 
 def prob_direct(g: Admg, q: np.ndarray, state: Sequence[int]) -> float:
@@ -602,11 +595,8 @@ def q_from_p(g: Admg, p: np.ndarray) -> np.ndarray:
         raise ValueError("probability vector has wrong length")
     joint = p.reshape((2,) * n)
     q = np.empty(len(table))
-    j = 0
-    while j < len(table):
-        param = table.params[j]
-        hpos = [g._index[v] for v in param.head]
-        tpos = [g._index[v] for v in param.tail]
+    for h_mask, t_mask, j in table.runs:
+        hpos, tpos = list(_bits(h_mask)), list(_bits(t_mask))
         keep = sorted(hpos + tpos)
         marg = joint.sum(axis=tuple(a for a in range(n) if a not in keep))
         # rows: tail assignments in counting order; columns: head states
@@ -617,5 +607,4 @@ def q_from_p(g: Admg, p: np.ndarray) -> np.ndarray:
             name = table.params[j + bad[0]].name
             raise ValueError(f"conditioning event of {name} has mass {den[bad[0]]}")
         q[j : j + len(den)] = marg[:, 0] / den
-        j += len(den)
     return q

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import FitError, FitOptions, FitResult, fit, initialize
+from .fitting import FitError, FitOptions, FitResult, _check_counts, fit, initialize
 from .graph import Admg, GraphError
 from .inference import information_criteria
 from .moebius import _maps_key, enumerate_params, parametrization
@@ -100,18 +100,16 @@ def _criterion(res: FitResult, which: str) -> float:
 
 
 def _warm_start(g_new: Admg, counts, incumbent: FitResult) -> np.ndarray:
-    """Copy parameters shared with the incumbent graph, fill the rest
-    from the independence start."""
+    """Copy the parameter runs of heads that keep their tail in the
+    incumbent graph (same vertices), fill the rest from the
+    independence start."""
     q0 = initialize(g_new, counts)
-    old = enumerate_params(incumbent.graph)
-    old_ix = {
-        (p.head, p.tail, p.tail_state): j for j, p in enumerate(old.params)
-    }
-    new = enumerate_params(g_new)
-    for j, p in enumerate(new.params):
-        k = old_ix.get((p.head, p.tail, p.tail_state))
+    old = {(h, t): j for h, t, j in enumerate_params(incumbent.graph).runs}
+    for h, t, j in enumerate_params(g_new).runs:
+        k = old.get((h, t))
         if k is not None:
-            q0[j] = incumbent.q[k]
+            size = 1 << t.bit_count()
+            q0[j : j + size] = incumbent.q[k : k + size]
     return q0
 
 
@@ -146,13 +144,14 @@ def stepwise(
 
     When ``opts`` is not given, fits use a tighter tolerance than the
     plain fitting default: tie detection compares criteria at 1e-6, so
-    equivalent candidates must be converged well past that.
+    equivalent candidates must be converged well past that.  The counts
+    are checked once, before the first fit, as :func:`fit` checks them.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
     if opts is None:
         opts = FitOptions(tol=1e-10)
-    counts = np.asarray(counts, dtype=float)
+    counts = _check_counts(start, counts, opts.allow_zero_counts)
 
     cache: dict = {}
     # district maps shared by every graph of this search; a start graph

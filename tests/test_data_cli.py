@@ -37,6 +37,64 @@ def test_count_vector_is_big_endian_and_reorderable():
     assert list(counts_for(g, ds)) == [1, 2, 1, 0]
 
 
+def test_count_vector_refuses_too_many_variables_before_allocating(tmp_path, capsys):
+    """21 variables would take a 2^21 count vector: refused with a
+    ValueError before it exists, and with exit 2 from ``fit`` and
+    ``select``."""
+    import tracemalloc
+
+    names = [f"x{i}" for i in range(21)]
+    rows = np.random.default_rng(41).integers(0, 2, size=(30, 21))
+    ds = Dataset.from_rows(names, rows)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"too many variables \(21\)"):
+            ds.count_vector()
+        with pytest.raises(ValueError, match=r"too many variables \(21\)"):
+            counts_for(Admg(names[::-1]), ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    dpath = tmp_path / "wide.csv"
+    save_data(ds, dpath)
+    gpath = tmp_path / "wide.txt"
+    gpath.write_text(format_graph(Admg(names)))
+    for argv in (["fit", str(gpath), str(dpath)], ["select", str(dpath)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "too many variables (21)" in captured.err and captured.out == ""
+
+
+def _first_seen_reference(rows):
+    """Distinct rows in the order first seen, with their multiplicities."""
+    seen = {}
+    for row in map(tuple, rows):
+        seen[row] = seen.get(row, 0) + 1
+    return [list(r) for r in seen], list(seen.values())
+
+
+@pytest.mark.parametrize("width", [62, 63, 70, 125, 130])
+def test_from_rows_aggregates_rows_wider_than_one_word(width):
+    """Rows of more than 62 columns are coded one 62-column word at a
+    time; rows that differ only in their last column, or only at a word
+    boundary, stay apart."""
+    rng = np.random.default_rng(width)
+    base = rng.integers(0, 2, size=(12, width))
+    variants = [base]
+    for col in {width - 1, 0, min(61, width - 1), min(62, width - 1)}:
+        flipped = base.copy()
+        flipped[:, col] ^= 1
+        variants.append(flipped)
+    rows = np.concatenate(variants + [base[:5], base[-3:]])
+    rows = rows[rng.permutation(len(rows))]
+    ds = Dataset.from_rows([f"c{i}" for i in range(width)], rows)
+    states, counts = _first_seen_reference(rows)
+    assert ds.states.tolist() == states
+    assert ds.counts.tolist() == counts
+    assert ds.n == len(rows)
+
+
 def test_csv_round_trip(tmp_path):
     ds = Dataset.from_rows(["x", "y", "z"], [(0, 1, 1), (1, 1, 0), (0, 1, 1)])
     path = tmp_path / "data.csv"
@@ -432,6 +490,30 @@ def test_cli_select_rejects_columns_the_graph_text_cannot_hold(tmp_path, capsys)
     assert "'a b'" in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
     assert not jpath.exists()
+
+
+def test_cli_select_refuses_empty_cells_as_fit_does(tmp_path, capsys):
+    """Without --allow-zero-counts, ``select`` on data with an empty cell
+    fails on the count check before any fit, with the message and exit
+    code of ``fit`` and no warning; with the flag it searches."""
+    import warnings
+
+    dpath = tmp_path / "data.csv"
+    dpath.write_text("a,b,c,count\n0,0,0,5\n0,0,1,3\n0,1,0,2\n0,1,1,4\n"
+                     "1,0,0,6\n1,0,1,1\n1,1,0,7\n")
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("vertices: a b c\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit_code = main(["fit", str(gpath), str(dpath)])
+        fit_err = capsys.readouterr().err
+        code = main(["select", str(dpath)])
+        captured = capsys.readouterr()
+    assert fit_code == 3 and "zero cell counts" in fit_err
+    assert code == fit_code
+    assert captured.err == fit_err and captured.out == ""
+    assert main(["select", str(dpath), "--allow-zero-counts", "--no-se"]) == 0
+    assert "final graph:" in capsys.readouterr().out
 
 
 def test_cli_simulate_stdout_and_file(tmp_path, capsys):

@@ -55,6 +55,50 @@ def test_param_table_index_lookup():
         table.index(("a",), (0,))
 
 
+def test_param_table_runs_cover_the_parameters_head_by_head():
+    """Each run is one head's parameters over its tail assignments, in
+    order, and the runs tile the parameter vector."""
+    rng = np.random.default_rng(39)
+    for g in [graph_one(), graph_two()] + [random_admg(rng, n_max=6) for _ in range(20)]:
+        table = enumerate_params(g)
+        nxt = 0
+        for h_mask, t_mask, j in table.runs:
+            assert j == nxt
+            nxt = j + (1 << t_mask.bit_count())
+            head, tail = g._labels(h_mask), g._labels(t_mask)
+            assert [(p.head, p.tail) for p in table.params[j:nxt]] == [(head, tail)] * (nxt - j)
+            assert table.index(head, (0,) * len(tail)) == j
+        assert nxt == len(table)
+
+
+def test_district_maps_never_read_the_parameter_table(monkeypatch):
+    """A district's maps are built from its own head record, not from
+    the graph's parameter enumeration; a vertex set that is not a
+    district is refused."""
+    import admgfit.moebius as moebius
+
+    rng = np.random.default_rng(40)
+    graphs = [graph_one(), graph_two()]
+    graphs += [random_admg(rng, n_min=3, n_max=6, p_bi=0.4) for _ in range(10)]
+    want = [[(dm.M.toarray(), dm.P.toarray()) for dm in parametrization(g).maps]
+            for g in graphs]
+
+    def refuse(g):
+        raise AssertionError("the parameter table was enumerated")
+
+    monkeypatch.setattr(moebius, "enumerate_params", refuse)
+    for g, ref in zip(graphs, want):
+        g = Admg(g.vertices, g.directed_edges, g.bidirected_edges)  # a fresh memo
+        for d, (M, P) in zip(g.districts(), ref):
+            dm = moebius.DistrictMaps(g, d)
+            assert np.array_equal(dm.M.toarray(), M) and np.array_equal(dm.P.toarray(), P)
+    g = graph_one()
+    with pytest.raises(KeyError, match="not a district"):
+        moebius.DistrictMaps(g, ("2", "4"))
+    with pytest.raises(KeyError, match="not a district"):
+        moebius.DistrictMaps(g, ())
+
+
 def test_state_index_is_big_endian():
     assert state_index((0, 0, 0)) == 0
     assert state_index((0, 0, 1)) == 1
@@ -341,9 +385,6 @@ def _dense_affine(dm, q_d, vertex):
 
 
 def test_affine_matches_a_dense_reference():
-    from admgfit._kernels import get_kernels
-
-    tp = get_kernels().term_products
     rng = np.random.default_rng(36)
     for _ in range(25):
         g = random_admg(rng, n_max=6, p_bi=0.4)
@@ -351,16 +392,14 @@ def test_affine_matches_a_dense_reference():
         q = random_interior_q(g, rng)
         for dm, sl in zip(par.maps, par.slices):
             for vertex in dm.members:
-                A, b, theta = dm.affine(q[sl], vertex, tp)
+                A, b, theta = dm.affine(q[sl], vertex)
                 A_ref, b_ref = _dense_affine(dm, q[sl], vertex)
                 assert np.max(np.abs(A - A_ref), initial=0.0) < 1e-14
                 assert np.max(np.abs(b - b_ref)) < 1e-14
-                assert np.max(np.abs(A @ q[sl][theta] - b - dm.factor(q[sl], tp))) < 1e-14
+                assert np.max(np.abs(A @ q[sl][theta] - b - dm.factor(q[sl]))) < 1e-14
 
 
 def _same_maps(shared, fresh, rng):
-    from admgfit._kernels import get_kernels
-
     assert shared.scope == fresh.scope
     R = fresh.M.shape[0]
     assert np.array_equal(shared.joint(np.arange(R)), fresh.joint(np.arange(R)))
@@ -370,11 +409,10 @@ def _same_maps(shared, fresh, rng):
         assert a.shape == b.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
-    tp = get_kernels().term_products
     q_d = rng.uniform(0.05, 0.95, fresh.P.shape[1])
     for vertex in fresh.members:
-        A, b, theta = shared.affine(q_d, vertex, tp)
-        A_ref, b_ref, theta_ref = fresh.affine(q_d, vertex, tp)
+        A, b, theta = shared.affine(q_d, vertex)
+        A_ref, b_ref, theta_ref = fresh.affine(q_d, vertex)
         assert np.array_equal(theta, theta_ref)
         assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
 
@@ -475,9 +513,6 @@ def test_district_derivatives_match_finite_differences():
     information of sum(n log f) over its local states, against central
     differences: of the factor and the log-likelihood for the first
     derivatives, of the analytic score for the information."""
-    from admgfit._kernels import get_kernels
-
-    tp = get_kernels().term_products
     rng = np.random.default_rng(60)
     h = 1e-6
     for _ in range(20):
@@ -489,11 +524,11 @@ def test_district_derivatives_match_finite_differences():
             counts = rng.integers(1, 50, size=dm.M.shape[0]).astype(float)
 
             def ll(x):
-                return counts @ np.log(dm.factor(x, tp))
+                return counts @ np.log(dm.factor(x))
 
-            f, J = dm.jacobian(q_d, tp)
-            f2, score, info = dm.observed_information(q_d, counts, tp)
-            assert np.array_equal(f, f2) and np.array_equal(f, dm.factor(q_d, tp))
+            f, J = dm.jacobian(q_d)
+            f2, score, info = dm.observed_information(q_d, counts)
+            assert np.array_equal(f, f2) and np.array_equal(f, dm.factor(q_d))
             m = len(q_d)
             J_fd = np.empty_like(J)
             score_fd = np.empty(m)
@@ -502,10 +537,10 @@ def test_district_derivatives_match_finite_differences():
                 up, dn = q_d.copy(), q_d.copy()
                 up[j] += h
                 dn[j] -= h
-                J_fd[:, j] = (dm.factor(up, tp) - dm.factor(dn, tp)) / (2 * h)
+                J_fd[:, j] = (dm.factor(up) - dm.factor(dn)) / (2 * h)
                 score_fd[j] = (ll(up) - ll(dn)) / (2 * h)
-                s_up = dm.observed_information(up, counts, tp)[1]
-                s_dn = dm.observed_information(dn, counts, tp)[1]
+                s_up = dm.observed_information(up, counts)[1]
+                s_dn = dm.observed_information(dn, counts)[1]
                 info_fd[:, j] = -(s_up - s_dn) / (2 * h)
             for got, want in ((J, J_fd), (score, score_fd), (info, info_fd)):
                 assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.abs(want).max())

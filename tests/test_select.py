@@ -159,6 +159,32 @@ def test_failing_candidates_are_skipped_with_a_warning(monkeypatch):
     assert res.graph != bad
 
 
+def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
+    """Bad counts fail the search with the fit's own error before any
+    candidate is fitted, and without a skipped-candidate warning."""
+    import warnings
+
+    calls = []
+    real_fit = select.fit
+
+    def counting(g, counts_, opts=FitOptions(), start=None):
+        calls.append(g)
+        return real_fit(g, counts_, opts, start=start)
+
+    monkeypatch.setattr(select, "fit", counting)
+    counts = np.arange(8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitError, match="zero cell counts"):
+            stepwise(counts, Admg(["1", "2", "3"]))
+        with pytest.raises(FitError, match="length 8"):
+            stepwise(np.ones(4), Admg(["1", "2", "3"]))
+    assert calls == []
+    res = stepwise(counts, Admg(["1", "2", "3"]), opts=FitOptions(allow_zero_counts=True),
+                   max_steps=1)
+    assert res.evaluated == len(calls) > 1
+
+
 def test_unfittable_start_raises(monkeypatch):
     def broken(g, counts_, opts=FitOptions(), start=None):
         raise FitError("synthetic failure")
