@@ -125,7 +125,8 @@ def _cmd_select(args) -> int:
     for k, step in enumerate(res.steps, 1):
         print(f"step {k}: {step.describe()}  {args.criterion}={step.criterion:.4f}")
     print(f"evaluated {res.evaluated} candidate fits")
-    print(f"district maps: {res.maps_built} built, {res.maps_reused} reused")
+    print(f"district maps: {res.maps_built} built, {res.maps_reused} reused; "
+          f"district fits: {res.districts_fitted} run, {res.districts_reused} reused")
     print("final graph:")
     sys.stdout.write(format_graph(res.graph))
     counts_final = counts_for(res.graph, ds)
@@ -150,6 +151,8 @@ def _cmd_select(args) -> int:
             "evaluated": res.evaluated,
             "maps_built": res.maps_built,
             "maps_reused": res.maps_reused,
+            "districts_fitted": res.districts_fitted,
+            "districts_reused": res.districts_reused,
             "graph_text": format_graph(res.graph),
             "final": rep.to_dict(),
         }

@@ -21,13 +21,19 @@ back to the block cycles when the information is not positive
 definite or no step is accepted.  A district stops on that
 certificate, on a cycle that gains less than ``tol``, or at
 ``max_cycles``.  Both ascents pick their steps with the same
-backtracking line search.  No kernel is passed between these
-functions: the block step looks its ascent up through ``get_kernels``,
-and ``DistrictMaps`` looks up its own term-product kernel.
+backtracking line search.  Fits that share their counts and options,
+as the candidate fits of one structure search do, can share a dict of
+fitted districts keyed by the districts' maps: a district found there
+is copied instead of fitted, since its term of the likelihood depends
+only on its structure and its marginal counts.  No kernel is passed
+between these functions: the block step looks its ascent up through
+``get_kernels``, and ``DistrictMaps`` looks up its own term-product
+kernel.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +99,20 @@ class FitOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, not {self.tol}")
-        if self.max_cycles < 1:
-            raise ValueError(f"max_cycles must be at least 1, not {self.max_cycles}")
-        if self.starts < 1:
-            raise ValueError(f"starts must be at least 1, not {self.starts}")
+        for name in ("max_cycles", "starts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, not {value}")
 
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fitted model.  ``cycles``, ``converged`` and ``kkt`` summarize
+    the districts; a district copied from ``fit``'s ``district_fits``
+    dict contributes the values of the fit that produced it."""
+
     graph: Admg
     q: np.ndarray
     loglik: float
@@ -293,51 +305,66 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts):
     return ll, None
 
 
-def _fit_from(par: Parametrization, q0, counts, opts):
-    """Fit each district to convergence in turn from one start.
-
-    Returns (q, ll, cycles, converged, kkt): the sum of the district
-    log-likelihoods, the largest district cycle count, whether every
-    district converged, and the largest district certificate (see
-    ``FitResult.kkt``)."""
-    q = q0.copy()
-    ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
-    for dm, sl in zip(par.maps, par.slices):
-        # a basic slice is a view: block updates write through to q
-        q_d = q[sl]
-        counts_d = dm.marginal(counts)
-        eps_d = _eps_rows(counts_d)
-        ll = _district_ll(dm, q_d, counts_d)
-        if not np.isfinite(ll):
-            raise FitError("infeasible starting point")
-        converged = False
-        for cycles in range(1, opts.max_cycles + 1):
-            ll_cycle_start = ll
-            any_moved = False
-            kkt = 0.0
-            for pos in dm.members:
-                ll_prev = ll
-                ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts)
-                kkt = max(kkt, decrement)
-                if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
-                    raise FitError(
-                        f"vertex update decreased the log-likelihood: {ll_prev} -> {ll}"
-                    )
-                any_moved = any_moved or moved
-            if not any_moved or ll - ll_cycle_start < opts.tol:
+def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
+    """Fit one district to convergence on its local counts from the
+    start ``q_d``, updated in place.  Returns (ll, cycles, converged,
+    kkt) of the district."""
+    eps_d = _eps_rows(counts_d)
+    ll = _district_ll(dm, q_d, counts_d)
+    if not np.isfinite(ll):
+        raise FitError("infeasible starting point")
+    converged = False
+    for cycles in range(1, opts.max_cycles + 1):
+        ll_cycle_start = ll
+        any_moved = False
+        kkt = 0.0
+        for pos in dm.members:
+            ll_prev = ll
+            ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts)
+            kkt = max(kkt, decrement)
+            if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
+                raise FitError(
+                    f"vertex update decreased the log-likelihood: {ll_prev} -> {ll}"
+                )
+            any_moved = any_moved or moved
+        if not any_moved or ll - ll_cycle_start < opts.tol:
+            converged = True
+            break
+        if cycles >= 2:
+            ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts)
+            if decrement is not None:
+                kkt = decrement
                 converged = True
                 break
-            if cycles >= 2:
-                ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts)
-                if decrement is not None:
-                    kkt = decrement
-                    converged = True
-                    break
+    return ll, cycles, converged, kkt
+
+
+def _fit_from(par: Parametrization, q0, counts, opts, fitted: dict):
+    """Fit each district to convergence in turn from one start; a
+    district whose maps are in ``fitted`` is copied from there.
+
+    Returns (q, ll, cycles, converged, kkt, new): the sum of the
+    district log-likelihoods, the largest district cycle count,
+    whether every district converged, the largest district certificate
+    (see ``FitResult.kkt``), and the districts fitted here, keyed by
+    their maps as in ``fitted``."""
+    q = q0.copy()
+    new: dict = {}
+    ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
+    for dm, sl in zip(par.maps, par.slices):
+        done = fitted.get(dm)
+        if done is None:
+            # a basic slice is a view: block updates write through to q
+            q_d = q[sl]
+            done = new[dm] = (q_d, *_fit_district(dm, q_d, dm.marginal(counts), opts))
+        else:
+            q[sl] = done[0]
+        _, ll, cycles, converged, kkt = done
         ll_total += ll
         cycles_max = max(cycles_max, cycles)
         all_converged = all_converged and converged
         kkt_max = max(kkt_max, kkt)
-    return q, ll_total, cycles_max, all_converged, kkt_max
+    return q, ll_total, cycles_max, all_converged, kkt_max, new
 
 
 def fit(
@@ -345,6 +372,8 @@ def fit(
     counts,
     opts: FitOptions = FitOptions(),
     start: np.ndarray | None = None,
+    *,
+    district_fits: dict | None = None,
 ) -> FitResult:
     """Maximum likelihood fit of the graph's model to a count vector.
 
@@ -352,6 +381,15 @@ def fit(
     order.  ``start`` overrides the independence starting point (used
     for warm starts); extra random restarts are controlled by
     ``opts.starts`` and keep the best likelihood found.
+
+    ``district_fits`` is a dict that fits with the same counts and
+    options share, as the candidate fits of one structure search do.
+    It maps a district's :class:`DistrictMaps` to the district's fitted
+    ``(q_d, loglik, cycles, converged, kkt)``.  A district whose maps
+    are in it is copied instead of fitted: its term of the likelihood
+    depends only on its structure and its marginal counts.  A
+    successful fit adds the districts its best start fitted; a failed
+    one adds nothing.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
     par = parametrization(g)
@@ -371,9 +409,12 @@ def fit(
         starts.append(_jitter_start(g, q_base, rng))
 
     # the first start with the highest log-likelihood wins
-    runs = [_fit_from(par, q0, counts, opts) for q0 in starts]
-    q, ll, cycles, converged, kkt = max(runs, key=lambda run: run[1])
+    fitted = {} if district_fits is None else district_fits
+    runs = [_fit_from(par, q0, counts, opts, fitted) for q0 in starts]
+    q, ll, cycles, converged, kkt, new = max(runs, key=lambda run: run[1])
     p = par.prob(q)
+    if district_fits is not None:
+        district_fits.update((dm, (q_d.copy(), *rest)) for dm, (q_d, *rest) in new.items())
     return FitResult(
         graph=g,
         q=q,

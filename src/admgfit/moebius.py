@@ -18,9 +18,13 @@ head in D lies in that set.  It is affine in the parameter vector:
 over the 2^|scope| local states it equals ``M @ t(q)`` where every
 column of M is one (C, tail assignment) term and ``t_k(q)`` is the
 product of the parameters listed in row k of the 0/1 matrix P.  M and
-P are sparse and built once per graph; everything downstream
-(likelihood, gradients, the Jacobian of p with respect to q) is
-expressed through them.  A joint vector over all 2^|V| states is a
+P are sparse and built once per district structure, and held as plain
+index arrays: M's nonzeros (row, column, sign) in row order and P's
+row pointers and column indices.  Everything downstream (likelihood,
+gradients, the Jacobian of p with respect to q) is a weighted
+``np.bincount`` over their nonzeros, summing in the order of a CSR
+product; scipy matrices of M and P are built only on request, for
+display and tests.  A joint vector over all 2^|V| states is a
 ``(2,)*|V|`` table, one axis per vertex, raveled in C order; a local
 vector is that table's marginal on the scope and broadcasts back.
 Holding one vertex's parameters fixed everywhere else makes the factor
@@ -32,10 +36,12 @@ A district's maps depend only on the structure of the district, never
 on where its parameters sit in the graph's parameter vector, which
 :class:`Parametrization` keeps.  They are built from the district's
 head record, ``heads._district_heads``: its (head, tail) masks in
-parameter order, the same record that :class:`ParamTable` and
-``_maps_key`` read.  Graphs visited by one structure
-search share a dict of maps, so a district that a single-edge move
-leaves unchanged is built once per search.
+parameter order, the same record that :class:`ParamTable` reads.
+Graphs visited by one structure search share a dict of maps, so a
+district that a single-edge move leaves unchanged is built once per
+search.  The dict's key, ``_maps_key``, is read off per-member masks
+of the graph, so looking a district up computes no heads and no head
+partitions.
 
 Canonical orderings
 -------------------
@@ -205,17 +211,17 @@ class _VertexPlan:
     ``f = A(q_rest) @ theta - b(q_rest)`` with theta the v-parameters:
     the nonzero M[i, k] adds ``M[i, k] * r_k`` to A[i, j] when term k
     carries theta_j, and to -b[i] when it carries none.  ``slot`` holds
-    that destination for every nonzero of M, in M's CSR order, as
+    that destination for every nonzero of M, in M's row order, as
     ``i * (|theta| + 1) + j`` with j = |theta| for -b.
     """
 
     __slots__ = ("theta_cols", "rest", "slot", "width")
 
     def __init__(self, maps: "DistrictMaps", theta_cols: np.ndarray):
-        P_indptr, P_indices, M = maps.P_indptr, maps.P_indices, maps.M
-        K = len(P_indptr) - 1
+        P_indices = maps.P_indices
+        K = maps.n_terms
         T = len(theta_cols)
-        theta_pos = np.full(maps.P.shape[1], -1, dtype=np.int64)
+        theta_pos = np.full(maps.n_params, -1, dtype=np.int64)
         theta_pos[theta_cols] = np.arange(T)
         term_of = maps.term_of
         mine = theta_pos[P_indices] >= 0
@@ -228,24 +234,26 @@ class _VertexPlan:
         self.theta_cols = theta_cols
         self.rest = (rest_indptr, P_indices[~mine])
         self.width = T + 1
-        m_row = np.repeat(np.arange(M.shape[0], dtype=np.int64), np.diff(M.indptr))
-        self.slot = m_row * self.width + term_theta[M.indices]
+        self.slot = maps.M_row * self.width + term_theta[maps.M_col]
 
 
 def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
-    """Everything a district's maps are computed from: the vertex
-    order, the district and its scope, the district's head record
-    (head and tail masks in parameter order) and the head partition of
-    every nonempty subset of the district.  Graphs that agree on it
-    have equal maps."""
+    """A key from which a district's maps follow: the vertex order, the
+    district, and for each member its parent mask, its ancestors in
+    the district and its bidirected neighbours.  Graphs that agree on
+    it have equal maps.  Heads, tails and head partitions of subsets
+    of the district are read off these: a vertex of an(H) outside the
+    district is a proper ancestor of H, so it is never barren there and
+    links no two members bidirectedly.  Building the key computes
+    none of them."""
     d_mask = g._as_mask(district)
-    partitions = tuple(_partition_masks(g, c) for c in _subset_masks(list(_bits(d_mask)))[1:])
-    return (g.vertices, d_mask, d_mask | g._pa_mask(d_mask), _district_heads(g, d_mask),
-            partitions)
+    members = tuple(_bits(d_mask))
+    return (g.vertices, d_mask, tuple(g._pa[p] for p in members),
+            tuple(g._an[p] & d_mask for p in members), tuple(g._sp[p] for p in members))
 
 
 class DistrictMaps:
-    """Sparse M and P matrices of one district plus assembly plans.
+    """M and P of one district as index arrays, plus assembly plans.
 
     ``scope`` holds the canonical positions of the district and its
     parents in ascending order.  Rows of M are the 2^|scope| local
@@ -261,6 +269,12 @@ class DistrictMaps:
     :class:`Parametrization`, so graphs whose district has the same
     structure (see ``_maps_key``) can share one instance.  A vertex
     set that is not a district of ``g`` raises ``KeyError``.
+
+    M is held as its nonzeros in row order, columns ascending within a
+    row: ``M_row``, ``M_col`` and ``M_sign``; it has ``n_states`` rows
+    and ``n_terms`` columns.  P is held as ``P_indptr`` and
+    ``P_indices``, its values all 1.  :attr:`M` and :attr:`P` are scipy
+    CSR matrices of them, built on first read for display and tests.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign) one scope vertex at a
@@ -344,10 +358,8 @@ class DistrictMaps:
         self.P_indptr = P_indptr
         self.P_indices = P_indices
         self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
-        self.P = sparse.csr_matrix(
-            (np.ones(len(P_indices)), P_indices, P_indptr),
-            shape=(K, n_params),
-        )
+        self.n_terms = K
+        self.n_params = n_params
 
         # M: the nonzeros (r, C, sign) with O(r) <= C, sign
         # (-1)^{|C - O(r)|}, C in local counting order; every tail of a
@@ -371,12 +383,36 @@ class DistrictMaps:
         for w in row_bit.values():
             rank = np.where(tail & w, rank << 1 | ((r & w) > 0), rank)
         cols = np.array(c_start, dtype=np.int64)[c] + rank
-        self.M = sparse.csr_matrix((sign, (r, cols)), shape=(1 << L, K))
-        self.M.sort_indices()
+        order = np.argsort(r * K + cols)
+        self.M_row, self.M_col, self.M_sign = r[order], cols[order], sign[order]
+        self.n_states = 1 << L
+
+        # the Jacobian's pairs: every nonzero (r, k) of M with every
+        # parameter j of term k, in M's row order, as the flat position
+        # r * n_params + j, the term, the parameter and M's sign
+        reps = np.diff(P_indptr)[self.M_col]
+        ends = np.cumsum(reps)
+        e = np.repeat(np.arange(len(reps)), reps)
+        j = P_indices[np.arange(ends[-1]) + (P_indptr[self.M_col] + reps - ends)[e]]
+        self._jac_pairs = (self.M_row[e] * n_params + j, self.M_col[e], j, self.M_sign[e])
 
         self.plans = {
             p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
         }
+
+    @cached_property
+    def M(self) -> sparse.csr_matrix:
+        """M as a scipy CSR matrix."""
+        indptr = np.zeros(self.n_states + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.M_row, minlength=self.n_states), out=indptr[1:])
+        return sparse.csr_matrix((self.M_sign, self.M_col, indptr),
+                                 shape=(self.n_states, self.n_terms))
+
+    @cached_property
+    def P(self) -> sparse.csr_matrix:
+        """P as a scipy CSR matrix of ones."""
+        return sparse.csr_matrix((np.ones(len(self.P_indices)), self.P_indices, self.P_indptr),
+                                 shape=(self.n_terms, self.n_params))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -408,10 +444,15 @@ class DistrictMaps:
         """The term products t(q), one per column of M."""
         return _kernels.get_kernels().term_products(self.P_indptr, self.P_indices, q_local)
 
+    def _times(self, t: np.ndarray) -> np.ndarray:
+        # M @ t, summed row by row in column order
+        return np.bincount(self.M_row, weights=self.M_sign * t[self.M_col],
+                           minlength=self.n_states)
+
     def factor(self, q_local: np.ndarray) -> np.ndarray:
         """The district's factor at each local state; ``joint`` of it is
         its factor of the joint probability vector."""
-        return self.M @ self.term_values(q_local)
+        return self._times(self.term_values(q_local))
 
     def affine(self, q_local: np.ndarray, vertex: int):
         """Dense (A, b) with factor = A @ theta - b over the local
@@ -422,8 +463,8 @@ class DistrictMaps:
         r = _kernels.get_kernels().term_products(*plan.rest, q_local)
         out = np.bincount(
             plan.slot,
-            weights=self.M.data * r[self.M.indices],
-            minlength=self.M.shape[0] * plan.width,
+            weights=self.M_sign * r[self.M_col],
+            minlength=self.n_states * plan.width,
         ).reshape(-1, plan.width)
         return out[:, :-1], -out[:, -1], plan.theta_cols
 
@@ -442,18 +483,19 @@ class DistrictMaps:
         return term_of[first], self.P_indices[first], self.P_indices[second]
 
     def _jacobian(self, q_local: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # chain rule: T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j
-        term_of = self.term_of
-        T = np.zeros(self.P.shape)
-        T[term_of, self.P_indices] = t[term_of] / q_local[self.P_indices]
-        return self.M @ T
+        # chain rule: T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j, and
+        # J = M @ T summed row by row in column order
+        flat, term, param, sign = self._jac_pairs
+        J = np.bincount(flat, weights=sign * (t[term] / q_local[param]),
+                        minlength=self.n_states * self.n_params)
+        return J.reshape(self.n_states, self.n_params)
 
     def jacobian(self, q_local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The factor ``f`` over the local states and its dense Jacobian
         ``J = M @ T`` with respect to the district's parameters, where
         ``T[k, j] = P[k, j] t_k / q_j``.  Requires positive parameters."""
         t = self.term_values(q_local)
-        return self.M @ t, self._jacobian(q_local, t)
+        return self._times(t), self._jacobian(q_local, t)
 
     def observed_information(self, q_local: np.ndarray, counts: np.ndarray):
         """The factor ``f`` over the local states with the score and the
@@ -469,7 +511,7 @@ class DistrictMaps:
         most once, so only those pairs have second derivatives.
         Requires positive parameters."""
         t = self.term_values(q_local)
-        f = self.M @ t
+        f = self._times(t)
         J = self._jacobian(q_local, t)
         pos = counts > 0
         w = np.zeros(len(f))
@@ -478,7 +520,9 @@ class DistrictMaps:
         info = (Jp * (w[pos] / f[pos])[:, None]).T @ Jp
         info = (info + info.T) / 2.0
         term, i, j = self._pairs
-        s = (self.M.T @ w) * t
+        # M' w, summed column by column in row order
+        s = np.bincount(self.M_col, weights=self.M_sign * w[self.M_row],
+                        minlength=self.n_terms) * t
         m = len(q_local)
         info -= np.bincount(
             i * m + j, weights=s[term] / (q_local[i] * q_local[j]), minlength=m * m

@@ -8,11 +8,14 @@ search stops when no neighbor improves it.  Criterion values within an
 absolute tolerance are treated as tied and broken deterministically, so
 a search is reproducible run to run.
 
-The likelihood splits over districts and a district's matrices depend
-only on its own structure, so the graphs of one search build their
-parametrizations through one shared dict of district maps: a move
-rebuilds only the districts whose structure it changes.  The result
-counts the maps built and the district requests served by reuse.
+The likelihood splits over districts, and a district's matrices and
+its maximized term depend only on its own structure and, for the term,
+its marginal counts, which one search holds fixed.  So the graphs of
+one search build their parametrizations through one shared dict of
+district maps, and fit through one shared dict of district fits keyed
+by those maps: a move rebuilds and refits only the districts whose
+structure it changes.  The result counts the maps built and the
+district fits run, each with the district requests served by reuse.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class SearchResult:
     # graph it fitted
     maps_built: int
     maps_reused: int
+    # districts the search fitted, and district requests of successful
+    # candidate fits served by copying an earlier district fit
+    districts_fitted: int
+    districts_reused: int
 
 
 def neighbors(g: Admg) -> list[tuple[str, str, object, object, Admg]]:
@@ -140,7 +147,9 @@ def stepwise(
     """Greedy single-edge search minimizing BIC or AIC.
 
     Candidate fits run one after another and are cached by graph; the
-    criterion of the accepted sequence is strictly decreasing.
+    criterion of the accepted sequence is strictly decreasing.  A
+    district already fitted in this search, under any graph, is copied
+    into a candidate's fit instead of fitted again (see :func:`fit`).
 
     When ``opts`` is not given, fits use a tighter tolerance than the
     plain fitting default: tie detection compares criteria at 1e-6, so
@@ -149,6 +158,8 @@ def stepwise(
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     if opts is None:
         opts = FitOptions(tol=1e-10)
     counts = _check_counts(start, counts, opts.allow_zero_counts)
@@ -163,16 +174,23 @@ def stepwise(
         maps.setdefault(_maps_key(start, d), dm)
     brought = len(maps) - built_here
     requests = 0
+    # fitted districts keyed by their shared maps, and the district
+    # requests of the candidate fits that succeeded
+    district_fits: dict = {}
+    fit_requests = 0
 
     def run_fit(g: Admg, warm_from: FitResult | None):
-        nonlocal requests
-        requests += len(parametrization(g, maps).maps)
+        nonlocal requests, fit_requests
+        n_districts = len(parametrization(g, maps).maps)
+        requests += n_districts
         q0 = _warm_start(g, counts, warm_from) if warm_from is not None else None
         try:
-            return fit(g, counts, opts, start=q0)
+            res = fit(g, counts, opts, start=q0, district_fits=district_fits)
         except FitError as exc:
             warnings.warn(f"skipping candidate that failed to fit: {exc}")
             return None
+        fit_requests += n_districts
+        return res
 
     current_fit = run_fit(start, None)
     if current_fit is None:
@@ -218,4 +236,6 @@ def stepwise(
         evaluated=evaluated,
         maps_built=len(maps) - brought,
         maps_reused=requests - len(maps) + brought,
+        districts_fitted=len(district_fits),
+        districts_reused=fit_requests - len(district_fits),
     )

@@ -101,3 +101,50 @@ def test_traced_fit_and_search_record_their_spans(tracing):
     assert spans[(0, "kernels.term_products")] > 0
     # every candidate fit of the search goes through select.fit
     assert spans[(0, "fitting.fit")] == search.evaluated
+
+
+def test_fits_searches_and_reports_build_no_scipy_matrix(monkeypatch):
+    """``DistrictMaps.M`` and ``P`` are scipy views built on first read,
+    for display and for the tracer's map metrics.  No fit, search or
+    report reads them, so they cost nothing untraced."""
+    import numpy as np
+
+    import admgfit.moebius as moebius
+    from admgfit import Admg, FitOptions, fit, report, stepwise
+
+    from util import graph_one
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy matrix was built")
+
+    monkeypatch.setattr(moebius.sparse, "csr_matrix", refuse)
+    counts = np.random.default_rng(71).integers(1, 60, size=16).astype(float)
+    g = graph_one()
+    res = fit(g, counts, FitOptions(starts=2, seed=3))
+    report(res, counts, with_se=True)
+    search = stepwise(counts, Admg(["1", "2", "3", "4"]))
+    report(search.fit, counts, with_se=True)
+    assert res.converged and search.evaluated > 1
+
+
+def test_a_search_calls_select_fit_once_per_candidate(monkeypatch):
+    """The tracer's ``fitting.fit`` span wraps ``select.fit``, so its
+    count is the number of candidates only if the search calls it once
+    for each, district fits copied from earlier candidates included."""
+    import admgfit.select as select
+
+    from util import golden_search_inputs
+
+    calls = []
+    real_fit = select.fit
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(select, "fit", counting)
+    for counts, start, criterion in golden_search_inputs():
+        calls.clear()
+        res = select.stepwise(counts, start, criterion=criterion)
+        assert len(calls) == res.evaluated
+        assert res.districts_reused > 0

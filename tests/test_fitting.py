@@ -243,6 +243,14 @@ def test_fit_options_are_validated(tmp_path, capsys):
     ):
         with pytest.raises(ValueError):
             FitOptions(**bad)
+    # a count that is not an integer used to pass here and fail in fit
+    # with a TypeError
+    for bad in ({"max_cycles": 1.5}, {"starts": 2.5}, {"max_cycles": True},
+                {"starts": True}, {"starts": 2.0}, {"max_cycles": "3"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FitOptions(**bad)
+    opts = FitOptions(max_cycles=np.int64(3), starts=np.int32(2))
+    assert fit(Admg(["a", "b"], [], [("a", "b")]), np.arange(1.0, 5.0), opts).converged
     # on a saturated model a zero cycle budget would report a
     # stationarity certificate for a point that was never ascended
     gpath = tmp_path / "graph.txt"

@@ -409,6 +409,15 @@ def _same_maps(shared, fresh, rng):
         assert a.shape == b.shape
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
+    for attr in ("M_row", "M_col", "M_sign", "P_indptr", "P_indices", "term_of"):
+        assert np.array_equal(getattr(shared, attr), getattr(fresh, attr))
+    assert shared.plans.keys() == fresh.plans.keys()
+    for vertex, plan in fresh.plans.items():
+        other = shared.plans[vertex]
+        assert other.width == plan.width
+        for a, b in ((other.theta_cols, plan.theta_cols), (other.slot, plan.slot),
+                     *zip(other.rest, plan.rest)):
+            assert np.array_equal(a, b)
     q_d = rng.uniform(0.05, 0.95, fresh.P.shape[1])
     for vertex in fresh.members:
         A, b, theta = shared.affine(q_d, vertex)
@@ -427,9 +436,9 @@ def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
     real_fit = select.fit
     fitted = []
 
-    def recording_fit(g, counts, opts, start=None):
+    def recording_fit(g, counts, opts, start=None, **kw):
         fitted.append(g)
-        return real_fit(g, counts, opts, start=start)
+        return real_fit(g, counts, opts, start=start, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
     rng = np.random.default_rng(37)
@@ -468,9 +477,9 @@ def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
     real_fit = select.fit
     fitted = []
 
-    def recording_fit(g, counts, opts, start=None):
+    def recording_fit(g, counts, opts, start=None, **kw):
         fitted.append(g)
-        return real_fit(g, counts, opts, start=start)
+        return real_fit(g, counts, opts, start=start, **kw)
 
     g1 = graph_one()
     counts = counts_for(g1, simulate(g1, strong_params_graph_one(), 20000, seed=3))
@@ -545,3 +554,64 @@ def test_district_derivatives_match_finite_differences():
             for got, want in ((J, J_fd), (score, score_fd), (info, info_fd)):
                 assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, np.abs(want).max())
             assert np.array_equal(info, info.T)
+
+
+def test_equal_maps_keys_give_equal_maps(monkeypatch):
+    """The maps key is read off per-member masks: building it computes
+    no head partition.  Districts with equal keys have equal maps, on
+    every candidate of the golden and criterion-11 searches, and on
+    random graphs and some of their single-edge neighbours."""
+    import importlib
+
+    import admgfit.moebius as moebius
+    import admgfit.select as select
+    from admgfit.moebius import DistrictMaps, _maps_key
+
+    from util import criterion_11_search_inputs, golden_search_inputs
+
+    # the package exports a function named ``heads``, which hides the
+    # module from ``import admgfit.heads as ...``
+    heads = importlib.import_module("admgfit.heads")
+
+    def refuse(*args):
+        raise AssertionError("the maps key computed a head partition")
+
+    with monkeypatch.context() as m:
+        for module, name in ((heads, "_partition_masks"), (heads, "_phi_masks"),
+                             (moebius, "_partition_masks")):
+            m.setattr(module, name, refuse)
+        g = graph_one()
+        keys = [_maps_key(g, d) for d in g.districts()]
+    assert len(set(keys)) == len(keys)
+
+    graphs = {}
+    real_fit = select.fit
+
+    def recording_fit(g, counts, opts, start=None, **kw):
+        graphs.setdefault((g.vertices, g._dir, g._bi), g)
+        return real_fit(g, counts, opts, start=start, **kw)
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    for counts, start, criterion in golden_search_inputs() + criterion_11_search_inputs():
+        select.stepwise(counts, start, criterion=criterion)
+    searched = len(graphs)
+    rng = np.random.default_rng(62)
+    for k in range(200):
+        g = random_admg(rng, n_min=2, n_max=6, p_dir=0.3, p_bi=0.3)
+        moves = select.neighbors(g)
+        picks = rng.choice(len(moves), size=min(2, len(moves)), replace=False)
+        for h in [g] + [moves[i][4] for i in picks]:
+            graphs.setdefault((k, h.vertices, h._dir, h._bi), h)
+
+    first = {}
+    shared = 0
+    for g in graphs.values():
+        for d in g.districts():
+            key = _maps_key(g, d)
+            dm = DistrictMaps(g, d)
+            if key in first:
+                _same_maps(first[key], dm, rng)
+                shared += 1
+            else:
+                first[key] = dm
+    assert searched > 100 and shared > 1000

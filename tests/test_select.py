@@ -1,15 +1,18 @@
 """Greedy stepwise structure search and its move enumeration."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import admgfit.fitting as fitting
 import admgfit.select as select
-from admgfit.data import counts_for, simulate
 from admgfit.fitting import FitError, FitOptions, fit
 from admgfit.graph import Admg
+from admgfit.moebius import parametrization
 from admgfit.select import TIE_TOL, neighbors, stepwise
 
-from util import graph_one, random_interior_q, strong_params_graph_one
+from util import golden_search_inputs
 
 
 def product_counts(margins, n):
@@ -136,6 +139,8 @@ def test_max_steps_caps_the_search():
     full = stepwise(counts, Admg(["1", "2", "3"]))
     capped = stepwise(counts, Admg(["1", "2", "3"]), max_steps=0)
     assert capped.steps == ()
+    with pytest.raises(ValueError, match="max_steps must be at least 0"):
+        stepwise(counts, Admg(["1", "2", "3"]), max_steps=-1)
     assert capped.graph == Admg(["1", "2", "3"])
     if full.steps:
         one = stepwise(counts, Admg(["1", "2", "3"]), max_steps=1)
@@ -148,10 +153,10 @@ def test_failing_candidates_are_skipped_with_a_warning(monkeypatch):
     bad = Admg(["1", "2", "3"], directed=[("1", "2")])
     real_fit = select.fit
 
-    def flaky(g, counts_, opts=FitOptions(), start=None):
+    def flaky(g, counts_, opts=FitOptions(), start=None, **kw):
         if g == bad:
             raise FitError("synthetic failure")
-        return real_fit(g, counts_, opts, start=start)
+        return real_fit(g, counts_, opts, start=start, **kw)
 
     monkeypatch.setattr(select, "fit", flaky)
     with pytest.warns(UserWarning, match="skipping candidate"):
@@ -167,9 +172,9 @@ def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
     calls = []
     real_fit = select.fit
 
-    def counting(g, counts_, opts=FitOptions(), start=None):
+    def counting(g, counts_, opts=FitOptions(), start=None, **kw):
         calls.append(g)
-        return real_fit(g, counts_, opts, start=start)
+        return real_fit(g, counts_, opts, start=start, **kw)
 
     monkeypatch.setattr(select, "fit", counting)
     counts = np.arange(8.0)
@@ -186,7 +191,7 @@ def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
 
 
 def test_unfittable_start_raises(monkeypatch):
-    def broken(g, counts_, opts=FitOptions(), start=None):
+    def broken(g, counts_, opts=FitOptions(), start=None, **kw):
         raise FitError("synthetic failure")
 
     monkeypatch.setattr(select, "fit", broken)
@@ -231,14 +236,124 @@ def _assert_transcript(res, golden):
 
 
 def test_golden_transcripts():
-    g1 = graph_one()
-    ds = simulate(g1, strong_params_graph_one(), 20000, seed=3)
-    _assert_transcript(stepwise(counts_for(g1, ds), Admg(["1", "2", "3", "4"])), GOLDEN_BIC)
+    (bic_counts, bic_start, _), (aic_counts, aic_start, _) = golden_search_inputs()
+    _assert_transcript(stepwise(bic_counts, bic_start), GOLDEN_BIC)
+    _assert_transcript(stepwise(aic_counts, aic_start, criterion="aic"), GOLDEN_AIC)
 
-    names = ["a", "b", "c", "d", "e"]
-    g5 = Admg(names, directed=[("a", "b"), ("b", "c")],
-              bidirected=[("c", "d"), ("d", "e"), ("b", "d")])
-    q = random_interior_q(g5, np.random.default_rng(7), min_p=1e-3)
-    ds = simulate(g5, q, 5000, seed=11)
-    start = Admg(names, directed=[("a", "c")])
-    _assert_transcript(stepwise(counts_for(g5, ds), start, criterion="aic"), GOLDEN_AIC)
+
+def _record_district_fits(monkeypatch) -> list:
+    """The maps of every district that ``fit`` fits, one entry per
+    district fit, in call order."""
+    calls = []
+    real = fitting._fit_district
+
+    def recording(dm, q_d, counts_d, opts):
+        calls.append(dm)
+        return real(dm, q_d, counts_d, opts)
+
+    monkeypatch.setattr(fitting, "_fit_district", recording)
+    return calls
+
+
+def test_a_search_fits_each_district_structure_once(monkeypatch):
+    """With one start, every district maps instance of a search is
+    fitted exactly once: one fit per map the search built or the start
+    graph brought, and every other district request is a copy."""
+    calls = _record_district_fits(monkeypatch)
+    counts, g0, _ = golden_search_inputs()[0]
+    starts = [(Admg(g0.vertices), False), (Admg(g0.vertices, directed=[("1", "2")]), True)]
+    fitted = []
+    real_fit = select.fit
+
+    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+        fitted.append(g)
+        return real_fit(g, counts_, opts, start=start, **kw)
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    for start, parametrized in starts:
+        brought = len(parametrization(start).maps) if parametrized else 0
+        calls.clear()
+        fitted.clear()
+        res = stepwise(counts, start)
+        assert len(set(calls)) == len(calls) == res.maps_built + brought
+        assert res.districts_fitted == len(calls)
+        requests = sum(len(parametrization(g).maps) for g in fitted)
+        assert res.districts_fitted + res.districts_reused == requests
+        assert res.districts_reused > res.districts_fitted
+
+
+def test_new_districts_are_fitted_from_every_start(monkeypatch):
+    calls = _record_district_fits(monkeypatch)
+    res = stepwise(pair_counts(500), Admg(["1", "2", "3"]),
+                   opts=FitOptions(tol=1e-10, starts=3, seed=4))
+    per_maps = Counter(calls)
+    assert set(per_maps.values()) == {3}
+    assert len(per_maps) == res.districts_fitted == res.maps_built
+    assert res.districts_reused > 0
+
+
+def test_a_failed_candidate_leaves_no_district_fit(monkeypatch):
+    """A candidate whose second start fails has fitted a new district
+    in its first start; the shared dict is left as it was."""
+    bad = Admg(["1", "2", "3"], directed=[("1", "2")])
+    seen = {}
+    real_fit, real_district = select.fit, fitting._fit_district
+
+    def watching_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+        seen["graph"] = g
+        if g != bad:
+            return real_fit(g, counts_, opts, start=start, **kw)
+        seen["before"] = dict(kw["district_fits"])
+        try:
+            return real_fit(g, counts_, opts, start=start, **kw)
+        finally:
+            seen["after"] = dict(kw["district_fits"])
+
+    def failing_second_start(dm, q_d, counts_d, opts):
+        out = real_district(dm, q_d, counts_d, opts)
+        if seen["graph"] == bad:
+            seen["bad_fits"] = seen.get("bad_fits", []) + [dm]
+            if len(seen["bad_fits"]) == 2:
+                raise FitError("synthetic failure in the second start")
+        return out
+
+    monkeypatch.setattr(select, "fit", watching_fit)
+    monkeypatch.setattr(fitting, "_fit_district", failing_second_start)
+    with pytest.warns(UserWarning, match="synthetic failure in the second start"):
+        stepwise(pair_counts(500), Admg(["1", "2", "3"]),
+                 opts=FitOptions(tol=1e-10, starts=2, seed=0), max_steps=1)
+    new_maps = seen["bad_fits"][0]
+    assert seen["bad_fits"] == [new_maps, new_maps]
+    assert new_maps not in seen["after"]
+    assert seen["after"].keys() == seen["before"].keys()
+    assert all(seen["after"][dm] is seen["before"][dm] for dm in seen["before"])
+
+
+def test_reused_districts_report_the_fit_that_produced_them(monkeypatch):
+    """Every candidate's q, log-likelihood, cycles, converged and kkt
+    are put together from the shared entries of its districts, whichever
+    fit produced them."""
+    results, tables = [], []
+    real_fit = select.fit
+
+    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+        res = real_fit(g, counts_, opts, start=start, **kw)
+        results.append(res)
+        tables.append(kw["district_fits"])
+        return res
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    counts, start, criterion = golden_search_inputs()[1]
+    search = stepwise(counts, start, criterion=criterion)
+    assert search.districts_reused > 0
+    table = tables[0]
+    assert all(t is table for t in tables)
+    for res in results:
+        par = parametrization(res.graph)
+        entries = [table[dm] for dm in par.maps]
+        for (q_d, *_), sl in zip(entries, par.slices):
+            assert np.array_equal(res.q[sl], q_d)
+        assert res.loglik == sum(e[1] for e in entries)
+        assert res.cycles == max(e[2] for e in entries)
+        assert res.converged == all(e[3] for e in entries)
+        assert res.kkt == max(e[4] for e in entries)

@@ -333,3 +333,33 @@ def strong_params_graph_one():
             base, top = qs["q[3]"] * q4, min(qs["q[3]"], q4)
             qs[f"q[3,4|1,2={i1}{i2}]"] = base + lam * (top - base)
     return np.array([qs[p.name] for p in table.params])
+
+
+def golden_search_inputs():
+    """(counts, start, criterion) of the two structure searches whose
+    transcripts ``test_select.py`` records: BIC on 20000 draws from
+    graph_one, and AIC on 5000 draws from a five-vertex graph."""
+    from admgfit.data import counts_for, simulate
+
+    g1 = graph_one()
+    ds = simulate(g1, strong_params_graph_one(), 20000, seed=3)
+    bic = (counts_for(g1, ds), Admg(["1", "2", "3", "4"]), "bic")
+    names = ["a", "b", "c", "d", "e"]
+    g5 = Admg(names, directed=[("a", "b"), ("b", "c")],
+              bidirected=[("c", "d"), ("d", "e"), ("b", "d")])
+    q = random_interior_q(g5, np.random.default_rng(7), min_p=1e-3)
+    ds = simulate(g5, q, 5000, seed=11)
+    aic = (counts_for(g5, ds), Admg(names, directed=[("a", "c")]), "aic")
+    return [bic, aic]
+
+
+def criterion_11_search_inputs():
+    """(counts, start, criterion) of the 20 searches of acceptance
+    criterion 11: BIC from the empty graph on 100000 draws from
+    graph_one, seeds 0 to 19."""
+    from admgfit.data import counts_for, simulate
+
+    g1 = graph_one()
+    q = strong_params_graph_one()
+    return [(counts_for(g1, simulate(g1, q, 100000, seed=seed)), Admg(["1", "2", "3", "4"]), "bic")
+            for seed in range(20)]
