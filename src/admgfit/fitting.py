@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,7 +88,7 @@ class FitOptions:
     ``max_cycles`` bounds the cycles per district.
     ``allow_zero_counts`` permits empty cells.  ``starts`` counts the
     starting points, the first plus jittered restarts drawn with
-    ``seed``.
+    ``seed``, a nonnegative integer or None.
     """
 
     tol: float = 1e-8
@@ -105,6 +106,11 @@ class FitOptions:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, not {value}")
+        if self.seed is not None:
+            if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+                raise ValueError(f"seed must be an integer or None, not {self.seed!r}")
+            if self.seed < 0:
+                raise ValueError(f"seed must be at least 0, not {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,6 @@ class FitResult:
     # largest cycle count of any district
     cycles: int
     converged: bool
-    p: np.ndarray
     n: float
     # stationarity certificate, the largest over districts: the Newton
     # decrement on which the district Newton phase stopped a district,
@@ -130,6 +135,12 @@ class FitResult:
     @property
     def n_params(self) -> int:
         return len(self.q)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """Fitted probabilities of all 2^|V| joint states, formed on
+        the first read."""
+        return prob_vector(self.graph, self.q)
 
 
 def _check_counts(g: Admg, counts, allow_zero: bool) -> np.ndarray:
@@ -378,9 +389,9 @@ def fit(
     """Maximum likelihood fit of the graph's model to a count vector.
 
     ``counts`` holds one nonnegative count per joint state in canonical
-    order.  ``start`` overrides the independence starting point (used
-    for warm starts); extra random restarts are controlled by
-    ``opts.starts`` and keep the best likelihood found.
+    order.  ``start`` overrides the independence starting point when
+    it is feasible for the counts; extra random restarts are controlled
+    by ``opts.starts`` and keep the best likelihood found.
 
     ``district_fits`` is a dict that fits with the same counts and
     options share, as the candidate fits of one structure search do.
@@ -412,7 +423,6 @@ def fit(
     fitted = {} if district_fits is None else district_fits
     runs = [_fit_from(par, q0, counts, opts, fitted) for q0 in starts]
     q, ll, cycles, converged, kkt, new = max(runs, key=lambda run: run[1])
-    p = par.prob(q)
     if district_fits is not None:
         district_fits.update((dm, (q_d.copy(), *rest)) for dm, (q_d, *rest) in new.items())
     return FitResult(
@@ -421,7 +431,6 @@ def fit(
         loglik=ll,
         cycles=cycles,
         converged=converged,
-        p=p,
         n=float(counts.sum()),
         kkt=kkt,
     )

@@ -2,11 +2,11 @@
 
 Neighbors of a graph are all graphs reachable by adding or removing a
 single edge (directed or bidirected) while staying acyclic.  Each step
-fits every neighbor, warm starting the shared parameters from the
-incumbent fit, and moves to the neighbor with the lowest criterion; the
-search stops when no neighbor improves it.  Criterion values within an
-absolute tolerance are treated as tied and broken deterministically, so
-a search is reproducible run to run.
+fits every neighbor exactly as :func:`fit` fits it alone, from the
+independence start, and moves to the neighbor with the lowest
+criterion; the search stops when no neighbor improves it.  Criterion
+values within an absolute tolerance are treated as tied and broken
+deterministically, so a search is reproducible run to run.
 
 The likelihood splits over districts, and a district's matrices and
 its maximized term depend only on its own structure and, for the term,
@@ -20,15 +20,14 @@ district fits run, each with the district requests served by reuse.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fitting import FitError, FitOptions, FitResult, _check_counts, fit, initialize
+from .fitting import FitError, FitOptions, FitResult, _check_counts, fit
 from .graph import Admg, GraphError
 from .inference import information_criteria
-from .moebius import _maps_key, enumerate_params, parametrization
+from .moebius import _maps_key, parametrization
 
 __all__ = ["Step", "SearchResult", "neighbors", "stepwise"]
 
@@ -106,20 +105,6 @@ def _criterion(res: FitResult, which: str) -> float:
     return bic if which == "bic" else aic
 
 
-def _warm_start(g_new: Admg, counts, incumbent: FitResult) -> np.ndarray:
-    """Copy the parameter runs of heads that keep their tail in the
-    incumbent graph (same vertices), fill the rest from the
-    independence start."""
-    q0 = initialize(g_new, counts)
-    old = {(h, t): j for h, t, j in enumerate_params(incumbent.graph).runs}
-    for h, t, j in enumerate_params(g_new).runs:
-        k = old.get((h, t))
-        if k is not None:
-            size = 1 << t.bit_count()
-            q0[j : j + size] = incumbent.q[k : k + size]
-    return q0
-
-
 def _tie_key(g: Admg):
     # Ties are almost always likelihood-equivalent orientations of one
     # new edge.  Committing to a directed orientation imposes extra
@@ -150,6 +135,9 @@ def stepwise(
     criterion of the accepted sequence is strictly decreasing.  A
     district already fitted in this search, under any graph, is copied
     into a candidate's fit instead of fitted again (see :func:`fit`).
+    Every fit starts from the independence start, so a candidate's fit
+    equals ``fit(g, counts, opts)`` of its graph, whichever candidates
+    the search fitted before it.
 
     When ``opts`` is not given, fits use a tighter tolerance than the
     plain fitting default: tie detection compares criteria at 1e-6, so
@@ -158,6 +146,8 @@ def stepwise(
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}")
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral):
+        raise ValueError(f"max_steps must be an integer, not {max_steps!r}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be at least 0, not {max_steps}")
     if opts is None:
@@ -179,20 +169,19 @@ def stepwise(
     district_fits: dict = {}
     fit_requests = 0
 
-    def run_fit(g: Admg, warm_from: FitResult | None):
+    def run_fit(g: Admg):
         nonlocal requests, fit_requests
         n_districts = len(parametrization(g, maps).maps)
         requests += n_districts
-        q0 = _warm_start(g, counts, warm_from) if warm_from is not None else None
         try:
-            res = fit(g, counts, opts, start=q0, district_fits=district_fits)
+            res = fit(g, counts, opts, district_fits=district_fits)
         except FitError as exc:
             warnings.warn(f"skipping candidate that failed to fit: {exc}")
             return None
         fit_requests += n_districts
         return res
 
-    current_fit = run_fit(start, None)
+    current_fit = run_fit(start)
     if current_fit is None:
         raise FitError("the starting graph cannot be fitted")
     cache[_graph_key(start)] = current_fit
@@ -207,7 +196,7 @@ def stepwise(
         for m in moves:
             key = _graph_key(m[4])
             if key not in cache:
-                cache[key] = run_fit(m[4], current_fit)
+                cache[key] = run_fit(m[4])
                 evaluated += 1
         scored = [
             (_criterion(res, criterion), m, res)

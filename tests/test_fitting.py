@@ -246,10 +246,13 @@ def test_fit_options_are_validated(tmp_path, capsys):
     # a count that is not an integer used to pass here and fail in fit
     # with a TypeError
     for bad in ({"max_cycles": 1.5}, {"starts": 2.5}, {"max_cycles": True},
-                {"starts": True}, {"starts": 2.0}, {"max_cycles": "3"}):
+                {"starts": True}, {"starts": 2.0}, {"max_cycles": "3"},
+                {"seed": 1.5}, {"seed": True}, {"seed": "3"}):
         with pytest.raises(ValueError, match="must be an integer"):
             FitOptions(**bad)
-    opts = FitOptions(max_cycles=np.int64(3), starts=np.int32(2))
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        FitOptions(seed=-1)
+    opts = FitOptions(max_cycles=np.int64(3), starts=np.int32(2), seed=np.int64(5))
     assert fit(Admg(["a", "b"], [], [("a", "b")]), np.arange(1.0, 5.0), opts).converged
     # on a saturated model a zero cycle budget would report a
     # stationarity certificate for a point that was never ascended
@@ -257,7 +260,8 @@ def test_fit_options_are_validated(tmp_path, capsys):
     gpath.write_text(format_graph(Admg(["a", "b"], [], [("a", "b")])))
     dpath = tmp_path / "data.csv"
     dpath.write_text("a,b,count\n0,0,10\n0,1,20\n1,0,30\n1,1,40\n")
-    for flags in (["--max-cycles", "0"], ["--tol", "nan"], ["--starts", "0"]):
+    for flags in (["--max-cycles", "0"], ["--tol", "nan"], ["--starts", "0"],
+                  ["--seed", "-1"]):
         assert main(["fit", str(gpath), str(dpath), *flags]) == 2
         assert "error:" in capsys.readouterr().err
 

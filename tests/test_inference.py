@@ -188,7 +188,6 @@ def test_report_notes_on_failure_paths():
         loglik=res.loglik,
         cycles=res.cycles,
         converged=False,
-        p=res.p,
         n=res.n,
     )
     rep = report(broken, counts)

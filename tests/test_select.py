@@ -9,10 +9,10 @@ import admgfit.fitting as fitting
 import admgfit.select as select
 from admgfit.fitting import FitError, FitOptions, fit
 from admgfit.graph import Admg
-from admgfit.moebius import parametrization
+from admgfit.moebius import Parametrization, parametrization, prob_vector
 from admgfit.select import TIE_TOL, neighbors, stepwise
 
-from util import golden_search_inputs
+from util import criterion_11_search_inputs, golden_search_inputs
 
 
 def product_counts(margins, n):
@@ -141,6 +141,10 @@ def test_max_steps_caps_the_search():
     assert capped.steps == ()
     with pytest.raises(ValueError, match="max_steps must be at least 0"):
         stepwise(counts, Admg(["1", "2", "3"]), max_steps=-1)
+    for bad in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            stepwise(counts, Admg(["1", "2", "3"]), max_steps=bad)
+    assert stepwise(counts, Admg(["1", "2", "3"]), max_steps=np.int64(0)).steps == ()
     assert capped.graph == Admg(["1", "2", "3"])
     if full.steps:
         one = stepwise(counts, Admg(["1", "2", "3"]), max_steps=1)
@@ -357,3 +361,50 @@ def test_reused_districts_report_the_fit_that_produced_them(monkeypatch):
         assert res.cycles == max(e[2] for e in entries)
         assert res.converged == all(e[3] for e in entries)
         assert res.kkt == max(e[4] for e in entries)
+
+
+def test_search_candidates_are_plain_fits(monkeypatch):
+    """Every candidate fit of the golden and criterion-11 searches, and
+    every entry of each search's shared district dict, equals bitwise a
+    plain ``fit`` of the candidate's graph, rebuilt so that it shares
+    no maps with the search."""
+    fits = []
+    real_fit = select.fit
+
+    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+        res = real_fit(g, counts_, opts, start=start, **kw)
+        fits.append((res, counts_, opts, kw["district_fits"]))
+        return res
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    searches = golden_search_inputs() + criterion_11_search_inputs()
+    for counts, start, criterion in searches:
+        stepwise(counts, start, criterion=criterion)
+    monkeypatch.undo()
+
+    entries = set()
+    for res, counts, opts, table in fits:
+        g = res.graph
+        plain = fit(Admg(g.vertices, g.directed_edges, g.bidirected_edges), counts, opts)
+        assert np.array_equal(res.q, plain.q)
+        assert res.loglik == plain.loglik
+        par = parametrization(g)
+        for dm, sl in zip(par.maps, par.slices):
+            assert np.array_equal(table[dm][0], plain.q[sl])
+            entries.add((id(table), dm))
+    assert len(fits) > 1000 and len(entries) > 500
+
+
+def test_a_default_search_forms_no_joint_table(monkeypatch):
+    """No candidate of a default search forms the 2^n table; its fit
+    forms it when it is read."""
+
+    def refuse(self, q):
+        raise AssertionError("the search formed a joint table")
+
+    counts, start, criterion = golden_search_inputs()[0]
+    with monkeypatch.context() as m:
+        m.setattr(Parametrization, "prob", refuse)
+        res = stepwise(counts, start, criterion=criterion)
+    assert res.steps
+    assert np.array_equal(res.fit.p, prob_vector(res.graph, res.fit.q))
