@@ -129,8 +129,8 @@ def _cmd_select(args) -> int:
           f"district fits: {res.districts_fitted} run, {res.districts_reused} reused")
     print("final graph:")
     sys.stdout.write(format_graph(res.graph))
-    counts_final = counts_for(res.graph, ds)
-    rep = report(res.fit, counts_final, with_se=not args.no_se)
+    # every graph of the search keeps the start graph's vertex order
+    rep = report(res.fit, counts, with_se=not args.no_se)
     _print_report(rep)
     if args.json:
         payload = {

@@ -11,6 +11,7 @@ integer code each.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -234,6 +235,8 @@ def simulate(g: Admg, q: np.ndarray, n: int, seed: int | None = None) -> Dataset
     Sampling inverts the cumulative distribution over the 2^|V| joint
     states, so a seed fixes the draw exactly.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n <= 0:
         raise ValueError("n must be positive")
     if not np.all(np.isfinite(np.asarray(q, dtype=float))):

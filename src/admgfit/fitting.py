@@ -21,14 +21,17 @@ back to the block cycles when the information is not positive
 definite or no step is accepted.  A district stops on that
 certificate, on a cycle that gains less than ``tol``, or at
 ``max_cycles``.  Both ascents pick their steps with the same
-backtracking line search.  Fits that share their counts and options,
-as the candidate fits of one structure search do, can share a dict of
-fitted districts keyed by the districts' maps: a district found there
-is copied instead of fitted, since its term of the likelihood depends
-only on its structure and its marginal counts.  No kernel is passed
-between these functions: the block step looks its ascent up through
-``get_kernels``, and ``DistrictMaps`` looks up its own term-product
-kernel.
+backtracking line search.  The district is the unit of a fit: it
+starts from the independence start read off its local counts, and
+each restart jitters that start with a generator seeded afresh for the
+district, so a district's fit depends only on its structure, its
+marginal counts and the options, and no step forms a joint table.
+Fits that share their counts and options, as the candidate fits of one
+structure search do, can therefore share a dict of fitted districts
+keyed by the districts' maps: a district found there is copied instead
+of fitted.  No kernel is passed between these functions: the block
+step looks its ascent up through ``get_kernels``, and ``DistrictMaps``
+looks up its own term-product kernel.
 """
 
 from __future__ import annotations
@@ -40,10 +43,8 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import _line_search, get_kernels
-from .graph import Admg, _bits
-from .moebius import (
-    DistrictMaps, Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
-)
+from .graph import Admg
+from .moebius import DistrictMaps, parametrization, prob_vector, q_from_p
 
 __all__ = [
     "FitOptions",
@@ -87,8 +88,9 @@ class FitOptions:
     phase once the Newton decrement is at most ``0.01 * tol``;
     ``max_cycles`` bounds the cycles per district.
     ``allow_zero_counts`` permits empty cells.  ``starts`` counts the
-    starting points, the first plus jittered restarts drawn with
-    ``seed``, a nonnegative integer or None.
+    starting points of each district, its independence start plus
+    jittered restarts drawn with ``seed``, a nonnegative integer or
+    None; every district draws from a generator seeded afresh.
     """
 
     tol: float = 1e-8
@@ -98,6 +100,8 @@ class FitOptions:
     seed: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a real number, not {self.tol!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, not {self.tol}")
         for name in ("max_cycles", "starts"):
@@ -176,30 +180,36 @@ def initialize(g: Admg, counts) -> np.ndarray:
     """Independence starting point: every q(H | T = t) is the product of
     the observed marginal zero-probabilities of the head members.
     Always feasible, since the implied joint is the product of the
-    (clipped) margins."""
+    (clipped) margins.  It is the start ``fit`` gives each district,
+    read off the district's local counts."""
     counts = np.asarray(counts, dtype=float)
-    table = enumerate_params(g)
-    k = len(g.vertices)
-    joint = counts.reshape((2,) * k)
-    n = counts.sum()
-    marg0 = np.array([joint.take(0, axis=v).sum() for v in range(k)]) / n
-    marg0 = np.clip(marg0, 1e-3, 1.0 - 1e-3)
-    q = np.empty(len(table))
-    for h_mask, t_mask, j in table.runs:
-        v = 1.0
-        for p in _bits(h_mask):
-            v *= marg0[p]
-        q[j : j + (1 << t_mask.bit_count())] = v
+    par = parametrization(g)
+    q = np.empty(len(par.table))
+    for dm, sl in zip(par.maps, par.slices):
+        q[sl] = _district_start(dm, dm.marginal(counts))
     return q
 
 
-def _jitter_start(g: Admg, q0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Random feasible start near ``q0``; backs off the noise until the
-    implied joint distribution is strictly positive."""
+def _district_start(dm: DistrictMaps, counts_d) -> np.ndarray:
+    """The independence start of one district from its local counts:
+    each member's clipped marginal zero-probability multiplies the
+    parameters whose head holds it, members in ascending order."""
+    table = counts_d.reshape((2,) * len(dm.scope))
+    marg0 = np.array([table.take(0, axis=dm.scope.index(p)).sum() for p in dm.members])
+    marg0 = np.clip(marg0 / counts_d.sum(), 1e-3, 1.0 - 1e-3)
+    q_d = np.ones(dm.n_params)
+    for p, m in zip(dm.members, marg0):
+        q_d[dm.plans[p].theta_cols] *= m
+    return q_d
+
+
+def _jitter_district(dm: DistrictMaps, q0: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Random feasible district start near ``q0``; backs off the noise
+    until the district's factor is strictly positive."""
     scale = 0.3
     while scale > 1e-4:
         q = np.clip(q0 * np.exp(rng.normal(0.0, scale, len(q0))), 1e-6, 1 - 1e-6)
-        if prob_vector(g, q).min() > 0:
+        if dm.factor(q).min() > 0:
             return q
         scale *= 0.5
     return q0.copy()
@@ -350,48 +360,37 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
     return ll, cycles, converged, kkt
 
 
-def _fit_from(par: Parametrization, q0, counts, opts, fitted: dict):
-    """Fit each district to convergence in turn from one start; a
-    district whose maps are in ``fitted`` is copied from there.
-
-    Returns (q, ll, cycles, converged, kkt, new): the sum of the
-    district log-likelihoods, the largest district cycle count,
-    whether every district converged, the largest district certificate
-    (see ``FitResult.kkt``), and the districts fitted here, keyed by
-    their maps as in ``fitted``."""
-    q = q0.copy()
-    new: dict = {}
-    ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
-    for dm, sl in zip(par.maps, par.slices):
-        done = fitted.get(dm)
-        if done is None:
-            # a basic slice is a view: block updates write through to q
-            q_d = q[sl]
-            done = new[dm] = (q_d, *_fit_district(dm, q_d, dm.marginal(counts), opts))
-        else:
-            q[sl] = done[0]
-        _, ll, cycles, converged, kkt = done
-        ll_total += ll
-        cycles_max = max(cycles_max, cycles)
-        all_converged = all_converged and converged
-        kkt_max = max(kkt_max, kkt)
-    return q, ll_total, cycles_max, all_converged, kkt_max, new
+def _fit_district_starts(dm: DistrictMaps, counts_d, opts):
+    """Fit one district from each of ``opts.starts`` starts: its
+    independence start, then jittered copies of it drawn from a
+    generator seeded afresh with ``opts.seed``, so the result depends
+    only on the district's structure, its local counts and the options.
+    Returns (q_d, ll, cycles, converged, kkt) of the first start with
+    the highest district log-likelihood."""
+    q0 = _district_start(dm, counts_d)
+    starts = [q0]
+    if opts.starts > 1:
+        # making a generator costs more than building a district's start
+        rng = np.random.default_rng(opts.seed)
+        starts += [_jitter_district(dm, q0, rng) for _ in range(opts.starts - 1)]
+    runs = ((q_d, *_fit_district(dm, q_d, counts_d, opts)) for q_d in starts)
+    return max(runs, key=lambda run: run[1])
 
 
 def fit(
     g: Admg,
     counts,
     opts: FitOptions = FitOptions(),
-    start: np.ndarray | None = None,
     *,
     district_fits: dict | None = None,
 ) -> FitResult:
     """Maximum likelihood fit of the graph's model to a count vector.
 
     ``counts`` holds one nonnegative count per joint state in canonical
-    order.  ``start`` overrides the independence starting point when
-    it is feasible for the counts; extra random restarts are controlled
-    by ``opts.starts`` and keep the best likelihood found.
+    order.  Each district is fitted on its local counts from its
+    independence start (see :func:`initialize`) and from
+    ``opts.starts - 1`` jittered restarts, keeping its best term of the
+    likelihood.
 
     ``district_fits`` is a dict that fits with the same counts and
     options share, as the candidate fits of one structure search do.
@@ -399,38 +398,32 @@ def fit(
     ``(q_d, loglik, cycles, converged, kkt)``.  A district whose maps
     are in it is copied instead of fitted: its term of the likelihood
     depends only on its structure and its marginal counts.  A
-    successful fit adds the districts its best start fitted; a failed
-    one adds nothing.
+    successful fit adds the districts it fitted; a failed one adds
+    nothing.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
     par = parametrization(g)
-    rng = np.random.default_rng(opts.seed)
-
-    starts: list[np.ndarray] = []
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if len(start) != len(par.table):
-            raise FitError("start vector has wrong length")
-        if par.prob(start)[counts > 0].min() > 0:
-            starts.append(start)
-    if not starts:
-        starts.append(initialize(g, counts))
-    q_base = starts[0]
-    for _ in range(opts.starts - 1):
-        starts.append(_jitter_start(g, q_base, rng))
-
-    # the first start with the highest log-likelihood wins
     fitted = {} if district_fits is None else district_fits
-    runs = [_fit_from(par, q0, counts, opts, fitted) for q0 in starts]
-    q, ll, cycles, converged, kkt, new = max(runs, key=lambda run: run[1])
+    new: dict = {}
+    q = np.empty(len(par.table))
+    ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
+    for dm, sl in zip(par.maps, par.slices):
+        done = fitted.get(dm)
+        if done is None:
+            done = new[dm] = _fit_district_starts(dm, dm.marginal(counts), opts)
+        q[sl], ll, cycles, converged, kkt = done
+        ll_total += ll
+        cycles_max = max(cycles_max, cycles)
+        all_converged = all_converged and converged
+        kkt_max = max(kkt_max, kkt)
     if district_fits is not None:
-        district_fits.update((dm, (q_d.copy(), *rest)) for dm, (q_d, *rest) in new.items())
+        district_fits.update(new)
     return FitResult(
         graph=g,
         q=q,
-        loglik=ll,
-        cycles=cycles,
-        converged=converged,
+        loglik=ll_total,
+        cycles=cycles_max,
+        converged=all_converged,
         n=float(counts.sum()),
-        kkt=kkt,
+        kkt=kkt_max,
     )

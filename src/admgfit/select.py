@@ -2,11 +2,11 @@
 
 Neighbors of a graph are all graphs reachable by adding or removing a
 single edge (directed or bidirected) while staying acyclic.  Each step
-fits every neighbor exactly as :func:`fit` fits it alone, from the
-independence start, and moves to the neighbor with the lowest
-criterion; the search stops when no neighbor improves it.  Criterion
-values within an absolute tolerance are treated as tied and broken
-deterministically, so a search is reproducible run to run.
+fits every neighbor exactly as :func:`fit` fits it alone, each
+district from its own starts and restarts, and moves to the neighbor
+with the lowest criterion; the search stops when no neighbor improves
+it.  Criterion values within an absolute tolerance are treated as tied
+and broken deterministically, so a search is reproducible run to run.
 
 The likelihood splits over districts, and a district's matrices and
 its maximized term depend only on its own structure and, for the term,
@@ -135,9 +135,10 @@ def stepwise(
     criterion of the accepted sequence is strictly decreasing.  A
     district already fitted in this search, under any graph, is copied
     into a candidate's fit instead of fitted again (see :func:`fit`).
-    Every fit starts from the independence start, so a candidate's fit
-    equals ``fit(g, counts, opts)`` of its graph, whichever candidates
-    the search fitted before it.
+    A district's fit, restarts included, depends only on its structure,
+    its marginal counts and ``opts``, so a candidate's fit equals
+    ``fit(g, counts, opts)`` of its graph, whichever candidates the
+    search fitted before it.
 
     When ``opts`` is not given, fits use a tighter tolerance than the
     plain fitting default: tie detection compares criteria at 1e-6, so

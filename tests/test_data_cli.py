@@ -250,6 +250,11 @@ def test_simulate_rejects_bad_inputs():
     q = random_interior_q(g, np.random.default_rng(0))
     with pytest.raises(ValueError, match="n must be positive"):
         simulate(g, q, 0)
+    # a fractional or boolean n used to fail in numpy with a TypeError
+    for bad in (2.5, True, "10", None, 10.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            simulate(g, q, bad)
+    assert simulate(g, q, np.int64(10)).counts.sum() == 10
     bad = np.full(7, 0.9)
     assert prob_vector(g, bad).min() < -1e-9
     with pytest.raises(ValueError, match="outside the model"):

@@ -17,7 +17,9 @@ from admgfit.fitting import (
 )
 from admgfit.graph import Admg, format_graph
 from admgfit.inference import report
-from admgfit.moebius import enumerate_params, prob_vector, q_from_p
+from admgfit.moebius import (
+    Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
+)
 
 from util import (
     dag_loglik_closed_form,
@@ -167,21 +169,43 @@ def test_restarts_are_reproducible_and_never_worse():
     assert multi1.loglik >= plain.loglik - 1e-9
 
 
-def test_warm_start_paths():
+def test_restarts_run_district_by_district(monkeypatch):
+    """A fit with restarts builds no whole-graph start and forms no
+    joint table: each district starts and restarts on its local
+    counts."""
+
+    def refuse(*args):
+        raise AssertionError("the fit worked on the whole graph")
+
     rng = np.random.default_rng(19)
-    g = graph_two()
-    counts = random_counts(rng, 3)
-    with pytest.raises(FitError, match="wrong length"):
-        fit(g, counts, start=np.full(3, 0.5))
-    res = fit(g, counts)
-    warm = fit(g, counts, start=res.q)
-    assert warm.loglik >= res.loglik - 1e-9
-    assert warm.cycles <= res.cycles
-    # an infeasible start is quietly replaced by the independence point
-    bad = np.full(len(res.q), 0.9)
-    if prob_vector(g, bad).min() <= 0:
-        recovered = fit(g, counts, start=bad)
-        assert abs(recovered.loglik - res.loglik) < 1e-6
+    g = graph_one()
+    counts = random_counts(rng, 4)
+    with monkeypatch.context() as m:
+        m.setattr(Parametrization, "prob", refuse)
+        m.setattr(fitting, "initialize", refuse)
+        res = fit(g, counts, FitOptions(starts=3, seed=2))
+    assert res.converged
+    assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
+
+
+def test_restarts_never_lower_a_district_term():
+    """Every district keeps its best start, and its first start is the
+    one a single-start fit takes, so with restarts no district's term
+    of the likelihood is lower than with one start."""
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 6:
+        g = random_admg(rng, n_min=3, n_max=6, p_dir=0.3, p_bi=0.4)
+        if len(g.districts()) < 2:
+            continue
+        counts = random_counts(rng, len(g.vertices))
+        one, four = {}, {}
+        fit(g, counts, FitOptions(seed=5), district_fits=one)
+        fit(g, counts, FitOptions(starts=4, seed=5), district_fits=four)
+        assert one.keys() == four.keys() == set(parametrization(g).maps)
+        for dm, (_, ll, *_) in one.items():
+            assert four[dm][1] >= ll
+        checked += 1
 
 
 def test_tight_cycle_budget_reports_nonconvergence():
@@ -243,6 +267,11 @@ def test_fit_options_are_validated(tmp_path, capsys):
     ):
         with pytest.raises(ValueError):
             FitOptions(**bad)
+    # tol=True used to pass as 1.0, and a string failed in numpy
+    for bad in (True, "1e-8", None, 1j):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            FitOptions(tol=bad)
+    assert FitOptions(tol=np.float32(1e-6)).tol > 0
     # a count that is not an integer used to pass here and fail in fit
     # with a TypeError
     for bad in ({"max_cycles": 1.5}, {"starts": 2.5}, {"max_cycles": True},

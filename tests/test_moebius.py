@@ -436,9 +436,9 @@ def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
     real_fit = select.fit
     fitted = []
 
-    def recording_fit(g, counts, opts, start=None, **kw):
+    def recording_fit(g, counts, opts, **kw):
         fitted.append(g)
-        return real_fit(g, counts, opts, start=start, **kw)
+        return real_fit(g, counts, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
     rng = np.random.default_rng(37)
@@ -477,9 +477,9 @@ def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
     real_fit = select.fit
     fitted = []
 
-    def recording_fit(g, counts, opts, start=None, **kw):
+    def recording_fit(g, counts, opts, **kw):
         fitted.append(g)
-        return real_fit(g, counts, opts, start=start, **kw)
+        return real_fit(g, counts, opts, **kw)
 
     g1 = graph_one()
     counts = counts_for(g1, simulate(g1, strong_params_graph_one(), 20000, seed=3))
@@ -587,9 +587,9 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     graphs = {}
     real_fit = select.fit
 
-    def recording_fit(g, counts, opts, start=None, **kw):
+    def recording_fit(g, counts, opts, **kw):
         graphs.setdefault((g.vertices, g._dir, g._bi), g)
-        return real_fit(g, counts, opts, start=start, **kw)
+        return real_fit(g, counts, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
     for counts, start, criterion in golden_search_inputs() + criterion_11_search_inputs():

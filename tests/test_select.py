@@ -157,10 +157,10 @@ def test_failing_candidates_are_skipped_with_a_warning(monkeypatch):
     bad = Admg(["1", "2", "3"], directed=[("1", "2")])
     real_fit = select.fit
 
-    def flaky(g, counts_, opts=FitOptions(), start=None, **kw):
+    def flaky(g, counts_, opts=FitOptions(), **kw):
         if g == bad:
             raise FitError("synthetic failure")
-        return real_fit(g, counts_, opts, start=start, **kw)
+        return real_fit(g, counts_, opts, **kw)
 
     monkeypatch.setattr(select, "fit", flaky)
     with pytest.warns(UserWarning, match="skipping candidate"):
@@ -176,9 +176,9 @@ def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
     calls = []
     real_fit = select.fit
 
-    def counting(g, counts_, opts=FitOptions(), start=None, **kw):
+    def counting(g, counts_, opts=FitOptions(), **kw):
         calls.append(g)
-        return real_fit(g, counts_, opts, start=start, **kw)
+        return real_fit(g, counts_, opts, **kw)
 
     monkeypatch.setattr(select, "fit", counting)
     counts = np.arange(8.0)
@@ -195,7 +195,7 @@ def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
 
 
 def test_unfittable_start_raises(monkeypatch):
-    def broken(g, counts_, opts=FitOptions(), start=None, **kw):
+    def broken(g, counts_, opts=FitOptions(), **kw):
         raise FitError("synthetic failure")
 
     monkeypatch.setattr(select, "fit", broken)
@@ -269,9 +269,9 @@ def test_a_search_fits_each_district_structure_once(monkeypatch):
     fitted = []
     real_fit = select.fit
 
-    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+    def recording_fit(g, counts_, opts=FitOptions(), **kw):
         fitted.append(g)
-        return real_fit(g, counts_, opts, start=start, **kw)
+        return real_fit(g, counts_, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
     for start, parametrized in starts:
@@ -303,13 +303,13 @@ def test_a_failed_candidate_leaves_no_district_fit(monkeypatch):
     seen = {}
     real_fit, real_district = select.fit, fitting._fit_district
 
-    def watching_fit(g, counts_, opts=FitOptions(), start=None, **kw):
+    def watching_fit(g, counts_, opts=FitOptions(), **kw):
         seen["graph"] = g
         if g != bad:
-            return real_fit(g, counts_, opts, start=start, **kw)
+            return real_fit(g, counts_, opts, **kw)
         seen["before"] = dict(kw["district_fits"])
         try:
-            return real_fit(g, counts_, opts, start=start, **kw)
+            return real_fit(g, counts_, opts, **kw)
         finally:
             seen["after"] = dict(kw["district_fits"])
 
@@ -340,8 +340,8 @@ def test_reused_districts_report_the_fit_that_produced_them(monkeypatch):
     results, tables = [], []
     real_fit = select.fit
 
-    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
-        res = real_fit(g, counts_, opts, start=start, **kw)
+    def recording_fit(g, counts_, opts=FitOptions(), **kw):
+        res = real_fit(g, counts_, opts, **kw)
         results.append(res)
         tables.append(kw["district_fits"])
         return res
@@ -364,22 +364,28 @@ def test_reused_districts_report_the_fit_that_produced_them(monkeypatch):
 
 
 def test_search_candidates_are_plain_fits(monkeypatch):
-    """Every candidate fit of the golden and criterion-11 searches, and
-    every entry of each search's shared district dict, equals bitwise a
-    plain ``fit`` of the candidate's graph, rebuilt so that it shares
-    no maps with the search."""
+    """Every candidate fit of the golden and criterion-11 searches and
+    of a search with seeded restarts, and every entry of each search's
+    shared district dict, equals bitwise a plain ``fit`` of the
+    candidate's graph, rebuilt so that it shares no maps with the
+    search."""
     fits = []
     real_fit = select.fit
 
-    def recording_fit(g, counts_, opts=FitOptions(), start=None, **kw):
-        res = real_fit(g, counts_, opts, start=start, **kw)
+    def recording_fit(g, counts_, opts=FitOptions(), **kw):
+        res = real_fit(g, counts_, opts, **kw)
         fits.append((res, counts_, opts, kw["district_fits"]))
         return res
 
     monkeypatch.setattr(select, "fit", recording_fit)
-    searches = golden_search_inputs() + criterion_11_search_inputs()
-    for counts, start, criterion in searches:
-        stepwise(counts, start, criterion=criterion)
+    searches = [(*search, {}) for search in golden_search_inputs() + criterion_11_search_inputs()]
+    # restarts are drawn per district, so candidates fitted with seeded
+    # restarts are plain fits too
+    restarts = FitOptions(tol=1e-10, starts=3, seed=4)
+    searches.append((pair_counts(500), Admg(["1", "2", "3"]), "bic", {"opts": restarts}))
+    searches.append((*golden_search_inputs()[0], {"opts": restarts, "max_steps": 1}))
+    for counts, start, criterion, kw in searches:
+        stepwise(counts, start, criterion=criterion, **kw)
     monkeypatch.undo()
 
     entries = set()
