@@ -3,15 +3,19 @@
 A dataset is a table of 0/1 rows over named variables with a
 multiplicity per row.  On disk it is a CSV file with a header of
 variable names and an optional trailing ``count`` column; rows without
-one count once.  The reader parses a block of lines at a time with
-array operations on its bytes, and rows are aggregated through one
-integer code each.
+one count once.  A field is an optional sign and ASCII digits within
+int64, padded by any whitespace.  numpy's C reader, ``np.loadtxt``,
+reads the data rows of an ASCII file; a line by line reader reads any
+other file and names the first bad line of a refused one.  Rows are
+aggregated through one integer code each.
 """
 
 from __future__ import annotations
 
 import csv
 import numbers
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -110,79 +114,67 @@ def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray) -> 
     return Dataset(tuple(names), states[first[order]].astype(np.int8), totals)
 
 
-# bytes that pad a field: the ASCII whitespace that str.strip removes
-_PAD = np.zeros(256, dtype=bool)
-_PAD[list(b" \t\r\f\v\x1c\x1d\x1e\x1f")] = True
-_NL, _COMMA, _PLUS, _MINUS, _ZERO, _NINE = b"\n,+-09"
-# a field with more digits could overflow int64
-_MAX_DIGITS = 18
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
-# characters parsed at a time; bounds the parser's working arrays
-_CHUNK = 1 << 16
+# a field freed of its padding by str.strip is an integer when it
+# matches and lies within int64
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+# what a blank line of an ASCII file is made of
+_BLANK = "".join(filter(str.isspace, map(chr, range(128)))) + ","
 
 
-def _parse_lines(body: str, width: int):
-    """Parse every line of ``body`` as ``width`` comma separated integers.
+def _read_lines(path, lines, width: int, has_count: bool) -> np.ndarray:
+    """The data rows of ``lines``, the lines after the header, read one
+    line at a time.  Raises ``ValueError`` naming the first bad line,
+    the header being line 1, and the first reason that holds for it."""
+    rows = []
+    for lineno, line in enumerate(lines, 2):
+        fields = [f.strip() for f in line.split(",")]
+        if not any(fields):
+            continue
+        if len(fields) != width:
+            reason = f"expected {width} fields"
+        elif not all(_INTEGER.fullmatch(f) and _INT64.min <= int(f) <= _INT64.max
+                     for f in fields):
+            reason = "non-integer value"
+        elif has_count and int(fields[-1]) < 0:
+            reason = "negative count"
+        elif any(int(f) not in (0, 1) for f in fields[:width - has_count]):
+            reason = "values must be 0 or 1"
+        else:
+            rows.append([int(f) for f in fields])
+            continue
+        raise ValueError(f"{path}:{lineno}: {reason}")
+    return np.array(rows, dtype=np.int64).reshape(-1, width)
 
-    A line that holds nothing but padding and commas is blank.  A field
-    is an integer when it is an optional sign and 1 to 18 digits,
-    padded on either side.  Returns (error, kept, values): ``error`` is
-    1 per line with the wrong number of fields, else 2 when a field is
-    not an integer, else 0; ``kept`` marks the lines that are neither
-    blank nor in error, and ``values`` holds their fields, one row per
-    kept line."""
-    a = np.frombuffer((body + "\n").encode("utf-8"), dtype=np.uint8)
-    pad = _PAD[a]
-    is_sep = (a == _COMMA) | (a == _NL)
-    ends = np.flatnonzero(is_sep)
-    # a run of padding between two non-separator bytes splits a field
-    pad_pos = np.flatnonzero(pad)
-    first = pad_pos[np.diff(pad_pos, prepend=-2) > 1]
-    last = pad_pos[np.diff(pad_pos, append=len(a) + 1) > 1]
-    inner = first[(first > 0) & ~is_sep[first - 1] & ~is_sep[last + 1]]
-    split = np.zeros(len(ends), dtype=bool)
-    split[np.searchsorted(ends, inner)] = True
 
-    # drop the padding: field i is then b[starts[i]:ends[i]]
-    b = a[~pad]
-    ends -= np.searchsorted(pad_pos, ends)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    length = ends - starts
-    # line k holds fields line_start[k] up to the k-th newline
-    line_end = np.flatnonzero(b[ends] == _NL)
-    line_start = np.concatenate(([0], line_end[:-1] + 1))
-
-    # bytes other than digits and separators: only a leading sign is allowed
-    odd = np.flatnonzero(((b < _ZERO) | (b > _NINE)) & (b != _COMMA) & (b != _NL))
-    odd_field = np.searchsorted(ends, odd)
-    sign = (odd == starts[odd_field]) & ((b[odd] == _PLUS) | (b[odd] == _MINUS))
-    n_odd = np.bincount(odd_field, minlength=len(ends))
-    n_sign = np.bincount(odd_field[sign], minlength=len(ends))
-    ndig = length - n_odd
-    valid = ~split & (n_odd == n_sign) & (ndig >= 1) & (ndig <= _MAX_DIGITS)
-
-    value = np.zeros(len(ends), dtype=np.int64)
-    for place in range(min(int(length.max()), _MAX_DIGITS)):
-        digit = b[ends - 1 - place] - _ZERO
-        value += np.where(ndig > place, digit, 0) * _POW10[place]
-    value[odd_field[sign & (b[odd] == _MINUS)]] *= -1
-
-    error = np.where(line_end - line_start + 1 != width, 1, 0)
-    non_integer = np.logical_or.reduceat(~valid, line_start)
-    error[(error == 0) & non_integer] = 2
-    blank = ~np.logical_or.reduceat(length > 0, line_start)
-    error[blank] = 0
-    kept = ~blank & (error == 0)
-    keep_field = np.repeat(kept, line_end - line_start + 1)
-    return error, kept, value[keep_field].reshape(-1, width)
+def _loadtxt(source, width: int, has_count: bool, **kw) -> np.ndarray | None:
+    """The data rows as numpy's C reader reads them, or None when it
+    refuses them or they hold a state other than 0/1 or a negative
+    count."""
+    try:
+        with warnings.catch_warnings():
+            # a file without data rows is valid
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(source, delimiter=",", dtype=np.int64, comments=None,
+                                ndmin=2, **kw)
+    except (ValueError, OSError):  # OSError: numpy opens "*.gz" and the like as archives
+        return None
+    if not values.size:
+        return values.reshape(0, width)
+    k = width - has_count
+    if values.shape[1] != width or (values[:, :k] & ~1).any() or (values[:, k:] < 0).any():
+        return None
+    return values
 
 
 def load_data(path) -> Dataset:
     """Read a CSV of 0/1 columns with an optional ``count`` column.
 
-    Blank lines, and lines of empty fields, are skipped; fields may be
-    padded with whitespace.  Errors name the file and the line, the
-    header being line 1."""
+    Lines of nothing but whitespace and commas are skipped.  Errors
+    name the file and its first bad line, the header being line 1,
+    with the first reason that holds: the wrong number of fields, a
+    non-integer value, a negative count, a state other than 0/1.
+    Counts that sum past 2**63 - 1 are refused too."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if not text:
@@ -195,30 +187,26 @@ def load_data(path) -> Dataset:
         raise ValueError(f"{path}: no variable columns")
     if len(set(names)) != len(names):
         raise ValueError(f"{path}: duplicate column names")
-    why = (f"expected {len(header)} fields", "non-integer value", "negative count",
-           "values must be 0 or 1")
-    k = len(names)
-    states, counts = [], []
-    lineno = 2  # of the chunk's first line
-    while True:
-        # whole lines of about _CHUNK characters at a time
-        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        error, kept, values = _parse_lines(text[start:stop], len(header))
-        line_counts = values[:, k] if has_count else np.ones(len(values), dtype=np.int64)
-        line_states = values[:, :k]
-        error[kept] = np.where(line_counts < 0, 3,
-                               np.where((line_states & ~1).any(axis=1), 4, 0))
-        bad = np.flatnonzero(error)
-        if bad.size:
-            raise ValueError(f"{path}:{lineno + bad[0]}: {why[error[bad[0]] - 1]}")
-        states.append(line_states.astype(np.int8))
-        counts.append(line_counts)
-        if stop == len(text):
-            break
-        # the chunk ends with a newline, so its last parsed line is empty
-        lineno += len(error) - 1
-        start = stop
-    return _aggregate(names, np.concatenate(states), np.concatenate(counts))
+    width, k = len(header), len(names)
+    body = text[start:]
+    values = None
+    # numpy's reader is given ASCII only: numpy 2.4.6 reads some other
+    # characters as digits ("\u0968" as 2360) and crashes on others
+    if body.isascii():
+        # numpy refuses blank lines other than empty ones, so a file with
+        # a line that starts with a comma goes straight to the second try
+        if not body.startswith(",") and "\n," not in body:
+            values = _loadtxt(path, width, has_count, skiprows=1, encoding="utf-8")
+        if values is None:
+            kept = [line for line in body.split("\n") if line.strip(_BLANK)]
+            values = _loadtxt(kept, width, has_count)
+    if values is None:
+        values = _read_lines(path, body.split("\n"), width, has_count)
+    counts = values[:, k] if has_count else np.ones(len(values), dtype=np.int64)
+    # the counts are summed in int64 from here on, which would wrap
+    if counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:
+        raise ValueError(f"{path}: counts sum past 2**63 - 1")
+    return _aggregate(names, values[:, :k].astype(np.int8), counts)
 
 
 def save_data(ds: Dataset, path) -> None:

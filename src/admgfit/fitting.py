@@ -170,6 +170,8 @@ def loglik(g: Admg, q: np.ndarray, counts) -> float:
     """Multinomial log-likelihood sum(counts * log p(q)) over observed cells."""
     counts = np.asarray(counts, dtype=float)
     p = prob_vector(g, q)
+    if counts.shape != p.shape:
+        raise ValueError(f"expected {len(p)} counts, got shape {counts.shape}")
     pos = counts > 0
     if p[pos].min() <= 0:
         return -np.inf
@@ -223,6 +225,7 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
     contains ``v``.  Rows follow the canonical state order.
     """
     par = parametrization(g)
+    q = par.param_vector(q)
     pos = g._resolve(v)
     other = np.ones((2,) * len(g.vertices))
     target, target_sl = par.district_of(pos)
@@ -264,7 +267,7 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     par = parametrization(g)
     pos = g._resolve(v)
     dm, sl = par.district_of(pos)
-    q = np.asarray(q, dtype=float).copy()
+    q = par.param_vector(q).copy()
     counts_d = dm.marginal(counts)
     _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts)
     return q

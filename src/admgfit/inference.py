@@ -143,9 +143,15 @@ def deviance(result: FitResult, counts) -> tuple[float, int, float]:
 
     Returns ``(deviance, df, p_value)`` with df the number of cells
     minus one minus the number of parameters.  The p-value is the upper
-    chi-squared tail; NaN when df is not positive.
+    chi-squared tail; NaN when df is not positive.  ``counts`` must be
+    the fit's own: 2^|V| cells that sum to ``result.n``.
     """
     counts = np.asarray(counts, dtype=float)
+    cells = 1 << len(result.graph.vertices)
+    if counts.shape != (cells,):
+        raise ValueError(f"expected {cells} counts, got shape {counts.shape}")
+    if abs(counts.sum() - result.n) > 1e-9 * abs(result.n):
+        raise ValueError(f"counts sum to {counts.sum():g}, but the fit has n = {result.n:g}")
     dev = 2.0 * (_saturated_loglik(counts) - result.loglik)
     if -1e-6 < dev < 0:  # roundoff on saturated fits
         dev = 0.0
@@ -223,8 +229,9 @@ class InferenceReport:
 
 
 def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:
-    """Bundle a fit with standard errors and fit statistics."""
-    counts = np.asarray(counts, dtype=float)
+    """Bundle a fit with standard errors and fit statistics; ``counts``
+    must be the fit's own, as :func:`deviance` requires."""
+    dev, df, p = deviance(result, counts)
     g = result.graph
     table = parametrization(g).table
     notes = []
@@ -234,7 +241,6 @@ def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:
             se = standard_errors(g, result.q, result.n)
         except (np.linalg.LinAlgError, ValueError) as exc:
             notes.append(f"standard errors unavailable: {exc}")
-    dev, df, p = deviance(result, counts)
     bic, aic = information_criteria(result)
     if not result.converged:
         notes.append("fit did not converge within the cycle limit")

@@ -562,6 +562,13 @@ class Parametrization:
         position ``pos``."""
         return next((dm, sl) for dm, sl in zip(self.maps, self.slices) if dm.d_mask >> pos & 1)
 
+    def param_vector(self, q) -> np.ndarray:
+        """``q`` as floats, refused unless it holds one value per parameter."""
+        q = np.asarray(q, dtype=float)
+        if len(q) != len(self.table):
+            raise ValueError(f"expected {len(self.table)} parameters, got {len(q)}")
+        return q
+
     def prob(self, q: np.ndarray) -> np.ndarray:
         p = np.ones((2,) * len(self.graph.vertices))
         for dm, sl in zip(self.maps, self.slices):
@@ -583,11 +590,8 @@ def prob_vector(g: Admg, q: np.ndarray) -> np.ndarray:
     Entries sum to one for any parameter vector; they are nonnegative
     exactly when ``q`` lies in the model's parameter space.
     """
-    q = np.asarray(q, dtype=float)
     par = parametrization(g)
-    if len(q) != len(par.table):
-        raise ValueError(f"expected {len(par.table)} parameters, got {len(q)}")
-    return par.prob(q)
+    return par.prob(par.param_vector(q))
 
 
 def prob_direct(g: Admg, q: np.ndarray, state: Sequence[int]) -> float:

@@ -118,10 +118,6 @@ def _tie_key(g: Admg):
     )
 
 
-def _graph_key(g: Admg):
-    return (g.vertices, g._dir, g._bi)
-
-
 def stepwise(
     counts,
     start: Admg,
@@ -185,7 +181,7 @@ def stepwise(
     current_fit = run_fit(start)
     if current_fit is None:
         raise FitError("the starting graph cannot be fitted")
-    cache[_graph_key(start)] = current_fit
+    cache[start] = current_fit
     evaluated = 1
     current = start
     value = _criterion(current_fit, criterion)
@@ -195,14 +191,13 @@ def stepwise(
     for _ in range(max_steps):
         moves = neighbors(current)
         for m in moves:
-            key = _graph_key(m[4])
-            if key not in cache:
-                cache[key] = run_fit(m[4])
+            if m[4] not in cache:
+                cache[m[4]] = run_fit(m[4])
                 evaluated += 1
         scored = [
             (_criterion(res, criterion), m, res)
             for m in moves
-            if (res := cache[_graph_key(m[4])]) is not None
+            if (res := cache[m[4]]) is not None
         ]
         if not scored:
             break

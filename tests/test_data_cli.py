@@ -193,15 +193,11 @@ def _load_rows_reference(path):
     return names, list(agg), list(agg.values())
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 9])
-def test_load_data_agrees_with_row_by_row_reading(tmp_path, monkeypatch, chunk):
-    import admgfit.data
-
-    if chunk is not None:  # parse a few lines at a time, to cross chunk boundaries
-        monkeypatch.setattr(admgfit.data, "_CHUNK", chunk)
+def test_load_data_agrees_with_row_by_row_reading(tmp_path):
     rng = np.random.default_rng(14)
-    tokens = ["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-"]
-    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2])
+    tokens = ["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-",
+              "\xa01", "0" * 18 + "1"]
+    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3])
     path = tmp_path / "fuzz.csv"
     for k in range(400):
         header = ("a,b\n", "a,b,count\n", "a\n")[k % 3]
@@ -218,6 +214,53 @@ def test_load_data_agrees_with_row_by_row_reading(tmp_path, monkeypatch, chunk):
         except ValueError as exc:
             got = str(exc)
         assert got == want, path.read_text()
+
+
+def test_load_data_field_rule(tmp_path):
+    """A field is a sign and ASCII digits within int64, padded by any
+    whitespace."""
+    path = tmp_path / "f.csv"
+    for field, count in [("\xa01\xa0", 1), ("\x851\x85", 1), ("\u30001", 1),
+                         ("0" * 30 + "1", 1), ("9223372036854775807", 9223372036854775807),
+                         ("-0000000000000000000", 0)]:
+        path.write_text(f"a,count\n0,{field}\n")
+        assert load_data(path).counts.tolist() == [count], repr(field)
+    # "\u0968" is a Devanagari digit, which numpy 2.4.6's reader reads as 2360
+    for field in ["１", "٣", "\u0968", "1_0", "0x1", "1e0", "9223372036854775808",
+                  "-9223372036854775809", "1\x001"]:
+        path.write_text(f"a,count\n0,1\n0,{field}\n")
+        with pytest.raises(ValueError, match=r"f\.csv:3: non-integer value$"):
+            load_data(path)
+
+
+def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
+    import admgfit.data
+
+    def refuse(*args):
+        raise AssertionError("line by line reader called")
+
+    monkeypatch.setattr(admgfit.data, "_read_lines", refuse)
+    path = tmp_path / "loose.csv"
+    path.write_text("a,b,count\n\n 1 , 0 , 2\n,,\n  \n0,1,3\r\n\t, ,\x0b\n+1,0,1\n\t0\t,1,0\n")
+    ds = load_data(path)
+    assert [tuple(r) for r in ds.states] == [(1, 0), (0, 1)]
+    assert list(ds.counts) == [3, 3]
+    path.write_text("a,b\n0,1\n \t\n1 ,0\n\x0c\n")
+    assert load_data(path).states.tolist() == [[0, 1], [1, 0]]
+    path.write_text("a,b\n")
+    assert load_data(path).states.shape == (0, 2)
+    path = tmp_path / "plain.csv.gz"  # numpy would open it as a gzip archive
+    path.write_text("a,b\n0,1\n")
+    assert load_data(path).states.tolist() == [[0, 1]]
+
+
+def test_load_data_refuses_counts_that_overflow(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("a,count\n" + "0,900000000000000000\n" * 11)
+    with pytest.raises(ValueError, match=r"big\.csv: counts sum past 2\*\*63 - 1"):
+        load_data(path)
+    path.write_text("a,count\n0,9223372036854775806\n1,1\n")
+    assert load_data(path).n == 9223372036854775807
 
 
 def test_simulate_is_seeded_and_counts_sum_to_n():

@@ -46,6 +46,22 @@ def test_count_vector_validation():
         fit(g, np.zeros(8))
 
 
+def test_arrays_of_the_wrong_length_are_refused():
+    g = graph_two()  # 3 vertices, 7 parameters
+    q = initialize(g, np.ones(8))
+    with pytest.raises(ValueError, match="expected 8 counts"):
+        loglik(g, q, np.ones(3))
+    with pytest.raises(ValueError, match="expected 7 parameters, got 2"):
+        update_vertex(g, q[:2], "1", np.ones(8))
+    with pytest.raises(ValueError, match="expected 7 parameters, got 8"):
+        update_vertex(g, np.append(q, 0.5), "3", np.ones(8))
+    with pytest.raises(ValueError, match="expected 7 parameters, got 2"):
+        vertex_block(g, q[:2], "2")
+    xy = Admg(["x", "y"], directed=[("x", "y")])  # 3 parameters
+    with pytest.raises(ValueError, match="expected 3 parameters, got 2"):
+        update_vertex(xy, [0.5, 0.5], "x", np.ones(4))
+
+
 def test_zero_cells_need_explicit_permission():
     g = graph_two()
     counts = np.array([5.0, 4, 3, 2, 1, 2, 3, 0])

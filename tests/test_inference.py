@@ -142,6 +142,21 @@ def test_deviance_matches_twice_the_loglik_gap():
     assert abs(p - chi2.sf(dev, df)) < 1e-12
 
 
+def test_deviance_and_report_refuse_counts_of_another_fit():
+    g = Admg(["x", "y"], directed=[("x", "y")])
+    counts = np.array([10.0, 20, 30, 40])
+    res = fit(g, counts)
+    for other, message in [(np.ones(8), "expected 4 counts"), ([1, 2], "expected 4 counts"),
+                           (counts * 2, "but the fit has n = 100"),
+                           (counts + [0, 0, 0, 1e-6], "but the fit has n = 100")]:
+        with pytest.raises(ValueError, match=message):
+            deviance(res, other)
+        with pytest.raises(ValueError, match=message):
+            report(res, other)
+    # roundoff in the total is no difference
+    assert deviance(res, counts * (1 + 1e-13))[0] == pytest.approx(deviance(res, counts)[0])
+
+
 def test_information_criteria_formulas():
     rng = np.random.default_rng(48)
     g = graph_two()
