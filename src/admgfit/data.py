@@ -147,17 +147,18 @@ def _read_lines(path, lines, width: int, has_count: bool) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
-def _loadtxt(source, width: int, has_count: bool, **kw) -> np.ndarray | None:
-    """The data rows as numpy's C reader reads them, or None when it
-    refuses them or they hold a state other than 0/1 or a negative
+def _loadtxt(lines, width: int, has_count: bool) -> np.ndarray | None:
+    """The data rows as numpy's C reader reads ``lines``, or None when
+    it refuses them or they hold a state other than 0/1 or a negative
     count."""
     try:
         with warnings.catch_warnings():
-            # a file without data rows is valid
+            # a file without data rows is valid; numpy before 2.0 reads
+            # "1.5" as 1 behind a DeprecationWarning
             warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(source, delimiter=",", dtype=np.int64, comments=None,
-                                ndmin=2, **kw)
-    except (ValueError, OSError):  # OSError: numpy opens "*.gz" and the like as archives
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, DeprecationWarning):
         return None
     if not values.size:
         return values.reshape(0, width)
@@ -189,6 +190,7 @@ def load_data(path) -> Dataset:
         raise ValueError(f"{path}: duplicate column names")
     width, k = len(header), len(names)
     body = text[start:]
+    lines = body.split("\n")
     values = None
     # numpy's reader is given ASCII only: numpy 2.4.6 reads some other
     # characters as digits ("\u0968" as 2360) and crashes on others
@@ -196,12 +198,11 @@ def load_data(path) -> Dataset:
         # numpy refuses blank lines other than empty ones, so a file with
         # a line that starts with a comma goes straight to the second try
         if not body.startswith(",") and "\n," not in body:
-            values = _loadtxt(path, width, has_count, skiprows=1, encoding="utf-8")
+            values = _loadtxt(lines, width, has_count)
         if values is None:
-            kept = [line for line in body.split("\n") if line.strip(_BLANK)]
-            values = _loadtxt(kept, width, has_count)
+            values = _loadtxt([line for line in lines if line.strip(_BLANK)], width, has_count)
     if values is None:
-        values = _read_lines(path, body.split("\n"), width, has_count)
+        values = _read_lines(path, lines, width, has_count)
     counts = values[:, k] if has_count else np.ones(len(values), dtype=np.int64)
     # the counts are summed in int64 from here on, which would wrap
     if counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:

@@ -1,6 +1,8 @@
 """Dataset handling, CSV round trips, simulation, and the command line."""
 
 import json
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -226,8 +228,8 @@ def test_load_data_field_rule(tmp_path):
         path.write_text(f"a,count\n0,{field}\n")
         assert load_data(path).counts.tolist() == [count], repr(field)
     # "\u0968" is a Devanagari digit, which numpy 2.4.6's reader reads as 2360
-    for field in ["１", "٣", "\u0968", "1_0", "0x1", "1e0", "9223372036854775808",
-                  "-9223372036854775809", "1\x001"]:
+    for field in ["１", "٣", "\u0968", "1_0", "0x1", "1e0", "1.5", "0.9",
+                  "9223372036854775808", "-9223372036854775809", "1\x001"]:
         path.write_text(f"a,count\n0,1\n0,{field}\n")
         with pytest.raises(ValueError, match=r"f\.csv:3: non-integer value$"):
             load_data(path)
@@ -249,9 +251,38 @@ def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
     assert load_data(path).states.tolist() == [[0, 1], [1, 0]]
     path.write_text("a,b\n")
     assert load_data(path).states.shape == (0, 2)
-    path = tmp_path / "plain.csv.gz"  # numpy would open it as a gzip archive
+    path = tmp_path / "plain.csv.gz"  # the suffix says nothing of the contents
     path.write_text("a,b\n0,1\n")
     assert load_data(path).states.tolist() == [[0, 1]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_load_data_reads_the_file_once():
+    """A pipe can be read only once."""
+    r, w = os.pipe()
+    try:
+        os.write(w, b"a,count\n0,2\n1,3\n")
+        os.close(w)
+        ds = load_data(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert ds.states.tolist() == [[0], [1]] and ds.counts.tolist() == [2, 3]
+
+
+def test_a_value_read_through_a_float_is_refused(tmp_path, monkeypatch):
+    """numpy before 2.0 reads "1.5" as the int64 1 and warns only."""
+    import admgfit.data
+
+    def float_fallback(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                      DeprecationWarning)
+        return np.array([[0, 1]])
+
+    monkeypatch.setattr(admgfit.data.np, "loadtxt", float_fallback)
+    path = tmp_path / "f.csv"
+    path.write_text("a,count\n0,1.5\n")
+    with pytest.raises(ValueError, match=r"f\.csv:2: non-integer value$"):
+        load_data(path)
 
 
 def test_load_data_refuses_counts_that_overflow(tmp_path):
