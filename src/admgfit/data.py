@@ -17,6 +17,7 @@ import numbers
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -147,6 +148,16 @@ def _read_lines(path, lines, width: int, has_count: bool) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
+def _blocks(text: str, size: int = 1 << 16):
+    """``text.split("\\n")`` in lists of about ``size`` characters, so
+    that the lines of a large file are never all held at once."""
+    start = 0
+    while (end := text.find("\n", start + size)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
+
+
 def _loadtxt(lines, width: int, has_count: bool) -> np.ndarray | None:
     """The data rows as numpy's C reader reads ``lines``, or None when
     it refuses them or they hold a state other than 0/1 or a negative
@@ -190,7 +201,6 @@ def load_data(path) -> Dataset:
         raise ValueError(f"{path}: duplicate column names")
     width, k = len(header), len(names)
     body = text[start:]
-    lines = body.split("\n")
     values = None
     # numpy's reader is given ASCII only: numpy 2.4.6 reads some other
     # characters as digits ("\u0968" as 2360) and crashes on others
@@ -198,11 +208,12 @@ def load_data(path) -> Dataset:
         # numpy refuses blank lines other than empty ones, so a file with
         # a line that starts with a comma goes straight to the second try
         if not body.startswith(",") and "\n," not in body:
-            values = _loadtxt(lines, width, has_count)
+            values = _loadtxt(chain.from_iterable(_blocks(body)), width, has_count)
         if values is None:
-            values = _loadtxt([line for line in lines if line.strip(_BLANK)], width, has_count)
+            kept = ([line for line in block if line.strip(_BLANK)] for block in _blocks(body))
+            values = _loadtxt(chain.from_iterable(kept), width, has_count)
     if values is None:
-        values = _read_lines(path, lines, width, has_count)
+        values = _read_lines(path, chain.from_iterable(_blocks(body)), width, has_count)
     counts = values[:, k] if has_count else np.ones(len(values), dtype=np.int64)
     # the counts are summed in int64 from here on, which would wrap
     if counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:

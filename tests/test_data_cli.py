@@ -256,6 +256,18 @@ def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
     assert load_data(path).states.tolist() == [[0, 1]]
 
 
+def test_load_data_reads_past_the_first_block(tmp_path):
+    """The lines are read a block of about 65,536 characters at a time."""
+    path = tmp_path / "long.csv"
+    rows = "0,1\n1,0\n" * 10000
+    path.write_text("a,b\n" + rows + " , \n")
+    assert load_data(path).counts.tolist() == [10000, 10000]
+    for bad in ["0,2", "\xa00,2"]:  # read by numpy first, by the line reader only
+        path.write_text("a,b\n" + rows + bad + "\n" + rows)
+        with pytest.raises(ValueError, match=r"long\.csv:20002: values must be 0 or 1$"):
+            load_data(path)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_load_data_reads_the_file_once():
     """A pipe can be read only once."""
