@@ -7,8 +7,8 @@ matrices of a graph), ``simulate`` (draw data from a model) and
 ``bench`` (fit timing across growing graph families).
 
 Exit codes: 0 on success, 2 for unusable input (bad graph or data,
-unparsable arguments), 3 for runtime failures (fit divergence,
-singular information).
+unparsable arguments) or for ``info --matrices`` without scipy, 3 for
+runtime failures (fit divergence, singular information).
 """
 
 from __future__ import annotations
@@ -401,7 +401,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError,
+            ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FitError, np.linalg.LinAlgError) as exc:

@@ -23,15 +23,20 @@ all 2^|V| states; it is kept as the reference the block form is
 tested against.  Standard errors invert the information block by
 block, and its condition number comes from the blocks' singular
 values.  ``DistrictMaps.jacobian`` looks up its own term-product kernel.
+
+The deviance test's p-value is the upper chi-squared tail, computed
+here in closed form (:func:`_chi2_sf`; Abramowitz & Stegun 26.4.4-26.4.5)
+so that the package needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ._kernels import get_kernels
 from .fitting import FitResult
@@ -138,13 +143,72 @@ def _saturated_loglik(counts: np.ndarray) -> float:
     return float(counts[pos] @ np.log(counts[pos] / n))
 
 
+def _stirlerr(a: float) -> float:
+    """``log Γ(a+1) - (a+1/2) log a + a - log √(2π)``, the error of
+    Stirling's formula, from its asymptotic series above 15."""
+    if a <= 15:
+        return math.lgamma(a + 1) - (a + 0.5) * math.log(a) + a - 0.5 * math.log(2 * math.pi)
+    s = 1 / (a * a)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - s / 1188) * s) * s) * s) / a
+
+
+def _bd0(a: float, y: float) -> float:
+    """``a log(a/y) + y - a``, from its series in ``(a-y)/(a+y)`` where
+    the two parts would cancel (Loader 2000)."""
+    d = a - y
+    if abs(d) >= 0.1 * (a + y):
+        return a * math.log(a / y) - d
+    v = d / (a + y)
+    s, term, j = d * v, 2 * a * v, 1
+    while True:
+        term *= v * v
+        s_next = s + term / (2 * j + 1)
+        if s_next == s:
+            return s
+        s, j = s_next, j + 1
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail ``P(X > x)`` of a chi-squared variable with ``df > 0``
+    degrees of freedom: ``Q(a, y)`` with ``a = df/2``, ``y = x/2``.
+
+    Both branches scale ``D = y^a e^-y / Γ(a+1)``, formed from
+    ``_bd0`` and ``_stirlerr`` so that it does not cancel for large a.
+    Below the mean (y < a), ``1 - Q`` is the series ``D (1 + y/(a+1) +
+    y²/((a+1)(a+2)) + ...)``.  From the mean up, ``Q`` is the finite sum
+    of Abramowitz & Stegun 26.4.4-26.4.5, taken from its largest term
+    down: ``D (a/y) (1 + (a-1)/y + (a-1)(a-2)/y² + ...)`` over
+    ``floor(a)`` terms, plus ``erfc(√y)`` for odd df.  Either sum is
+    cut at ``√(120a) + 40`` terms, where its terms have fallen below
+    1e-17 of the first.  A tail below the smallest normal double is
+    returned as 0, so it is 0 wherever scipy's underflows to 0."""
+    if math.isnan(x):
+        return math.nan
+    if x <= 0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    a, y = df / 2, x / 2
+    log_d = -_bd0(a, y) - _stirlerr(a) - 0.5 * math.log(2 * math.pi * a)
+    n = int(math.sqrt(120 * a)) + 40
+    if y < a:
+        s = 1 + np.cumprod(y / (a + np.arange(1, n + 1))).sum()
+        return 1 - math.exp(log_d) * s
+    s = 1 + np.cumprod((a - np.arange(1, min(n, df // 2 - 1) + 1)) / y).sum()
+    q = math.exp(log_d + math.log(a / y * s)) if df > 1 else 0.0
+    if df % 2:
+        q += math.erfc(math.sqrt(y))
+    return q if q >= sys.float_info.min else 0.0
+
+
 def deviance(result: FitResult, counts) -> tuple[float, int, float]:
     """Likelihood-ratio statistic against the saturated model.
 
     Returns ``(deviance, df, p_value)`` with df the number of cells
     minus one minus the number of parameters.  The p-value is the upper
-    chi-squared tail; NaN when df is not positive.  ``counts`` must be
-    the fit's own: 2^|V| cells that sum to ``result.n``.
+    chi-squared tail (:func:`_chi2_sf`); NaN when df is not positive or
+    the deviance is NaN.  ``counts`` must be the fit's own: 2^|V| cells
+    that sum to ``result.n``.
     """
     counts = np.asarray(counts, dtype=float)
     cells = 1 << len(result.graph.vertices)
@@ -156,7 +220,7 @@ def deviance(result: FitResult, counts) -> tuple[float, int, float]:
     if -1e-6 < dev < 0:  # roundoff on saturated fits
         dev = 0.0
     df = (1 << len(result.graph.vertices)) - 1 - result.n_params
-    p = float(stats.chi2.sf(dev, df)) if df > 0 else float("nan")
+    p = _chi2_sf(dev, df) if df > 0 else float("nan")
     return float(dev), int(df), p
 
 

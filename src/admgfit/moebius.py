@@ -24,7 +24,8 @@ row pointers and column indices.  Everything downstream (likelihood,
 gradients, the Jacobian of p with respect to q) is a weighted
 ``np.bincount`` over their nonzeros, summing in the order of a CSR
 product; scipy matrices of M and P are built only on request, for
-display and tests.  A joint vector over all 2^|V| states is a
+display and tests, and scipy, an optional dependency, is imported only
+then.  A joint vector over all 2^|V| states is a
 ``(2,)*|V|`` table, one axis per vertex, raveled in C order; a local
 vector is that table's marginal on the scope and broadcasts back.
 Holding one vertex's parameters fixed everywhere else makes the factor
@@ -60,14 +61,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels
 from .graph import Admg, Vertex, _bits
 from .heads import _district_heads, _partition_masks, _subset_masks
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "Param",
@@ -252,6 +255,17 @@ def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
             tuple(g._an[p] & d_mask for p in members), tuple(g._sp[p] for p in members))
 
 
+def _sparse():
+    """``scipy.sparse``, imported on first use: only the display views
+    :attr:`DistrictMaps.M` and :attr:`DistrictMaps.P` need it."""
+    try:
+        from scipy import sparse
+    except ImportError as exc:
+        raise ImportError("the M and P matrices need scipy: "
+                          "pip install 'admgfit[matrices]'") from exc
+    return sparse
+
+
 class DistrictMaps:
     """M and P of one district as index arrays, plus assembly plans.
 
@@ -274,7 +288,8 @@ class DistrictMaps:
     row: ``M_row``, ``M_col`` and ``M_sign``; it has ``n_states`` rows
     and ``n_terms`` columns.  P is held as ``P_indptr`` and
     ``P_indices``, its values all 1.  :attr:`M` and :attr:`P` are scipy
-    CSR matrices of them, built on first read for display and tests.
+    CSR matrices of them, built on first read for display and tests;
+    reading them without scipy installed raises ``ImportError``.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign) one scope vertex at a
@@ -401,18 +416,18 @@ class DistrictMaps:
         }
 
     @cached_property
-    def M(self) -> sparse.csr_matrix:
+    def M(self) -> scipy.sparse.csr_matrix:
         """M as a scipy CSR matrix."""
         indptr = np.zeros(self.n_states + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.M_row, minlength=self.n_states), out=indptr[1:])
-        return sparse.csr_matrix((self.M_sign, self.M_col, indptr),
-                                 shape=(self.n_states, self.n_terms))
+        return _sparse().csr_matrix((self.M_sign, self.M_col, indptr),
+                                    shape=(self.n_states, self.n_terms))
 
     @cached_property
-    def P(self) -> sparse.csr_matrix:
+    def P(self) -> scipy.sparse.csr_matrix:
         """P as a scipy CSR matrix of ones."""
-        return sparse.csr_matrix((np.ones(len(self.P_indices)), self.P_indices, self.P_indptr),
-                                 shape=(self.n_terms, self.n_params))
+        return _sparse().csr_matrix((np.ones(len(self.P_indices)), self.P_indices, self.P_indptr),
+                                    shape=(self.n_terms, self.n_params))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:

@@ -108,8 +108,8 @@ def test_fits_searches_and_reports_build_no_scipy_matrix(monkeypatch):
     for display and for the tracer's map metrics.  No fit, search or
     report reads them, so they cost nothing untraced."""
     import numpy as np
+    import scipy.sparse
 
-    import admgfit.moebius as moebius
     from admgfit import Admg, FitOptions, fit, report, stepwise
 
     from util import graph_one
@@ -117,7 +117,7 @@ def test_fits_searches_and_reports_build_no_scipy_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy matrix was built")
 
-    monkeypatch.setattr(moebius.sparse, "csr_matrix", refuse)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
     counts = np.random.default_rng(71).integers(1, 60, size=16).astype(float)
     g = graph_one()
     res = fit(g, counts, FitOptions(starts=2, seed=3))

@@ -168,8 +168,16 @@ def test_load_data_errors_name_the_line_after_blank_lines(tmp_path):
 def _load_rows_reference(path):
     """The row by row reading ``load_data`` must agree with: (names,
     distinct states in first-seen order, summed counts), or the error
-    message."""
+    message.  A field is read as ``load_data``'s rule says: after
+    ``str.strip``, a sign and ASCII digits within int64."""
     import csv
+    import re
+
+    def field(text):
+        text = text.strip()
+        if not re.fullmatch(r"[+-]?[0-9]+", text) or not -2**63 <= int(text) < 2**63:
+            raise ValueError(text)
+        return int(text)
 
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -182,7 +190,7 @@ def _load_rows_reference(path):
             if len(row) != len(header):
                 return f"{path}:{lineno}: expected {len(header)} fields"
             try:
-                vals = [int(c) for c in row]
+                vals = [field(c) for c in row]
             except ValueError:
                 return f"{path}:{lineno}: non-integer value"
             c = vals.pop() if has_count else 1
@@ -198,8 +206,9 @@ def _load_rows_reference(path):
 def test_load_data_agrees_with_row_by_row_reading(tmp_path):
     rng = np.random.default_rng(14)
     tokens = ["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-",
-              "\xa01", "0" * 18 + "1"]
-    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3])
+              "\xa01", "0" * 18 + "1", "1_0", "１", "٣", "\x1c0"]
+    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3,
+                        0.2, 0.2, 0.2, 0.3])
     path = tmp_path / "fuzz.csv"
     for k in range(400):
         header = ("a,b\n", "a,b,count\n", "a\n")[k % 3]

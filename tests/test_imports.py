@@ -1,7 +1,10 @@
 """Import hygiene: every imported name in the package, the tests and the
-benchmark scripts is used."""
+benchmark scripts is used, and the package runs on numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -122,3 +125,57 @@ def test_private_names_are_referenced():
     paths = sorted((ROOT / "src" / "admgfit").glob("*.py"))
     assert sum(1 for p in paths for _ in _private_definitions(ast.parse(p.read_text()))) > 50
     assert unreferenced_private_names(paths) == []
+
+
+def _python(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports the package and
+    the test helpers from this checkout."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_importing_the_package_loads_no_scipy(tmp_path):
+    out = _python("import sys, admgfit\n"
+                  "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])", tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
+BLOCKED_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+
+import contextlib, io
+import numpy as np
+from admgfit import (Admg, counts_for, fit, format_graph, load_data, report,
+                     save_data, simulate, stepwise)
+from admgfit.cli import main
+from util import graph_one, strong_params_graph_one
+
+g = graph_one()
+save_data(simulate(g, strong_params_graph_one(), 2000, seed=1), "data.csv")
+with open("graph.txt", "w") as fh:
+    fh.write(format_graph(g))
+counts = counts_for(g, load_data("data.csv"))
+rep = report(fit(g, counts), counts, with_se=True)
+assert rep.df > 0 and 0 < rep.p_value < 1 and rep.std_errors is not None
+search = stepwise(counts, Admg(list(g.vertices)))
+assert search.evaluated > 1
+for argv in (["fit", "graph.txt", "data.csv"], ["select", "data.csv"], ["info", "graph.txt"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    assert main(["info", "graph.txt", "--matrices"]) == 2
+print(err.getvalue(), end="")
+"""
+
+
+def test_fits_searches_reports_and_the_cli_run_with_scipy_blocked(tmp_path):
+    """Only ``info --matrices`` needs scipy; without it, it exits 2 and
+    names the extra that installs it."""
+    out = _python(BLOCKED_SCIPY_RUN, tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert "pip install 'admgfit[matrices]'" in out.stdout

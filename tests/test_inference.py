@@ -142,6 +142,66 @@ def test_deviance_matches_twice_the_loglik_gap():
     assert abs(p - chi2.sf(dev, df)) < 1e-12
 
 
+def test_chi2_tail_matches_scipy_on_a_grid():
+    """The closed-form tail against ``scipy.stats.chi2.sf`` over df 1-59
+    and four large df, from 0.01 df to 3 df and at df + k sqrt(2 df).
+    Below 1e-300 both are in the subnormal range, where only smallness
+    is compared."""
+    from scipy.stats import chi2
+
+    rtol = 1e-10
+    for df in [*range(1, 60), 101, 1000, 16344, 65000, 2**20]:
+        xs = np.concatenate([np.linspace(0.01 * df, 3 * df, 100),
+                             df + np.arange(-3, 7) * np.sqrt(2 * df)])
+        want = chi2.sf(xs, df)
+        got = np.array([inference._chi2_sf(float(x), df) for x in xs])
+        normal = want >= 1e-300
+        np.testing.assert_allclose(got[normal], want[normal], rtol=rtol, atol=0,
+                                   err_msg=f"df={df}")
+        assert (got[~normal] <= 1e-300).all(), df
+        assert (got[want == 0] == 0).all(), df
+
+
+def test_chi2_tail_edge_cases():
+    from scipy.stats import chi2
+
+    sf = inference._chi2_sf
+    for df in (1, 2, 7, 16344):
+        assert sf(0.0, df) == 1.0
+        assert sf(np.inf, df) == 0.0
+        assert np.isnan(sf(np.nan, df))
+    # the deep tail: tiny normal values agree, and it underflows to 0
+    # where scipy's does
+    for df, x in [(1, 1370.0), (3, 1380.0), (1000, 3600.0), (16344, 24000.0),
+                  (65000, 79000.0), (2**20, 1.1e6)]:
+        assert 0 < chi2.sf(x, df) < 1e-266
+        assert sf(x, df) == pytest.approx(chi2.sf(x, df), rel=1e-10, abs=0)
+    for df, x in [(1, 1500.0), (3, 1e5), (1000, 3900.0), (16344, 24300.0), (2**20, 3.0 * 2**20)]:
+        assert chi2.sf(x, df) == 0.0
+        assert sf(x, df) == 0.0
+
+
+def test_deviance_p_value_at_the_ends():
+    """p is 1 at a zero deviance, 0 at an infinite one, NaN for a NaN
+    deviance, and NaN whenever df is not positive."""
+    g = Admg(["x", "y"])
+    counts = np.array([10.0, 20, 30, 40])
+    res = fit(g, counts)
+
+    def at(loglik, graph=g, q=res.q):
+        return deviance(FitResult(graph=graph, q=q, loglik=loglik, cycles=1,
+                                  converged=True, n=res.n), counts)
+
+    assert at(inference._saturated_loglik(counts)) == (0.0, 1, 1.0)
+    assert at(-np.inf) == (np.inf, 1, 0.0)
+    dev, df, p = at(np.nan)
+    assert np.isnan(dev) and df == 1 and np.isnan(p)
+    saturated = Admg(["x", "y"], bidirected=[("x", "y")])
+    for loglik in (res.loglik, -np.inf, np.nan):
+        dev, df, p = at(loglik, saturated, np.full(3, 0.5))
+        assert df == 0 and np.isnan(p)
+
+
 def test_deviance_and_report_refuse_counts_of_another_fit():
     g = Admg(["x", "y"], directed=[("x", "y")])
     counts = np.array([10.0, 20, 30, 40])
