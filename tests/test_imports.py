@@ -148,7 +148,6 @@ import sys
 sys.modules["scipy"] = None
 
 import contextlib, io
-import numpy as np
 from admgfit import (Admg, counts_for, fit, format_graph, load_data, report,
                      save_data, simulate, stepwise)
 from admgfit.cli import main

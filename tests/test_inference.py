@@ -145,8 +145,8 @@ def test_deviance_matches_twice_the_loglik_gap():
 def test_chi2_tail_matches_scipy_on_a_grid():
     """The closed-form tail against ``scipy.stats.chi2.sf`` over df 1-59
     and four large df, from 0.01 df to 3 df and at df + k sqrt(2 df).
-    Below 1e-300 both are in the subnormal range, where only smallness
-    is compared."""
+    Where scipy's value is below 1e-300, only smallness is compared,
+    and the tail must be 0 wherever scipy's is."""
     from scipy.stats import chi2
 
     rtol = 1e-10
