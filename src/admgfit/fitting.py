@@ -8,7 +8,14 @@ per-district terms and each district is fitted to convergence in turn.
 A district's factor depends only on the states of the district and its
 parents, so its term is ``sum n_D(x) log f_D(x)`` over those local
 states x, with n_D the marginal counts, and the district is fitted on
-them.  Within a district, fitting cycles through its vertices in
+them.  A district whose kernel ``p(x_D | x_pa(D))`` the model leaves
+unconstrained, one with ``(2^|D| - 1) 2^|pa(D)|`` parameters
+(``DistrictMaps.saturated``), has its term largest at the empirical
+kernel.  With every local count positive, each of its parameters
+q(H | T = t) is read off the local counts as the share of ``X_H = 0``
+among the counts with ``X_T = t``, and no ascent runs, unless roundoff
+takes a factor of that point to zero.  Every other district is fitted
+by ascent.  Within a district, fitting cycles through its vertices in
 canonical order and maximizes each block with damped Newton ascent
 under the feasibility constraints, backtracking from the unit step.
 Block coordinate ascent converges only linearly, so a district that
@@ -44,7 +51,7 @@ import numpy as np
 
 from ._kernels import _line_search, get_kernels
 from .graph import Admg
-from .moebius import DistrictMaps, parametrization, prob_vector, q_from_p
+from .moebius import DistrictMaps, _head_run, parametrization, prob_vector, q_from_p
 
 __all__ = [
     "FitOptions",
@@ -90,7 +97,9 @@ class FitOptions:
     ``allow_zero_counts`` permits empty cells.  ``starts`` counts the
     starting points of each district, its independence start plus
     jittered restarts drawn with ``seed``, a nonnegative integer or
-    None; every district draws from a generator seeded afresh.
+    None; every district draws from a generator seeded afresh.  A
+    district solved in closed form (see :func:`fit`) ignores
+    ``starts``, ``seed``, ``tol`` and ``max_cycles``.
     """
 
     tol: float = 1e-8
@@ -121,7 +130,10 @@ class FitOptions:
 class FitResult:
     """A fitted model.  ``cycles``, ``converged`` and ``kkt`` summarize
     the districts; a district copied from ``fit``'s ``district_fits``
-    dict contributes the values of the fit that produced it."""
+    dict contributes the values of the fit that produced it.  A
+    district solved in closed form contributes 0 cycles, converged and
+    a certificate of 0, so ``cycles == 0`` means that every district
+    was solved in closed form."""
 
     graph: Admg
     q: np.ndarray
@@ -182,8 +194,9 @@ def initialize(g: Admg, counts) -> np.ndarray:
     """Independence starting point: every q(H | T = t) is the product of
     the observed marginal zero-probabilities of the head members.
     Always feasible, since the implied joint is the product of the
-    (clipped) margins.  It is the start ``fit`` gives each district,
-    read off the district's local counts."""
+    (clipped) margins.  It is the start ``fit`` gives each district
+    that it does not solve in closed form, read off the district's
+    local counts."""
     counts = np.asarray(counts, dtype=float)
     par = parametrization(g)
     q = np.empty(len(par.table))
@@ -363,13 +376,34 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
     return ll, cycles, converged, kkt
 
 
+def _closed_form(dm: DistrictMaps, counts_d) -> np.ndarray:
+    """The parameters of the empirical kernel of a district: every
+    q(H | T = t) is the share of ``X_H = 0`` among the local counts
+    with ``X_T = t``.  Requires every tail assignment to be observed."""
+    table = counts_d.reshape((2,) * len(dm.scope))
+    return np.concatenate([np.divide(*_head_run(table, dm.scope, h_mask, t_mask))
+                           for h_mask, t_mask in dm.heads])
+
+
 def _fit_district_starts(dm: DistrictMaps, counts_d, opts):
     """Fit one district from each of ``opts.starts`` starts: its
     independence start, then jittered copies of it drawn from a
     generator seeded afresh with ``opts.seed``, so the result depends
     only on the district's structure, its local counts and the options.
     Returns (q_d, ll, cycles, converged, kkt) of the first start with
-    the highest district log-likelihood."""
+    the highest district log-likelihood.
+
+    A saturated district with every local count positive is solved in
+    closed form instead, with no cycle and no restart: its term is
+    largest at the empirical kernel, whose parameters are read off the
+    local counts.  Where roundoff takes a factor of that point to zero,
+    as counts that span more decades than a double resolves can, the
+    district is fitted from its starts after all."""
+    if dm.saturated and counts_d.min() > 0:
+        q_d = _closed_form(dm, counts_d)
+        ll = _district_ll(dm, q_d, counts_d)
+        if np.isfinite(ll):
+            return q_d, ll, 0, True, 0.0
     q0 = _district_start(dm, counts_d)
     starts = [q0]
     if opts.starts > 1:
@@ -390,7 +424,10 @@ def fit(
     """Maximum likelihood fit of the graph's model to a count vector.
 
     ``counts`` holds one nonnegative count per joint state in canonical
-    order.  Each district is fitted on its local counts from its
+    order.  A saturated district (``DistrictMaps.saturated``) with
+    every local count positive is solved in closed form: its
+    parameters are the conditional zero-probabilities of its local
+    counts.  Each other district is fitted on its local counts from its
     independence start (see :func:`initialize`) and from
     ``opts.starts - 1`` jittered restarts, keeping its best term of the
     likelihood.

@@ -21,8 +21,8 @@ two agree to roundoff.  :func:`dp_dq` gathers the same local
 Jacobians into the dense Jacobian of the joint probability vector over
 all 2^|V| states; it is kept as the reference the block form is
 tested against.  Standard errors invert the information block by
-block, and its condition number comes from the blocks' singular
-values.  ``DistrictMaps.jacobian`` looks up its own term-product kernel.
+block, and its condition number comes from the blocks' eigenvalues.
+``DistrictMaps.jacobian`` looks up its own term-product kernel.
 
 The deviance test's p-value is the upper chi-squared tail, computed
 here in closed form (:func:`_chi2_sf`; Abramowitz & Stegun 26.4.4-26.4.5)
@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import get_kernels
 from .fitting import FitResult
 from .graph import Admg
-from .moebius import parametrization, prob_vector
+from .moebius import parametrization
 
 __all__ = [
     "dp_dq",
@@ -91,15 +91,15 @@ def fisher_information(g: Admg, q: np.ndarray) -> np.ndarray:
     """Expected information per observation at ``q``; symmetric positive
     semidefinite and block diagonal over districts.  Requires strictly
     positive parameters and a strictly positive implied distribution."""
-    p = prob_vector(g, q)
+    par = parametrization(g)
+    q = par.param_vector(q)
+    _check_positive(q)
+    local = [dm.jacobian(q[sl]) for dm, sl in zip(par.maps, par.slices)]
+    p = par.product([f for f, _ in local])
     if p.min() <= 0:
         raise ValueError("Fisher information requires a strictly positive distribution")
-    q = np.asarray(q, dtype=float)
-    _check_positive(q)
-    par = parametrization(g)
     I = np.zeros((len(q), len(q)))
-    for dm, sl in zip(par.maps, par.slices):
-        f, J = dm.jacobian(q[sl])
+    for dm, sl, (f, J) in zip(par.maps, par.slices, local):
         w = dm.marginal(p) / f
         u = J.T @ w
         I_d = (J * (w / f)[:, None]).T @ J - np.outer(u, u)
@@ -115,11 +115,13 @@ def standard_errors(g: Admg, q: np.ndarray, n: float) -> np.ndarray:
     poorly conditioned.  The information is block diagonal over
     districts, so its singular values, and with them its condition
     number, are those of its blocks taken together, and the diagonal
-    of its inverse is that of the blocks' inverses.
+    of its inverse is that of the blocks' inverses.  The blocks are
+    symmetric, so their singular values are the absolute values of
+    their eigenvalues.
     """
     I = fisher_information(g, q)
     blocks = [I[sl, sl] for sl in parametrization(g).slices]
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    s = np.abs(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
     cond = np.inf if s.min() == 0 else s.max() / s.min()
     if cond > COND_WARN:
         warnings.warn(

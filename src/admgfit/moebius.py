@@ -278,6 +278,11 @@ class DistrictMaps:
     of P are terms; columns are the district's parameters in local
     indexing, the runs of its head record ``heads._district_heads``
     one after another; ``term_of`` is the row of each nonzero of P.
+    ``heads`` is that record, (head mask, tail mask) pairs in parameter
+    order, and ``saturated`` says whether the district has as many
+    parameters as its kernel ``p(x_D | x_pa(D))`` has free cells,
+    ``(2^|D| - 1) 2^|pa(D)|``: the parametrization has full dimension,
+    so then the kernel is unconstrained.
     The maps hold nothing else of the graph: where the district's
     parameters sit in the graph's parameter vector is kept by
     :class:`Parametrization`, so graphs whose district has the same
@@ -320,7 +325,8 @@ class DistrictMaps:
 
         # local offset of each head's parameter run, and the local
         # parameters whose head holds each member
-        head_tail = dict(_district_heads(g, d_mask))
+        self.heads = _district_heads(g, d_mask)
+        head_tail = dict(self.heads)
         local_offset: dict[int, int] = {}
         theta_sets: dict[int, list[int]] = {p: [] for p in members}
         n_params = 0
@@ -375,6 +381,7 @@ class DistrictMaps:
         self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
         self.n_terms = K
         self.n_params = n_params
+        self.saturated = n_params == ((1 << len(members)) - 1) << (L - len(members))
 
         # M: the nonzeros (r, C, sign) with O(r) <= C, sign
         # (-1)^{|C - O(r)|}, C in local counting order; every tail of a
@@ -585,9 +592,14 @@ class Parametrization:
         return q
 
     def prob(self, q: np.ndarray) -> np.ndarray:
+        return self.product([dm.factor(q[sl]) for dm, sl in zip(self.maps, self.slices)])
+
+    def product(self, factors: Sequence[np.ndarray]) -> np.ndarray:
+        """The joint probability vector of the districts' factors over
+        their local states, one factor per district in order."""
         p = np.ones((2,) * len(self.graph.vertices))
-        for dm, sl in zip(self.maps, self.slices):
-            p *= dm.factor(q[sl]).reshape(dm.broadcast_shape)
+        for dm, f in zip(self.maps, factors):
+            p *= f.reshape(dm.broadcast_shape)
         return p.ravel()
 
 
@@ -659,15 +671,23 @@ def q_from_p(g: Admg, p: np.ndarray) -> np.ndarray:
     joint = p.reshape((2,) * n)
     q = np.empty(len(table))
     for h_mask, t_mask, j in table.runs:
-        hpos, tpos = list(_bits(h_mask)), list(_bits(t_mask))
-        keep = sorted(hpos + tpos)
-        marg = joint.sum(axis=tuple(a for a in range(n) if a not in keep))
-        # rows: tail assignments in counting order; columns: head states
-        marg = marg.transpose([keep.index(a) for a in tpos + hpos]).reshape(1 << len(tpos), -1)
-        den = marg.sum(axis=1)
+        zero, den = _head_run(joint, range(n), h_mask, t_mask)
         bad = np.flatnonzero(den <= 0)
         if bad.size:
             name = table.params[j + bad[0]].name
             raise ValueError(f"conditioning event of {name} has mass {den[bad[0]]}")
-        q[j : j + len(den)] = marg[:, 0] / den
+        q[j : j + len(den)] = zero / den
     return q
+
+
+def _head_run(table: np.ndarray, axes: Sequence[int], h_mask: int, t_mask: int):
+    """The mass of ``X_H = 0`` and the mass of each tail assignment of
+    one head, tail assignments in counting order, read off a table of
+    probabilities or counts whose axis k is the canonical position
+    ``axes[k]``; their ratio is the head's run of parameters."""
+    hpos, tpos = list(_bits(h_mask)), list(_bits(t_mask))
+    keep = sorted(hpos + tpos)
+    marg = table.sum(axis=tuple(k for k, a in enumerate(axes) if a not in keep))
+    # rows: tail assignments in counting order; columns: head states
+    marg = marg.transpose([keep.index(a) for a in tpos + hpos]).reshape(1 << len(tpos), -1)
+    return marg[:, 0], marg.sum(axis=1)

@@ -18,7 +18,7 @@ from admgfit.inference import (
     report,
     standard_errors,
 )
-from admgfit.moebius import enumerate_params, prob_vector
+from admgfit.moebius import DistrictMaps, enumerate_params, prob_vector
 
 from util import graph_one, graph_two, random_admg, random_interior_q
 
@@ -271,10 +271,11 @@ def test_report_notes_on_failure_paths():
     assert rep.std_errors is None
 
 
-def test_fisher_information_matches_the_dense_reference():
+def test_fisher_information_matches_the_dense_reference(monkeypatch):
     """The district-block information against (J/p)'J - uu' over all
     joint states from the dense Jacobian; entries between districts are
-    exactly zero and the standard errors agree."""
+    exactly zero and the standard errors agree.  The information takes
+    each district's factor from its Jacobian, evaluating none again."""
     rng = np.random.default_rng(50)
     checked = 0
     while checked < 20:
@@ -288,7 +289,9 @@ def test_fisher_information_matches_the_dense_reference():
         u = J.sum(axis=0)
         ref = (J / p[:, None]).T @ J - np.outer(u, u)
         ref = (ref + ref.T) / 2.0
-        I = fisher_information(g, q)
+        with monkeypatch.context() as m:
+            m.setattr(DistrictMaps, "factor", None)
+            I = fisher_information(g, q)
         # entries reach 1e3 at interior points near the boundary, where
         # summing 2^n rows in another order moves the last digits
         assert np.max(np.abs(I - ref)) <= 1e-12 * max(1.0, np.abs(ref).max())

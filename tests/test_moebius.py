@@ -401,6 +401,8 @@ def test_affine_matches_a_dense_reference():
 
 def _same_maps(shared, fresh, rng):
     assert shared.scope == fresh.scope
+    assert shared.heads == fresh.heads
+    assert shared.saturated == fresh.saturated
     R = fresh.M.shape[0]
     assert np.array_equal(shared.joint(np.arange(R)), fresh.joint(np.arange(R)))
     assert shared.terms == fresh.terms

@@ -245,17 +245,18 @@ def test_golden_transcripts():
     _assert_transcript(stepwise(aic_counts, aic_start, criterion="aic"), GOLDEN_AIC)
 
 
-def _record_district_fits(monkeypatch) -> list:
-    """The maps of every district that ``fit`` fits, one entry per
-    district fit, in call order."""
+def _record_district_fits(monkeypatch, name="_fit_district_starts") -> list:
+    """The maps of every district that reaches ``fitting.<name>``, one
+    entry per call, in call order: by default one per district fit,
+    and with ``_fit_district`` one per start of a block ascent."""
     calls = []
-    real = fitting._fit_district
+    real = getattr(fitting, name)
 
-    def recording(dm, q_d, counts_d, opts):
+    def recording(dm, *args):
         calls.append(dm)
-        return real(dm, q_d, counts_d, opts)
+        return real(dm, *args)
 
-    monkeypatch.setattr(fitting, "_fit_district", recording)
+    monkeypatch.setattr(fitting, name, recording)
     return calls
 
 
@@ -287,19 +288,27 @@ def test_a_search_fits_each_district_structure_once(monkeypatch):
 
 
 def test_new_districts_are_fitted_from_every_start(monkeypatch):
+    """Every new district of a search is fitted once: one that is not
+    saturated runs the block ascent from every start, and a saturated
+    one is solved in closed form, with no ascent."""
     calls = _record_district_fits(monkeypatch)
+    ascents = _record_district_fits(monkeypatch, "_fit_district")
     res = stepwise(pair_counts(500), Admg(["1", "2", "3"]),
                    opts=FitOptions(tol=1e-10, starts=3, seed=4))
-    per_maps = Counter(calls)
+    per_maps = Counter(ascents)
     assert set(per_maps.values()) == {3}
-    assert len(per_maps) == res.districts_fitted == res.maps_built
+    assert set(per_maps) == {dm for dm in calls if not dm.saturated}
+    assert len(set(calls)) == len(calls) == res.districts_fitted == res.maps_built
     assert res.districts_reused > 0
 
 
 def test_a_failed_candidate_leaves_no_district_fit(monkeypatch):
     """A candidate whose second start fails has fitted a new district
-    in its first start; the shared dict is left as it was."""
-    bad = Admg(["1", "2", "3"], directed=[("1", "2")])
+    in its first start; the shared dict is left as it was.  The new
+    district, {1, 2} with parent 3, is not saturated, so it runs the
+    block ascent from both starts."""
+    start = Admg(["1", "2", "3"], directed=[("3", "1")])
+    bad = start.with_edge("1", "2", "<->")
     seen = {}
     real_fit, real_district = select.fit, fitting._fit_district
 
@@ -324,9 +333,10 @@ def test_a_failed_candidate_leaves_no_district_fit(monkeypatch):
     monkeypatch.setattr(select, "fit", watching_fit)
     monkeypatch.setattr(fitting, "_fit_district", failing_second_start)
     with pytest.warns(UserWarning, match="synthetic failure in the second start"):
-        stepwise(pair_counts(500), Admg(["1", "2", "3"]),
+        stepwise(pair_counts(500), start,
                  opts=FitOptions(tol=1e-10, starts=2, seed=0), max_steps=1)
     new_maps = seen["bad_fits"][0]
+    assert not new_maps.saturated
     assert seen["bad_fits"] == [new_maps, new_maps]
     assert new_maps not in seen["after"]
     assert seen["after"].keys() == seen["before"].keys()
