@@ -4,10 +4,14 @@ A dataset is a table of 0/1 rows over named variables with a
 multiplicity per row.  On disk it is a CSV file with a header of
 variable names and an optional trailing ``count`` column; rows without
 one count once.  A field is an optional sign and ASCII digits within
-int64, padded by any whitespace.  numpy's C reader, ``np.loadtxt``,
-reads the data rows of an ASCII file; a line by line reader reads any
-other file and names the first bad line of a refused one.  Rows are
-aggregated through one integer code each.
+int64, padded by any whitespace.  The data rows of a file in the
+layout ``save_data`` writes (one-character 0/1 fields and a count of at
+most 18 digits, split by single commas, no padding) over at most
+``MAX_VERTICES`` columns are read straight from the file's bytes.
+numpy's C reader, ``np.loadtxt``, reads those of any other ASCII file;
+a line by line reader reads the rest and names the first bad line of a
+refused file.  Rows are aggregated through one integer code each, the
+cell code of a row up to ``MAX_VERTICES`` columns.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class Dataset:
         states = np.array(list(rows), dtype=np.int64).reshape(-1, len(names))
         if not np.isin(states, (0, 1)).all():
             raise ValueError("values must be 0 or 1")
-        return _aggregate(names, states, np.ones(len(states), dtype=np.int64))
+        return _aggregate(names, states, None)
 
     def count_vector(self, order: Sequence | None = None) -> np.ndarray:
         """Counts of all 2^k joint states in canonical row order.
@@ -103,9 +107,33 @@ def _row_codes(states: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray) -> Dataset:
+def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | None) -> Dataset:
+    """Dataset of the rows with cell codes ``codes`` (first column most
+    significant, at most ``MAX_VERTICES`` columns): the distinct rows in
+    the order first seen, each with the sum of its rows' ``counts``, or
+    with its number of rows when ``counts`` is None."""
+    k, n = len(names), len(codes)
+    first = np.full(1 << k, n)
+    np.minimum.at(first, codes, np.arange(n))
+    cells = np.flatnonzero(first < n)
+    cells = cells[np.argsort(first[cells])]
+    if counts is None:
+        totals = np.bincount(codes, minlength=1 << k)
+    else:
+        totals = np.zeros(1 << k, dtype=np.int64)
+        np.add.at(totals, codes, counts)
+    bits = np.unpackbits(cells.astype(">u4").view(np.uint8)).reshape(len(cells), 32)
+    return Dataset(tuple(names), bits[:, 32 - k:].astype(np.int8), totals[cells])
+
+
+def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray | None) -> Dataset:
     """Dataset of the distinct 0/1 rows of ``states`` in the order
-    first seen, each with the sum of its rows' ``counts``."""
+    first seen, each with the sum of its rows' ``counts``, or with its
+    number of rows when ``counts`` is None."""
+    if len(names) <= MAX_VERTICES:
+        return _from_codes(names, _row_codes(states), counts)
+    if counts is None:
+        counts = np.ones(len(states), dtype=np.int64)
     _, first, inverse = np.unique(_row_codes(states), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -179,28 +207,68 @@ def _loadtxt(lines, width: int, has_count: bool) -> np.ndarray | None:
     return values
 
 
-def load_data(path) -> Dataset:
-    """Read a CSV of 0/1 columns with an optional ``count`` column.
+def _windows(data: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
+    """The ``width`` bytes of ``data`` from each offset in ``at``, one
+    row each.  Every window is one item of a view of ``data``, so that
+    no index matrix forms."""
+    items = np.ndarray((len(data) - width + 1,), f"V{width}", data, strides=(1,))
+    return items[at].view(np.uint8).reshape(len(at), width)
 
-    Lines of nothing but whitespace and commas are skipped.  Errors
-    name the file and its first bad line, the header being line 1,
-    with the first reason that holds: the wrong number of fields, a
-    non-integer value, a negative count, a state other than 0/1.
-    Counts that sum past 2**63 - 1 are refused too."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text:
-        raise ValueError(f"{path}: empty file")
-    start = text.find("\n") + 1 or len(text)
-    header = [h.strip() for h in next(csv.reader([text[:start].rstrip("\n")]), [])]
-    has_count = bool(header) and header[-1].lower() == "count"
-    names = header[:-1] if has_count else header
-    if not names:
-        raise ValueError(f"{path}: no variable columns")
-    if len(set(names)) != len(names):
-        raise ValueError(f"{path}: duplicate column names")
-    width, k = len(header), len(names)
-    body = text[start:]
+
+def _read_bytes(data: np.ndarray, k: int, has_count: bool):
+    """(cell codes, counts or None) of the data rows in ``data``, the
+    bytes of a whole file, or None when a non-empty line after the
+    header breaks the layout ``save_data`` writes: k fields "0" or "1",
+    then a count of 1 to 18 ASCII digits when ``has_count``, joined by
+    single commas.  The number of numpy calls does not depend on k or
+    on the number of rows."""
+    ends = np.flatnonzero(data == 10)
+    if len(ends) and data[-1] != 10:
+        ends = np.append(ends, len(data))
+    # the first newline ends the header
+    starts, ends = ends[:-1] + 1, ends[1:]
+    full = ends > starts
+    if not full.all():
+        starts, ends = starts[full], ends[full]
+    n = len(starts)
+    if not n:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64) if has_count else None
+    digits = ends - starts - (2 * k - 1 + has_count)
+    if not (((digits >= 1) & (digits <= 18)) if has_count else digits == 0).all():
+        return None
+    # 2k bytes a row: the fields and the comma after each, or with no
+    # count column the newline before the line and the fields after it
+    pairs = _windows(data, 2 * k, starts + (has_count - 1)).reshape(-1)
+    bits, seps = pairs[1 - has_count::2], pairs[has_count::2]
+    # a byte OR 1 is "1" exactly for "0" and "1"; the newlines are the
+    # n separators that are not commas when there is no count column
+    if not (((bits | 1) == ord("1")).all()
+            and np.count_nonzero(seps == ord(",")) == n * (k - 1 + has_count)):
+        return None
+    # each row's bits, right-aligned in a big-endian 1, 2 or 4 byte word
+    size = (1, 2, 4)[(k - 1) // 8]
+    padded = np.zeros((n, 8 * size), dtype=np.uint8)
+    np.bitwise_and(bits.reshape(n, k), 1, out=padded[:, 8 * size - k:])
+    codes = np.packbits(padded).view(f">u{size}").astype(np.intp)
+    if not has_count:
+        return codes, None
+    # each count is read from a window as long as the longest count that
+    # ends with its line; the header keeps the windows inside the file
+    # unless it and the first line are both shorter than that
+    longest = int(digits.max())
+    if ends[0] < longest:
+        return None
+    window = _windows(data, longest, ends - longest) - ord("0")
+    inside = np.arange(longest) >= (longest - digits)[:, None]
+    if ((window > 9) & inside).any():
+        return None
+    return codes, (window * inside) @ 10 ** np.arange(longest - 1, -1, -1, dtype=np.int64)
+
+
+def _read_text(path, body: str, width: int, has_count: bool) -> np.ndarray:
+    """The data rows of ``body``, the text after the header: read by
+    numpy's reader when it is ASCII and numpy takes it, else line by
+    line, which names the first bad line of a refused file."""
     values = None
     # numpy's reader is given ASCII only: numpy 2.4.6 reads some other
     # characters as digits ("\u0968" as 2360) and crashes on others
@@ -214,19 +282,60 @@ def load_data(path) -> Dataset:
             values = _loadtxt(chain.from_iterable(kept), width, has_count)
     if values is None:
         values = _read_lines(path, chain.from_iterable(_blocks(body)), width, has_count)
-    counts = values[:, k] if has_count else np.ones(len(values), dtype=np.int64)
+    return values
+
+
+def load_data(path) -> Dataset:
+    """Read a CSV of 0/1 columns with an optional ``count`` column.
+
+    A file in the layout ``save_data`` writes, over at most
+    ``MAX_VERTICES`` columns, is read from its bytes in a fixed number
+    of numpy passes; any other file by numpy's reader, or line by line.
+    All three give the same Dataset for the same rows.  Lines of nothing
+    but whitespace and commas are skipped.  Errors name the file and its
+    first bad line, the header being line 1, with the first reason that
+    holds: the wrong number of fields, a non-integer value, a negative
+    count, a state other than 0/1.  Counts that sum past 2**63 - 1 are
+    refused too."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    text = raw.decode("utf-8")
+    if "\r" in text:  # the newlines a text-mode read gives
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = text.encode()
+    if not text:
+        raise ValueError(f"{path}: empty file")
+    start = text.find("\n") + 1 or len(text)
+    header = [h.strip() for h in next(csv.reader([text[:start].rstrip("\n")]), [])]
+    del text  # the body is read from raw, and decoded again only if it leaves the layout
+    has_count = bool(header) and header[-1].lower() == "count"
+    names = header[:-1] if has_count else header
+    if not names:
+        raise ValueError(f"{path}: no variable columns")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{path}: duplicate column names")
+    k = len(names)
+    read = _read_bytes(np.frombuffer(raw, np.uint8), k, has_count) if k <= MAX_VERTICES else None
+    if read is None:
+        values = _read_text(path, raw.decode("utf-8")[start:], len(header), has_count)
+        counts = values[:, k] if has_count else None
+    else:
+        codes, counts = read
     # the counts are summed in int64 from here on, which would wrap
-    if counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:
+    if has_count and counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:
         raise ValueError(f"{path}: counts sum past 2**63 - 1")
-    return _aggregate(names, values[:, :k].astype(np.int8), counts)
+    if read is None:
+        return _aggregate(names, values[:, :k].astype(np.int8), counts)
+    return _from_codes(names, codes, counts)
 
 
 def save_data(ds: Dataset, path) -> None:
+    """Write ``ds`` as CSV: a header of the names and ``count``, then
+    one line per distinct state, with ``\\r\\n`` line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ds.names) + ["count"])
-        for row, c in zip(ds.states, ds.counts):
-            writer.writerow([int(b) for b in row] + [int(c)])
+        writer.writerows(np.column_stack((ds.states, ds.counts)).tolist())
 
 
 def simulate(g: Admg, q: np.ndarray, n: int, seed: int | None = None) -> Dataset:

@@ -10,7 +10,7 @@ import pytest
 from admgfit.cli import main
 from admgfit.data import Dataset, counts_for, load_data, save_data, simulate
 from admgfit.graph import Admg, format_graph
-from admgfit.moebius import prob_vector
+from admgfit.moebius import MAX_VERTICES, prob_vector
 
 from util import graph_one, graph_two, random_interior_q, strong_params_graph_one
 
@@ -76,10 +76,11 @@ def _first_seen_reference(rows):
     return [list(r) for r in seen], list(seen.values())
 
 
-@pytest.mark.parametrize("width", [62, 63, 70, 125, 130])
+@pytest.mark.parametrize("width", [MAX_VERTICES, MAX_VERTICES + 1, 62, 63, 70, 125, 130])
 def test_from_rows_aggregates_rows_wider_than_one_word(width):
-    """Rows of more than 62 columns are coded one 62-column word at a
-    time; rows that differ only in their last column, or only at a word
+    """Rows of up to ``MAX_VERTICES`` columns are aggregated by cell
+    code, wider ones through codes of one 62-column word at a time;
+    rows that differ only in their last column, or only at a word
     boundary, stay apart."""
     rng = np.random.default_rng(width)
     base = rng.integers(0, 2, size=(12, width))
@@ -94,6 +95,7 @@ def test_from_rows_aggregates_rows_wider_than_one_word(width):
     states, counts = _first_seen_reference(rows)
     assert ds.states.tolist() == states
     assert ds.counts.tolist() == counts
+    assert ds.states.dtype == np.int8 and ds.counts.dtype == np.int64
     assert ds.n == len(rows)
 
 
@@ -101,6 +103,13 @@ def test_csv_round_trip(tmp_path):
     ds = Dataset.from_rows(["x", "y", "z"], [(0, 1, 1), (1, 1, 0), (0, 1, 1)])
     path = tmp_path / "data.csv"
     save_data(ds, path)
+    # the bytes of a csv.writer row by row: names quoted as needed, \r\n line ends
+    assert path.read_bytes() == b"x,y,z,count\r\n0,1,1,2\r\n1,1,0,1\r\n"
+    odd = Dataset(("a b", 'say "hi"', "c,d"), np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8),
+                  np.array([2**62, 0]))
+    save_data(odd, tmp_path / "odd.csv")
+    assert (tmp_path / "odd.csv").read_bytes() == (
+        b'a b,"say ""hi""","c,d",count\r\n1,0,1,4611686018427387904\r\n0,0,0,0\r\n')
     back = load_data(path)
     assert back.names == ds.names
     assert back.n == ds.n
@@ -203,12 +212,20 @@ def _load_rows_reference(path):
     return names, list(agg), list(agg.values())
 
 
-def test_load_data_agrees_with_row_by_row_reading(tmp_path):
+@pytest.mark.parametrize("tokens, weights", [
+    pytest.param(["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-",
+                  "\xa01", "0" * 18 + "1", "1_0", "１", "٣", "\x1c0"],
+                 [8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3,
+                  0.2, 0.2, 0.2, 0.3],
+                 id="mixed"),
+    # mostly the layout read from bytes, and the ways a line leaves it
+    pytest.param(["0", "1", "12", "007", "1" + "0" * 18, " 1", "+1", "01", "2", "", "1,"],
+                 [40, 40, 2, 1, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],
+                 id="canonical"),
+])
+def test_load_data_agrees_with_row_by_row_reading(tmp_path, tokens, weights):
     rng = np.random.default_rng(14)
-    tokens = ["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-",
-              "\xa01", "0" * 18 + "1", "1_0", "１", "٣", "\x1c0"]
-    weights = np.array([8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3,
-                        0.2, 0.2, 0.2, 0.3])
+    weights = np.array(weights)
     path = tmp_path / "fuzz.csv"
     for k in range(400):
         header = ("a,b\n", "a,b,count\n", "a\n")[k % 3]
@@ -263,6 +280,80 @@ def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
     path = tmp_path / "plain.csv.gz"  # the suffix says nothing of the contents
     path.write_text("a,b\n0,1\n")
     assert load_data(path).states.tolist() == [[0, 1]]
+
+
+def test_files_in_the_saved_layout_load_without_numpy(tmp_path, monkeypatch, capsys):
+    """0/1 fields and a count of at most 18 digits, split by single
+    commas, over at most MAX_VERTICES columns, are read from the bytes;
+    any other file through numpy's reader."""
+    import admgfit.data
+
+    loadtxt = np.loadtxt
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy's reader called")
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(admgfit.data.np, "loadtxt", refuse)
+    path = tmp_path / "f.csv"
+    rows = np.random.default_rng(5).integers(0, 2, size=(300, 4))
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    ds = load_data(path)
+    states, counts = _first_seen_reference(rows)
+    assert ds.states.tolist() == states and ds.counts.tolist() == counts
+    saved = Dataset.from_rows([f"x{i}" for i in range(MAX_VERTICES)],
+                              np.random.default_rng(6).integers(0, 2, size=(50, MAX_VERTICES)))
+    save_data(saved, path)
+    back = load_data(path)
+    assert back.names == saved.names and back.states.tolist() == saved.states.tolist()
+    assert back.counts.tolist() == saved.counts.tolist()
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(format_graph(graph_two()))
+    assert main(["simulate", str(gpath), "500", "--seed", "3", "--out", str(path)]) == 0
+    assert load_data(path).n == 500
+    capsys.readouterr()
+    assert main(["simulate", str(gpath), "500", "--seed", "3"]) == 0
+    path.write_text(capsys.readouterr().out)
+    assert load_data(path).n == 500
+    path.write_text("a,b,count\n")
+    assert load_data(path).states.shape == (0, 2)
+    path.write_text("a,b\n\n0,1\n\n\n1,0\n0,1")
+    assert load_data(path).counts.tolist() == [2, 1]
+    path.write_text("a,count\n" + "0,922337203685477580\n" * 10 + "1,7\n")
+    assert load_data(path).n == 2**63 - 1
+    path.write_text("a,count\n" + "0,922337203685477580\n" * 10 + "1,8\n")
+    with pytest.raises(ValueError, match=r"f\.csv: counts sum past 2\*\*63 - 1$"):
+        load_data(path)
+
+    monkeypatch.setattr(admgfit.data.np, "loadtxt", spy)
+    wide = ",".join(f"x{i}" for i in range(MAX_VERTICES + 1)) + "\n" + "1," * MAX_VERTICES + "1\n"
+    for text, n in [("a,b\n0, 1\n", 1), ("a,b\n0,+1\n", 1),
+                    ("a,count\n1,1000000000000000000\n", 10**18), (wide, 1)]:
+        path.write_text(text)
+        calls.clear()
+        assert load_data(path).n == n and calls, text
+
+
+def test_load_data_memory_is_a_small_multiple_of_the_file(tmp_path):
+    """Reading 100,000 raw rows of 4 columns peaks below 10 times the
+    file's bytes of traced memory; numpy's reader needs about 13."""
+    import tracemalloc
+
+    rows = np.random.default_rng(8).integers(0, 2, size=(100_000, 4))
+    path = tmp_path / "raw.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
+    tracemalloc.start()
+    try:
+        ds = load_data(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 100_000
+    assert peak < 10 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_load_data_reads_past_the_first_block(tmp_path):
