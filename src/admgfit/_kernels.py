@@ -13,6 +13,7 @@ ascent, :func:`_line_search`, also serves the district Newton phase.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -60,9 +61,9 @@ def _line_search(factor, x, d, gd, ll, c, pos, eps, min_step):
     while step >= min_step:
         x_try = x + step * d
         f_try = factor(x_try)
-        if np.all(f_try >= eps):
+        if (f_try >= eps).all():
             ll_try = c @ np.log(f_try[pos])
-            if np.isfinite(ll_try) and ll_try >= ll + _SIGMA * step * gd:
+            if math.isfinite(ll_try) and ll_try >= ll + _SIGMA * step * gd:
                 return x_try, f_try, ll_try
         step *= _BETA
     return None

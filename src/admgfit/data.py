@@ -115,8 +115,10 @@ def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | No
     k, n = len(names), len(codes)
     first = np.full(1 << k, n)
     np.minimum.at(first, codes, np.arange(n))
-    cells = np.flatnonzero(first < n)
-    cells = cells[np.argsort(first[cells])]
+    # the codes of each cell's first row, in row order
+    seen = np.zeros(n, dtype=bool)
+    seen[first[first < n]] = True
+    cells = codes[seen]
     if counts is None:
         totals = np.bincount(codes, minlength=1 << k)
     else:

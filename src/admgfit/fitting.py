@@ -35,8 +35,9 @@ district, so a district's fit depends only on its structure, its
 marginal counts and the options, and no step forms a joint table.
 Fits that share their counts and options, as the candidate fits of one
 structure search do, can therefore share a dict of fitted districts
-keyed by the districts' maps: a district found there is copied instead
-of fitted.  No kernel is passed between these functions: the block
+keyed by the districts' placed maps: a district found there is copied
+instead of fitted.  The key is the placement, never the shape that
+several districts share, since each district has its own counts.  No kernel is passed between these functions: the block
 step looks its ascent up through ``get_kernels``, and ``DistrictMaps``
 looks up its own term-product kernel.
 """
@@ -434,7 +435,8 @@ def fit(
 
     ``district_fits`` is a dict that fits with the same counts and
     options share, as the candidate fits of one structure search do.
-    It maps a district's :class:`DistrictMaps` to the district's fitted
+    It maps a district's :class:`DistrictMaps`, the shape placed on
+    that district, to the district's fitted
     ``(q_d, loglik, cycles, converged, kkt)``.  A district whose maps
     are in it is copied instead of fitted: its term of the likelihood
     depends only on its structure and its marginal counts.  A

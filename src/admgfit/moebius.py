@@ -33,16 +33,28 @@ affine in them; that form is assembled with one weighted bincount over
 the nonzeros of M.  The term products are evaluated by the kernel that
 ``_kernels.get_kernels()`` returns, looked up on every call.
 
-A district's maps depend only on the structure of the district, never
-on where its parameters sit in the graph's parameter vector, which
-:class:`Parametrization` keeps.  They are built from the district's
-head record, ``heads._district_heads``: its (head, tail) masks in
-parameter order, the same record that :class:`ParamTable` reads.
-Graphs visited by one structure search share a dict of maps, so a
-district that a single-edge move leaves unchanged is built once per
-search.  The dict's key, ``_maps_key``, is read off per-member masks
-of the graph, so looking a district up computes no heads and no head
-partitions.
+A district's maps depend only on the district's shape, never on where
+the district sits in the graph or where its parameters sit in the
+graph's parameter vector, which :class:`Parametrization` keeps.  The
+shape is the district's local structure in scope-local positions:
+which scope vertices are members, and each member's parents, its
+ancestors in the district and its bidirected neighbours
+(``_shape_key``).  Districts with one shape have equal M, P, Jacobian
+pairs and vertex plans, and equal head and term records in
+scope-local masks, so each shape is built once (``_Shape``) and placed
+on every district that has it (:class:`DistrictMaps`); the placement
+keeps what depends on the graph: members, scope, broadcast shape, the
+head record in canonical masks, the plans keyed by canonical position
+and the term labels.  A shape is built from its first district's head
+record, ``heads._district_heads``; :class:`ParamTable` reads the head
+records of the placed maps, so no placed or reused district has its
+heads enumerated.  A parametrization shares shapes among the graph's
+districts; graphs visited by one structure search share one dict of
+placed maps and shapes, so a district that a single-edge move leaves
+unchanged is reused, and a new district whose shape the search has
+seen is placed without a build.  Both keys, ``_maps_key`` and
+``_shape_key``, are read off per-member masks of the graph, so
+looking a district up computes no heads and no head partitions.
 
 Canonical orderings
 -------------------
@@ -137,6 +149,11 @@ def _tail_rank(row: int, n: int, tpos: tuple[int, ...]) -> int:
     return r
 
 
+def _check_size(g: Admg) -> None:
+    if len(g.vertices) > MAX_VERTICES:
+        raise ValueError(f"too many vertices ({len(g.vertices)})")
+
+
 class ParamTable:
     """Canonical parameter enumeration for a graph.
 
@@ -145,24 +162,27 @@ class ParamTable:
     parameter order: a head's parameters are the run of its
     2^|tail| tail assignments from that position.  ``district_slices``
     pairs each district with its contiguous slice of parameters.
+    ``district_heads``, when given, holds the head record of every
+    district in order, as :class:`DistrictMaps` keeps it; otherwise
+    each district's heads are enumerated by ``heads._district_heads``.
     """
 
-    def __init__(self, g: Admg):
-        if len(g.vertices) > MAX_VERTICES:
-            raise ValueError(f"too many vertices ({len(g.vertices)})")
+    def __init__(self, g: Admg, district_heads: Sequence[tuple] | None = None):
+        _check_size(g)
         self.graph = g
+        d_masks = g._district_masks(g.full_mask)
+        if district_heads is None:
+            district_heads = [_district_heads(g, d_mask) for d_mask in d_masks]
         params: list[Param] = []
         runs: list[tuple[int, int, int]] = []
         slices: list[tuple[tuple[Vertex, ...], slice]] = []
-        for d_mask in g._district_masks(g.full_mask):
+        for d_mask, record in zip(d_masks, district_heads):
             begin = len(params)
-            for h_mask, t_mask in _district_heads(g, d_mask):
+            for h_mask, t_mask in record:
                 runs.append((h_mask, t_mask, len(params)))
                 head, tail = g._labels(h_mask), g._labels(t_mask)
-                k = len(tail)
-                for s in range(1 << k):
-                    bits = tuple(s >> (k - 1 - j) & 1 for j in range(k))
-                    params.append(Param(head, tail, bits))
+                params.extend(Param(head, tail, bits)
+                              for bits in itertools.product((0, 1), repeat=len(tail)))
             slices.append((g._labels(d_mask), slice(begin, len(params))))
         self.params: tuple[Param, ...] = tuple(params)
         self.runs = tuple(runs)
@@ -220,13 +240,13 @@ class _VertexPlan:
 
     __slots__ = ("theta_cols", "rest", "slot", "width")
 
-    def __init__(self, maps: "DistrictMaps", theta_cols: np.ndarray):
-        P_indices = maps.P_indices
-        K = maps.n_terms
+    def __init__(self, shape: "_Shape", theta_cols: np.ndarray):
+        P_indices = shape.P_indices
+        K = shape.n_terms
         T = len(theta_cols)
-        theta_pos = np.full(maps.n_params, -1, dtype=np.int64)
+        theta_pos = np.full(shape.n_params, -1, dtype=np.int64)
         theta_pos[theta_cols] = np.arange(T)
-        term_of = maps.term_of
+        term_of = shape.term_of
         mine = theta_pos[P_indices] >= 0
         if np.bincount(term_of[mine], minlength=K).max(initial=0) > 1:
             raise AssertionError("term with two parameters of one vertex")
@@ -237,22 +257,53 @@ class _VertexPlan:
         self.theta_cols = theta_cols
         self.rest = (rest_indptr, P_indices[~mine])
         self.width = T + 1
-        self.slot = maps.M_row * self.width + term_theta[maps.M_col]
+        self.slot = shape.M_row * self.width + term_theta[shape.M_col]
 
 
-def _maps_key(g: Admg, district: tuple[Vertex, ...]) -> tuple:
-    """A key from which a district's maps follow: the vertex order, the
-    district, and for each member its parent mask, its ancestors in
-    the district and its bidirected neighbours.  Graphs that agree on
-    it have equal maps.  Heads, tails and head partitions of subsets
-    of the district are read off these: a vertex of an(H) outside the
-    district is a proper ancestor of H, so it is never barren there and
-    links no two members bidirectedly.  Building the key computes
-    none of them."""
-    d_mask = g._as_mask(district)
+def _maps_key(g: Admg, d_mask: int) -> tuple:
+    """A key from which the maps of the district ``d_mask`` follow: the
+    vertex order, the district, and for each member its parent mask,
+    its ancestors in the district and its bidirected neighbours.
+    Graphs that agree on it have equal maps.  Heads, tails and head
+    partitions of subsets of the district are read off these: a vertex
+    of an(H) outside the district is a proper ancestor of H, so it is
+    never barren there and links no two members bidirectedly.
+    Building the key computes none of them."""
     members = tuple(_bits(d_mask))
     return (g.vertices, d_mask, tuple(g._pa[p] for p in members),
             tuple(g._an[p] & d_mask for p in members), tuple(g._sp[p] for p in members))
+
+
+def _local_mask(mask: int, scope: Sequence[int]) -> int:
+    """The part of ``mask`` in ``scope`` in scope-local positions: bit k
+    stands for ``scope[k]``."""
+    out = 0
+    for k, p in enumerate(scope):
+        if mask >> p & 1:
+            out |= 1 << k
+    return out
+
+
+def _graph_mask(local: int, scope: Sequence[int]) -> int:
+    """A scope-local mask back in canonical positions."""
+    out = 0
+    for k in _bits(local):
+        out |= 1 << scope[k]
+    return out
+
+
+def _shape_key(g: Admg, d_mask: int, scope: Sequence[int]) -> tuple:
+    """``_maps_key`` in scope-local positions and without vertex labels:
+    the size of the scope, the district, and for each member its
+    parents, its ancestors in the district and its bidirected
+    neighbours, all of which lie in the scope.  Relabelling keeps the
+    order of the scope, so districts with equal shape keys, in one
+    graph or in several, have equal local arrays (see :class:`_Shape`)."""
+    members = tuple(_bits(d_mask))
+    return (len(scope), _local_mask(d_mask, scope),
+            tuple(_local_mask(g._pa[p], scope) for p in members),
+            tuple(_local_mask(g._an[p] & d_mask, scope) for p in members),
+            tuple(_local_mask(g._sp[p], scope) for p in members))
 
 
 def _sparse():
@@ -266,35 +317,16 @@ def _sparse():
     return sparse
 
 
-class DistrictMaps:
-    """M and P of one district as index arrays, plus assembly plans.
-
-    ``scope`` holds the canonical positions of the district and its
-    parents in ascending order.  Rows of M are the 2^|scope| local
-    states, in binary counting order with the first scope vertex most
-    significant; columns are terms.  The local states are the scope's
-    axes of a joint vector viewed as a ``(2,)*n`` table: :meth:`marginal`
-    sums the other axes out, :meth:`joint` broadcasts over them.  Rows
-    of P are terms; columns are the district's parameters in local
-    indexing, the runs of its head record ``heads._district_heads``
-    one after another; ``term_of`` is the row of each nonzero of P.
-    ``heads`` is that record, (head mask, tail mask) pairs in parameter
-    order, and ``saturated`` says whether the district has as many
-    parameters as its kernel ``p(x_D | x_pa(D))`` has free cells,
-    ``(2^|D| - 1) 2^|pa(D)|``: the parametrization has full dimension,
-    so then the kernel is unconstrained.
-    The maps hold nothing else of the graph: where the district's
-    parameters sit in the graph's parameter vector is kept by
-    :class:`Parametrization`, so graphs whose district has the same
-    structure (see ``_maps_key``) can share one instance.  A vertex
-    set that is not a district of ``g`` raises ``KeyError``.
-
-    M is held as its nonzeros in row order, columns ascending within a
-    row: ``M_row``, ``M_col`` and ``M_sign``; it has ``n_states`` rows
-    and ``n_terms`` columns.  P is held as ``P_indptr`` and
-    ``P_indices``, its values all 1.  :attr:`M` and :attr:`P` are scipy
-    CSR matrices of them, built on first read for display and tests;
-    reading them without scipy installed raises ``ImportError``.
+class _Shape:
+    """The local arrays of a district shape, built from one district
+    ``d_mask`` of ``g`` with scope ``scope``.  They hold for every
+    district with the same ``_shape_key``: M, P, ``term_of``, the
+    Jacobian pairs and the vertex plans.  ``heads`` is the head record
+    ``heads._district_heads`` as (head, tail) masks in scope-local
+    positions, bit k standing for ``scope[k]``; ``theta_cols`` holds,
+    for each member in ascending order, the local parameters whose head
+    contains it.  The plans, the pairs of parameters that share a term
+    and the scope-local term records are built on first use.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign) one scope vertex at a
@@ -302,31 +334,18 @@ class DistrictMaps:
     C or inside it with the sign flipped, and a parent only doubles
     the list.  A nonzero's column is the first column of its C plus
     the rank of r's values on the tail of C's head partition.
-    ``terms`` describes every column as a :class:`Term`; it is built
-    on first access from one (C, blocks, tail) mask record per subset
-    C, so fits and searches never create them.
     """
 
-    def __init__(self, g: Admg, district: Iterable[Vertex]):
-        self.district = tuple(district)
-        members = [g._index[v] for v in self.district]
-        d_mask = g._as_mask(self.district)
-        if list(_bits(d_mask)) != members:
-            raise ValueError("district must be in canonical order")
-        if not d_mask or g._district_mask(members[0], g.full_mask) != d_mask:
-            raise KeyError(f"{self.district!r} is not a district")
-        self.members = tuple(members)
-        self.d_mask = d_mask
-        self.scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
-        L = len(self.scope)
-        row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(self.scope)}
-        self.broadcast_shape = tuple(2 if p in row_bit else 1 for p in range(len(g.vertices)))
-        self._outside = tuple(p for p, w in enumerate(self.broadcast_shape) if w == 1)
+    def __init__(self, g: Admg, d_mask: int, scope: tuple[int, ...]):
+        members = list(_bits(d_mask))
+        L = len(scope)
+        row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(scope)}
 
         # local offset of each head's parameter run, and the local
         # parameters whose head holds each member
-        self.heads = _district_heads(g, d_mask)
-        head_tail = dict(self.heads)
+        record = _district_heads(g, d_mask)
+        self.heads = tuple((_local_mask(h, scope), _local_mask(t, scope)) for h, t in record)
+        head_tail = dict(record)
         local_offset: dict[int, int] = {}
         theta_sets: dict[int, list[int]] = {p: [] for p in members}
         n_params = 0
@@ -336,6 +355,7 @@ class DistrictMaps:
             for p in _bits(h_mask):
                 theta_sets[p].extend(run)
             n_params = run.stop
+        self.theta_cols = tuple(np.array(theta_sets[p], dtype=np.int64) for p in members)
 
         # enumerate terms: subsets C of the district in counting order,
         # then tail assignments of the union of block tails; c_tail is
@@ -368,8 +388,8 @@ class DistrictMaps:
                 P_rows.append(cols)
             col += 1 << len(tpos)
         K = col
+        self._scope = scope
         self._subsets = tuple(subsets)
-        self._vertices = g.vertices
         P_indptr = np.zeros(K + 1, dtype=np.int64)
         for k, cols in enumerate(P_rows):
             P_indptr[k + 1] = P_indptr[k] + len(cols)
@@ -389,7 +409,7 @@ class DistrictMaps:
         r = np.zeros(1, dtype=np.int64)
         c = np.zeros(1, dtype=np.int64)
         sign = np.ones(1)
-        for p in self.scope:
+        for p in scope:
             w = row_bit[p]
             if d_mask >> p & 1:
                 bit = 1 << members.index(p)
@@ -418,9 +438,115 @@ class DistrictMaps:
         j = P_indices[np.arange(ends[-1]) + (P_indptr[self.M_col] + reps - ends)[e]]
         self._jac_pairs = (self.M_row[e] * n_params + j, self.M_col[e], j, self.M_sign[e])
 
-        self.plans = {
-            p: _VertexPlan(self, np.array(theta_sets[p], dtype=np.int64)) for p in members
-        }
+    @cached_property
+    def plans(self) -> tuple[_VertexPlan, ...]:
+        """The vertex plans of the members in ascending order."""
+        return tuple(_VertexPlan(self, cols) for cols in self.theta_cols)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(term, i, j)`` for every ordered pair i != j of parameters
+        that share a term: each nonzero of P paired with every other
+        nonzero of its row."""
+        term_of = self.term_of
+        reps = np.diff(self.P_indptr)[term_of]
+        first = np.repeat(np.arange(len(term_of)), reps)
+        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
+        second = self.P_indptr[term_of[first]] + offset
+        keep = first != second
+        first, second = first[keep], second[keep]
+        return term_of[first], self.P_indices[first], self.P_indices[second]
+
+    @cached_property
+    def subsets(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """(C, head partition of C, union of its tails) of every subset
+        C of the district in column order, as scope-local masks."""
+        scope = self._scope
+        return tuple((_local_mask(c, scope), tuple(_local_mask(b, scope) for b in blocks),
+                      _local_mask(t, scope)) for c, blocks, t in self._subsets)
+
+
+class DistrictMaps:
+    """M and P of one district as index arrays, plus assembly plans.
+
+    ``scope`` holds the canonical positions of the district and its
+    parents in ascending order.  Rows of M are the 2^|scope| local
+    states, in binary counting order with the first scope vertex most
+    significant; columns are terms.  The local states are the scope's
+    axes of a joint vector viewed as a ``(2,)*n`` table: :meth:`marginal`
+    sums the other axes out, :meth:`joint` broadcasts over them.  Rows
+    of P are terms; columns are the district's parameters in local
+    indexing, the runs of its head record ``heads._district_heads``
+    one after another; ``term_of`` is the row of each nonzero of P.
+    ``heads`` is that record, (head mask, tail mask) pairs in parameter
+    order, and ``saturated`` says whether the district has as many
+    parameters as its kernel ``p(x_D | x_pa(D))`` has free cells,
+    ``(2^|D| - 1) 2^|pa(D)|``: the parametrization has full dimension,
+    so then the kernel is unconstrained.  ``plans`` maps each member's
+    canonical position to its vertex plan.  A vertex set that is not a
+    district of ``g`` raises ``KeyError``.
+
+    An instance is a district shape (see ``_shape_key``) placed on one
+    district.  The shape holds every array in scope-local coordinates,
+    and the vertex plans, which are built on first use; the instance
+    holds what depends on where the district sits: its members, scope,
+    broadcast shape, its head record in canonical masks, its plans
+    keyed by canonical position and its ``terms`` labels.  Where the
+    district's parameters sit in the graph's parameter vector is kept
+    by :class:`Parametrization`, which builds each shape once and
+    places it on every district that has it.  ``DistrictMaps(g, d)``
+    builds the shape of ``d`` afresh and places it there.
+
+    M is held as its nonzeros in row order, columns ascending within a
+    row: ``M_row``, ``M_col`` and ``M_sign``; it has ``n_states`` rows
+    and ``n_terms`` columns.  P is held as ``P_indptr`` and
+    ``P_indices``, its values all 1.  :attr:`M` and :attr:`P` are scipy
+    CSR matrices of them, built on first read for display and tests;
+    reading them without scipy installed raises ``ImportError``.
+    ``terms`` describes every column as a :class:`Term`; it is built
+    on first access, so fits and searches never create them.
+    """
+
+    # what a placement reads off its shape
+    _SHARED = ("n_states", "n_terms", "n_params", "saturated", "M_row", "M_col", "M_sign",
+               "P_indptr", "P_indices", "term_of", "_jac_pairs")
+
+    def __init__(self, g: Admg, district: Iterable[Vertex]):
+        district = tuple(district)
+        members = [g._index[v] for v in district]
+        d_mask = g._as_mask(district)
+        if list(_bits(d_mask)) != members:
+            raise ValueError("district must be in canonical order")
+        if not d_mask or g._district_mask(members[0], g.full_mask) != d_mask:
+            raise KeyError(f"{district!r} is not a district")
+        scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+        self._place(g, d_mask, scope, _Shape(g, d_mask, scope))
+
+    @classmethod
+    def _placed(cls, g: Admg, d_mask: int, scope: tuple[int, ...], shape: _Shape) -> DistrictMaps:
+        """``shape`` placed on the district ``d_mask`` of ``g``, whose
+        ``_shape_key`` it has, with no array built."""
+        dm = cls.__new__(cls)
+        dm._place(g, d_mask, scope, shape)
+        return dm
+
+    def _place(self, g: Admg, d_mask: int, scope: tuple[int, ...], shape: _Shape) -> None:
+        self.district = g._labels(d_mask)
+        self.members = tuple(_bits(d_mask))
+        self.d_mask = d_mask
+        self.scope = scope
+        self.broadcast_shape = tuple(2 if p in scope else 1 for p in range(len(g.vertices)))
+        self._outside = tuple(p for p, w in enumerate(self.broadcast_shape) if w == 1)
+        self.heads = tuple((_graph_mask(h, scope), _graph_mask(t, scope)) for h, t in shape.heads)
+        self._vertices = g.vertices
+        self._shape = shape
+        for name in self._SHARED:
+            setattr(self, name, getattr(shape, name))
+
+    @cached_property
+    def plans(self) -> dict[int, _VertexPlan]:
+        """Each member's vertex plan, keyed by canonical position."""
+        return dict(zip(self.members, self._shape.plans))
 
     @cached_property
     def M(self) -> scipy.sparse.csr_matrix:
@@ -439,12 +565,14 @@ class DistrictMaps:
     @cached_property
     def terms(self) -> tuple[Term, ...]:
         """One :class:`Term` per column of M, in column order."""
-        def labels(mask: int) -> tuple[Vertex, ...]:
-            return tuple(self._vertices[p] for p in _bits(mask))
+        names = [self._vertices[p] for p in self.scope]
+
+        def labels(local: int) -> tuple[Vertex, ...]:
+            return tuple(names[k] for k in _bits(local))
 
         return tuple(
             Term(labels(c), tuple(map(labels, blocks)), labels(t), state)
-            for c, blocks, t in self._subsets
+            for c, blocks, t in self._shape.subsets
             for state in itertools.product((0, 1), repeat=t.bit_count())
         )
 
@@ -490,20 +618,6 @@ class DistrictMaps:
         ).reshape(-1, plan.width)
         return out[:, :-1], -out[:, -1], plan.theta_cols
 
-    @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(term, i, j)`` for every ordered pair i != j of parameters
-        that share a term: each nonzero of P paired with every other
-        nonzero of its row."""
-        term_of = self.term_of
-        reps = np.diff(self.P_indptr)[term_of]
-        first = np.repeat(np.arange(len(term_of)), reps)
-        offset = np.arange(len(first)) - np.repeat(np.cumsum(reps) - reps, reps)
-        second = self.P_indptr[term_of[first]] + offset
-        keep = first != second
-        first, second = first[keep], second[keep]
-        return term_of[first], self.P_indices[first], self.P_indices[second]
-
     def _jacobian(self, q_local: np.ndarray, t: np.ndarray) -> np.ndarray:
         # chain rule: T[k, j] = d t_k / d q_j = P[k, j] t_k / q_j, and
         # J = M @ T summed row by row in column order
@@ -541,7 +655,7 @@ class DistrictMaps:
         Jp = J[pos]
         info = (Jp * (w[pos] / f[pos])[:, None]).T @ Jp
         info = (info + info.T) / 2.0
-        term, i, j = self._pairs
+        term, i, j = self._shape.pairs
         # M' w, summed column by column in row order
         s = np.bincount(self.M_col, weights=self.M_sign * w[self.M_row],
                         minlength=self.n_terms) * t
@@ -552,14 +666,37 @@ class DistrictMaps:
         return f, J.T @ w, info
 
 
-def _shared_maps(g: Admg, district: tuple[Vertex, ...], maps: dict | None) -> DistrictMaps:
-    if maps is None:
-        return DistrictMaps(g, district)
-    key = _maps_key(g, district)
+def _shared_maps(g: Admg, d_mask: int, maps: dict) -> DistrictMaps:
+    """The maps of the district ``d_mask`` through a shared dict: the
+    maps held under its ``_maps_key``, or else its shape placed on it,
+    the shape built unless the dict holds one under its ``_shape_key``."""
+    key = _maps_key(g, d_mask)
     dm = maps.get(key)
     if dm is None:
-        dm = maps[key] = DistrictMaps(g, district)
+        scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+        shape_key = _shape_key(g, d_mask, scope)
+        shape = maps.get(shape_key)
+        if shape is None:
+            dm = DistrictMaps(g, g._labels(d_mask))
+            maps[shape_key] = dm._shape
+        else:
+            dm = DistrictMaps._placed(g, d_mask, scope, shape)
+        maps[key] = dm
     return dm
+
+
+def _share(maps: dict, par: Parametrization) -> None:
+    """Enter the maps of ``par`` and their shapes into a shared dict,
+    keeping the entries it already holds."""
+    g = par.graph
+    for dm in par.maps:
+        maps.setdefault(_maps_key(g, dm.d_mask), dm)
+        maps.setdefault(_shape_key(g, dm.d_mask, dm.scope), dm._shape)
+
+
+def _shape_count(maps: dict) -> int:
+    """The number of shapes a shared dict holds."""
+    return sum(isinstance(v, _Shape) for v in maps.values())
 
 
 class Parametrization:
@@ -567,17 +704,28 @@ class Parametrization:
 
     ``slices[k]`` is the run of the graph's parameter vector that
     belongs to district ``maps[k]``, read off the table's
-    ``district_slices``.  ``maps``, when given, is a dict
-    that several graphs share, keyed by ``_maps_key``: a district
-    whose key is already there reuses those maps instead of building
-    its own.
+    ``district_slices``.  Each district shape is built once and placed
+    on every district that has it (see :class:`DistrictMaps`).
+    ``maps``, when given, is a dict that several graphs share: it holds
+    placed maps under their ``_maps_key`` and shapes under their
+    ``_shape_key``, so a district whose key is already there reuses
+    those maps, and one whose shape is there is placed without a build.
+    Without it, the districts of this graph share shapes among
+    themselves only.  The table reads its head records from the maps,
+    so no district whose maps are reused or placed has its heads
+    enumerated.
     """
 
     def __init__(self, g: Admg, maps: dict | None = None):
+        _check_size(g)
         self.graph = g
-        self.table = enumerate_params(g)
+        shared = {} if maps is None else maps
+        self.maps = tuple(_shared_maps(g, d_mask, shared)
+                          for d_mask in g._district_masks(g.full_mask))
+        if "params" not in g._memo:
+            g._memo["params"] = ParamTable(g, [dm.heads for dm in self.maps])
+        self.table = g._memo["params"]
         self.slices = tuple(sl for _, sl in self.table.district_slices)
-        self.maps = tuple(_shared_maps(g, d, maps) for d, _ in self.table.district_slices)
 
     def district_of(self, pos: int) -> tuple[DistrictMaps, slice]:
         """Maps and parameter slice of the district holding canonical

@@ -12,10 +12,11 @@ The likelihood splits over districts, and a district's matrices and
 its maximized term depend only on its own structure and, for the term,
 its marginal counts, which one search holds fixed.  So the graphs of
 one search build their parametrizations through one shared dict of
-district maps, and fit through one shared dict of district fits keyed
-by those maps: a move rebuilds and refits only the districts whose
-structure it changes.  The result counts the maps built and the
-district fits run, each with the district requests served by reuse.
+district maps and shapes, and fit through one shared dict of district
+fits keyed by the placed maps: a move refits only the districts whose
+structure it changes, and builds only those whose shape the search has
+not seen.  The result counts the shapes built and the district fits
+run, each with the district requests served by reuse.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from .fitting import FitError, FitOptions, FitResult, _check_counts, fit
 from .graph import Admg, GraphError
 from .inference import information_criteria
-from .moebius import _maps_key, parametrization
+from .moebius import _share, _shape_count, parametrization
 
 __all__ = ["Step", "SearchResult", "neighbors", "stepwise"]
 
@@ -53,6 +54,19 @@ class Step:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The outcome of :func:`stepwise`.
+
+    ``maps_built`` counts the district shapes the search built (see
+    :class:`~admgfit.moebius.DistrictMaps`), and ``maps_reused`` the
+    district requests served without a build: a district whose maps an
+    earlier graph of the search already had, or one whose shape the
+    search had already built, placed on it.  A start graph
+    parametrized before the search brings its shapes, which count as
+    neither.  ``districts_fitted`` counts the district fits the search
+    ran, one per placed district, and ``districts_reused`` the district
+    requests of successful candidate fits served by copying one.
+    """
+
     graph: Admg
     fit: FitResult
     criterion: str
@@ -60,13 +74,9 @@ class SearchResult:
     start_value: float
     steps: tuple[Step, ...]
     evaluated: int
-    # district maps the search built, and district requests it served
-    # from maps built before: together one per district of every
-    # graph it fitted
+    # together one per district of every graph the search fitted
     maps_built: int
     maps_reused: int
-    # districts the search fitted, and district requests of successful
-    # candidate fits served by copying an earlier district fit
     districts_fitted: int
     districts_reused: int
 
@@ -152,14 +162,14 @@ def stepwise(
     counts = _check_counts(start, counts, opts.allow_zero_counts)
 
     cache: dict = {}
-    # district maps shared by every graph of this search; a start graph
-    # parametrized before the search brings maps the search did not build
+    # district maps and shapes shared by every graph of this search; a
+    # start graph parametrized before the search brings shapes the
+    # search did not build
     maps: dict = {}
-    start_maps = parametrization(start, maps).maps
-    built_here = len(maps)
-    for d, dm in zip(start.districts(), start_maps):
-        maps.setdefault(_maps_key(start, d), dm)
-    brought = len(maps) - built_here
+    start_par = parametrization(start, maps)
+    built_here = _shape_count(maps)
+    _share(maps, start_par)
+    brought = _shape_count(maps) - built_here
     requests = 0
     # fitted districts keyed by their shared maps, and the district
     # requests of the candidate fits that succeeded
@@ -211,6 +221,7 @@ def stepwise(
         steps.append(Step(action, kind, a, b, chosen_val))
         current, current_fit, value = g_new, res, chosen_val
 
+    shapes = _shape_count(maps)
     return SearchResult(
         graph=current,
         fit=current_fit,
@@ -219,8 +230,8 @@ def stepwise(
         start_value=start_value,
         steps=tuple(steps),
         evaluated=evaluated,
-        maps_built=len(maps) - brought,
-        maps_reused=requests - len(maps) + brought,
+        maps_built=shapes - brought,
+        maps_reused=requests - shapes + brought,
         districts_fitted=len(district_fits),
         districts_reused=fit_requests - len(district_fits),
     )

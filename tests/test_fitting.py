@@ -18,7 +18,7 @@ from admgfit.fitting import (
 from admgfit.graph import Admg, format_graph
 from admgfit.inference import report
 from admgfit.moebius import (
-    Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
+    DistrictMaps, Parametrization, enumerate_params, parametrization, prob_vector, q_from_p,
 )
 
 from util import (
@@ -319,6 +319,29 @@ def test_restarts_never_lower_a_district_term():
         for dm, (_, ll, *_) in one.items():
             assert four[dm][1] >= ll
         checked += 1
+
+
+def test_district_fits_stay_per_placed_district():
+    """On an 8-vertex graph whose three non-saturated districts share
+    one shape, every district is fitted on its own local counts: with
+    restarts, each district's fit equals, bitwise, a fit of that
+    district alone on freshly built maps."""
+    names = [f"v{i}" for i in range(8)]
+    g = Admg(names, directed=[(names[i], names[i + 2]) for i in range(6)],
+             bidirected=[(names[2 * i], names[2 * i + 1]) for i in range(4)])
+    par = parametrization(g)
+    shapes = [dm._shape for dm in par.maps if not dm.saturated]
+    assert len(shapes) == 3 and len(set(shapes)) == 1
+    opts = FitOptions(starts=3, seed=8)
+    counts = random_counts(np.random.default_rng(31), 8)
+    fits = {}
+    res = fit(g, counts, opts, district_fits=fits)
+    for dm, sl, d in zip(par.maps, par.slices, g.districts()):
+        fresh = DistrictMaps(g, d)
+        want = fitting._fit_district_starts(fresh, fresh.marginal(counts), opts)
+        got = fits[dm]
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+        assert np.array_equal(res.q[sl], want[0])
 
 
 def test_tight_cycle_budget_reports_nonconvergence():

@@ -399,13 +399,10 @@ def test_affine_matches_a_dense_reference():
                 assert np.max(np.abs(A @ q[sl][theta] - b - dm.factor(q[sl]))) < 1e-14
 
 
-def _same_maps(shared, fresh, rng):
-    assert shared.scope == fresh.scope
-    assert shared.heads == fresh.heads
+def _same_local_arrays(shared, fresh, rng):
+    """Equal arrays in scope-local coordinates: M, P, the vertex plans
+    of the members in ascending order and the affine blocks."""
     assert shared.saturated == fresh.saturated
-    R = fresh.M.shape[0]
-    assert np.array_equal(shared.joint(np.arange(R)), fresh.joint(np.arange(R)))
-    assert shared.terms == fresh.terms
     for attr in ("M", "P"):
         a, b = getattr(shared, attr), getattr(fresh, attr)
         assert a.shape == b.shape
@@ -413,19 +410,32 @@ def _same_maps(shared, fresh, rng):
             assert np.array_equal(getattr(a, part), getattr(b, part))
     for attr in ("M_row", "M_col", "M_sign", "P_indptr", "P_indices", "term_of"):
         assert np.array_equal(getattr(shared, attr), getattr(fresh, attr))
-    assert shared.plans.keys() == fresh.plans.keys()
-    for vertex, plan in fresh.plans.items():
-        other = shared.plans[vertex]
+    assert len(shared.members) == len(fresh.members)
+    for vertex, ref in zip(shared.members, fresh.members):
+        plan, other = fresh.plans[ref], shared.plans[vertex]
         assert other.width == plan.width
         for a, b in ((other.theta_cols, plan.theta_cols), (other.slot, plan.slot),
                      *zip(other.rest, plan.rest)):
             assert np.array_equal(a, b)
     q_d = rng.uniform(0.05, 0.95, fresh.P.shape[1])
-    for vertex in fresh.members:
+    for vertex, ref in zip(shared.members, fresh.members):
         A, b, theta = shared.affine(q_d, vertex)
-        A_ref, b_ref, theta_ref = fresh.affine(q_d, vertex)
+        A_ref, b_ref, theta_ref = fresh.affine(q_d, ref)
         assert np.array_equal(theta, theta_ref)
         assert np.array_equal(A, A_ref) and np.array_equal(b, b_ref)
+
+
+def _same_maps(shared, fresh, rng):
+    """Equal maps of one district: its placement (scope, heads, plans
+    keyed by position, term labels) and its local arrays."""
+    assert shared.district == fresh.district
+    assert shared.scope == fresh.scope
+    assert shared.heads == fresh.heads
+    R = fresh.M.shape[0]
+    assert np.array_equal(shared.joint(np.arange(R)), fresh.joint(np.arange(R)))
+    assert shared.terms == fresh.terms
+    assert shared.plans.keys() == fresh.plans.keys()
+    _same_local_arrays(shared, fresh, rng)
 
 
 def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
@@ -463,18 +473,18 @@ def test_search_shares_maps_that_equal_fresh_builds(monkeypatch):
 
 def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
     """A start graph parametrized before the search brings its maps
-    along: no district is built twice within the search, and only the
-    maps the search built count as built."""
+    along: no district shape is built twice within the search, and
+    only the shapes the search built count as built."""
     import admgfit.select as select
     from admgfit.data import counts_for, simulate
-    from admgfit.moebius import DistrictMaps, _maps_key
+    from admgfit.moebius import DistrictMaps, _shape_key
 
     real_init = DistrictMaps.__init__
     built = []
 
     def counting_init(self, g, district):
         real_init(self, g, district)
-        built.append(_maps_key(g, self.district))
+        built.append(_shape_key(g, self.d_mask, self.scope))
 
     real_fit = select.fit
     fitted = []
@@ -487,8 +497,7 @@ def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
     counts = counts_for(g1, simulate(g1, strong_params_graph_one(), 20000, seed=3))
     starts = [Admg(["1", "2", "3", "4"]), Admg(["1", "2", "3", "4"], directed=[("1", "2")])]
     for start in starts:
-        start_keys = {_maps_key(start, d) for d in start.districts()}
-        parametrization(start)
+        start_keys = {_shape_key(start, dm.d_mask, dm.scope) for dm in parametrization(start).maps}
         built.clear()
         fitted.clear()
         monkeypatch.setattr(DistrictMaps, "__init__", counting_init)
@@ -500,6 +509,7 @@ def test_search_reuses_the_maps_of_a_parametrized_start(monkeypatch):
         requests = sum(len(parametrization(g).maps) for g in fitted)
         assert res.maps_built == len(built)
         assert res.maps_built + res.maps_reused == requests
+
 
 def test_q_from_p_matches_the_masked_reference():
     """The marginal-table extraction against the direct definition:
@@ -558,16 +568,32 @@ def test_district_derivatives_match_finite_differences():
             assert np.array_equal(info, info.T)
 
 
+def _chain(n):
+    """The n-vertex chain v1 -> ... -> vn with v1 <-> v2, v3 <-> v4, ...:
+    every district {v2i-1, v2i} but the first has the one parent
+    v2i-2, so its districts have two shapes."""
+    names = [f"v{i}" for i in range(1, n + 1)]
+    return Admg(names, directed=list(zip(names, names[1:])),
+                bidirected=[(names[i], names[i + 1]) for i in range(0, n - 1, 2)])
+
+
 def test_equal_maps_keys_give_equal_maps(monkeypatch):
-    """The maps key is read off per-member masks: building it computes
-    no head partition.  Districts with equal keys have equal maps, on
-    every candidate of the golden and criterion-11 searches, and on
-    random graphs and some of their single-edge neighbours."""
+    """The maps and shape keys are read off per-member masks: building
+    them computes no head partition.  Districts with equal maps keys
+    have equal maps, and districts with equal shape keys equal local
+    arrays, on every candidate of the golden and criterion-11 searches,
+    and on random graphs and some of their single-edge neighbours.
+    Every map that a search or a parametrization hands out equals a
+    fresh build for its district, and the 14-vertex chain builds 2
+    shapes for its 7 districts."""
     import importlib
 
     import admgfit.moebius as moebius
     import admgfit.select as select
-    from admgfit.moebius import DistrictMaps, _maps_key
+    from admgfit.graph import _bits
+    from admgfit.moebius import (
+        DistrictMaps, Parametrization, _maps_key, _shape_count, _shape_key,
+    )
 
     from util import criterion_11_search_inputs, golden_search_inputs
 
@@ -576,15 +602,26 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     heads = importlib.import_module("admgfit.heads")
 
     def refuse(*args):
-        raise AssertionError("the maps key computed a head partition")
+        raise AssertionError("a key computed a head partition")
 
     with monkeypatch.context() as m:
         for module, name in ((heads, "_partition_masks"), (heads, "_phi_masks"),
                              (moebius, "_partition_masks")):
             m.setattr(module, name, refuse)
         g = graph_one()
-        keys = [_maps_key(g, d) for d in g.districts()]
-    assert len(set(keys)) == len(keys)
+        d_masks = g._district_masks(g.full_mask)
+        keys = [_maps_key(g, d) for d in d_masks]
+        shape_keys = [_shape_key(g, d, tuple(_bits(d | g._pa_mask(d)))) for d in d_masks]
+    assert len(set(keys)) == len(keys) == len(set(shape_keys))
+
+    chain = _chain(14)
+    maps = {}
+    par = Parametrization(chain, maps)
+    assert len(par.maps) == 7 and _shape_count(maps) == 2
+    assert len({dm._shape for dm in par.maps}) == 2
+    rng = np.random.default_rng(62)
+    for dm, d in zip(par.maps, chain.districts()):
+        _same_maps(dm, DistrictMaps(chain, d), rng)
 
     graphs = {}
     real_fit = select.fit
@@ -597,7 +634,6 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     for counts, start, criterion in golden_search_inputs() + criterion_11_search_inputs():
         select.stepwise(counts, start, criterion=criterion)
     searched = len(graphs)
-    rng = np.random.default_rng(62)
     for k in range(200):
         g = random_admg(rng, n_min=2, n_max=6, p_dir=0.3, p_bi=0.3)
         moves = select.neighbors(g)
@@ -605,15 +641,24 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
         for h in [g] + [moves[i][4] for i in picks]:
             graphs.setdefault((k, h.vertices, h._dir, h._bi), h)
 
-    first = {}
-    shared = 0
+    first, first_shape = {}, {}
+    checked = set()
+    shared = placed = 0
     for g in graphs.values():
-        for d in g.districts():
-            key = _maps_key(g, d)
-            dm = DistrictMaps(g, d)
+        # a searched graph's memo holds the maps its search handed out
+        for handed, d_mask in zip(parametrization(g).maps, g._district_masks(g.full_mask)):
+            dm = DistrictMaps(g, g._labels(d_mask))
+            if handed not in checked:
+                _same_maps(handed, dm, rng)
+                checked.add(handed)
+            key = _maps_key(g, d_mask)
+            shape_key = _shape_key(g, d_mask, dm.scope)
             if key in first:
                 _same_maps(first[key], dm, rng)
                 shared += 1
-            else:
-                first[key] = dm
-    assert searched > 100 and shared > 1000
+            elif shape_key in first_shape:
+                _same_local_arrays(first_shape[shape_key], dm, rng)
+                placed += 1
+            first.setdefault(key, dm)
+            first_shape.setdefault(shape_key, dm)
+    assert searched > 100 and shared > 1000 and placed > 100

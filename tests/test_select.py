@@ -262,8 +262,9 @@ def _record_district_fits(monkeypatch, name="_fit_district_starts") -> list:
 
 def test_a_search_fits_each_district_structure_once(monkeypatch):
     """With one start, every district maps instance of a search is
-    fitted exactly once: one fit per map the search built or the start
-    graph brought, and every other district request is a copy."""
+    fitted exactly once, the start graph's included, and every other
+    district request is a copy.  Fits stay per placed district: there
+    are more of them than shapes built."""
     calls = _record_district_fits(monkeypatch)
     counts, g0, _ = golden_search_inputs()[0]
     starts = [(Admg(g0.vertices), False), (Admg(g0.vertices, directed=[("1", "2")]), True)]
@@ -276,12 +277,14 @@ def test_a_search_fits_each_district_structure_once(monkeypatch):
 
     monkeypatch.setattr(select, "fit", recording_fit)
     for start, parametrized in starts:
-        brought = len(parametrization(start).maps) if parametrized else 0
+        if parametrized:
+            parametrization(start)
         calls.clear()
         fitted.clear()
         res = stepwise(counts, start)
-        assert len(set(calls)) == len(calls) == res.maps_built + brought
-        assert res.districts_fitted == len(calls)
+        placed = {dm for g in fitted for dm in parametrization(g).maps}
+        assert len(set(calls)) == len(calls) == len(placed)
+        assert res.districts_fitted == len(calls) > res.maps_built
         requests = sum(len(parametrization(g).maps) for g in fitted)
         assert res.districts_fitted + res.districts_reused == requests
         assert res.districts_reused > res.districts_fitted
@@ -298,7 +301,7 @@ def test_new_districts_are_fitted_from_every_start(monkeypatch):
     per_maps = Counter(ascents)
     assert set(per_maps.values()) == {3}
     assert set(per_maps) == {dm for dm in calls if not dm.saturated}
-    assert len(set(calls)) == len(calls) == res.districts_fitted == res.maps_built
+    assert len(set(calls)) == len(calls) == res.districts_fitted > res.maps_built
     assert res.districts_reused > 0
 
 
