@@ -37,9 +37,10 @@ Fits that share their counts and options, as the candidate fits of one
 structure search do, can therefore share a dict of fitted districts
 keyed by the districts' placed maps: a district found there is copied
 instead of fitted.  The key is the placement, never the shape that
-several districts share, since each district has its own counts.  No kernel is passed between these functions: the block
-step looks its ascent up through ``get_kernels``, and ``DistrictMaps``
-looks up its own term-product kernel.
+several districts share, since each district has its own counts.  No
+kernel is passed between these functions: the block step looks its
+ascent up through ``get_kernels``, and ``DistrictMaps`` looks up its
+own term-product kernel.
 """
 
 from __future__ import annotations
