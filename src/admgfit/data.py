@@ -50,6 +50,10 @@ class Dataset:
 
     @staticmethod
     def from_rows(names: Sequence[str], rows: Iterable[Sequence[int]]) -> "Dataset":
+        if not len(names):
+            raise ValueError("no variable columns")
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate column names")
         states = np.array(list(rows), dtype=np.int64).reshape(-1, len(names))
         if not np.isin(states, (0, 1)).all():
             raise ValueError("values must be 0 or 1")

@@ -13,8 +13,9 @@ with respect to it.
 
 Internally vertex sets are bit masks over the canonical positions, which
 keeps the subset manipulations in the head/parametrization machinery
-cheap.  The public API accepts iterables of labels and returns tuples of
-labels in canonical order.
+cheap.  Edges are held the same way, and only so: each vertex has a mask
+of its parents, its children and its spouses.  The public API accepts
+iterables of labels and returns tuples of labels in canonical order.
 """
 
 from __future__ import annotations
@@ -43,6 +44,14 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _union(table, mask: int) -> int:
+    """Union of ``table[i]`` over the set bits ``i`` of ``mask``."""
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
+
+
 class Admg:
     """An acyclic directed mixed graph.
 
@@ -65,8 +74,6 @@ class Admg:
     __slots__ = (
         "vertices",
         "_index",
-        "_dir",
-        "_bi",
         "_pa",
         "_ch",
         "_sp",
@@ -91,55 +98,42 @@ class Admg:
         pa = [0] * n
         ch = [0] * n
         sp = [0] * n
-
-        dir_edges: set[tuple[int, int]] = set()
         for a, b in directed:
             i, j = self._resolve(a), self._resolve(b)
             if i == j:
                 raise GraphError(f"self loop at {a!r}")
-            if (i, j) in dir_edges or (j, i) in dir_edges:
+            if (ch[i] | pa[i]) >> j & 1:
                 raise GraphError(f"duplicate directed edge between {a!r} and {b!r}")
-            dir_edges.add((i, j))
             ch[i] |= 1 << j
             pa[j] |= 1 << i
-
-        bi_edges: set[tuple[int, int]] = set()
         for a, b in bidirected:
             i, j = self._resolve(a), self._resolve(b)
             if i == j:
                 raise GraphError(f"self loop at {a!r}")
-            key = (min(i, j), max(i, j))
-            if key in bi_edges:
+            if sp[i] >> j & 1:
                 raise GraphError(f"duplicate bidirected edge between {a!r} and {b!r}")
-            bi_edges.add(key)
             sp[i] |= 1 << j
             sp[j] |= 1 << i
+        self._close(pa, ch, sp)
 
-        self._dir = frozenset(dir_edges)
-        self._bi = frozenset(bi_edges)
-        self._pa = tuple(pa)
-        self._ch = tuple(ch)
-        self._sp = tuple(sp)
+    # -- construction helpers ------------------------------------------
+
+    def _close(self, pa: list[int], ch: list[int], sp: list[int]) -> None:
+        """Take the edge masks, then the topological order and the
+        reflexive ancestor and descendant closures that follow from
+        them; raises GraphError on a directed cycle."""
+        self._pa, self._ch, self._sp = tuple(pa), tuple(ch), tuple(sp)
         self._topo = self._toposort()
-
-        # reflexive transitive closures, vertex by vertex
+        n = len(self.vertices)
         de = [0] * n
         for i in reversed(self._topo):
-            m = 1 << i
-            for j in _bits(ch[i]):
-                m |= de[j]
-            de[i] = m
+            de[i] = 1 << i | _union(de, ch[i])
         an = [0] * n
         for i in self._topo:
-            m = 1 << i
-            for j in _bits(pa[i]):
-                m |= an[j]
-            an[i] = m
+            an[i] = 1 << i | _union(an, pa[i])
         self._de = tuple(de)
         self._an = tuple(an)
         self._memo: dict = {}
-
-    # -- construction helpers ------------------------------------------
 
     def _resolve(self, v: Vertex) -> int:
         try:
@@ -166,12 +160,6 @@ class Admg:
 
     # -- mask plumbing --------------------------------------------------
 
-    def _mask(self, vs: Iterable[Vertex]) -> int:
-        m = 0
-        for v in vs:
-            m |= 1 << self._resolve(v)
-        return m
-
     def _labels(self, mask: int) -> tuple[Vertex, ...]:
         return tuple(self.vertices[i] for i in _bits(mask))
 
@@ -180,22 +168,13 @@ class Admg:
         return (1 << len(self.vertices)) - 1
 
     def _an_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            out |= self._an[i]
-        return out
+        return _union(self._an, mask)
 
     def _de_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            out |= self._de[i]
-        return out
+        return _union(self._de, mask)
 
     def _pa_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            out |= self._pa[i]
-        return out
+        return _union(self._pa, mask)
 
     def _district_mask(self, i: int, within: int) -> int:
         """Connected component of vertex ``i`` in the bidirected part
@@ -233,16 +212,10 @@ class Admg:
         return self._labels(self._pa_mask(self._as_mask(vs)))
 
     def children(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
-        m = 0
-        for i in _bits(self._as_mask(vs)):
-            m |= self._ch[i]
-        return self._labels(m)
+        return self._labels(_union(self._ch, self._as_mask(vs)))
 
     def spouses(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
-        m = 0
-        for i in _bits(self._as_mask(vs)):
-            m |= self._sp[i]
-        return self._labels(m)
+        return self._labels(_union(self._sp, self._as_mask(vs)))
 
     def ancestors(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
         """Reflexive ancestor closure: ``vs`` itself is included."""
@@ -272,7 +245,10 @@ class Admg:
     def _as_mask(self, vs) -> int:
         if isinstance(vs, (str, bytes)) or not isinstance(vs, Iterable):
             vs = (vs,)
-        return self._mask(vs)
+        m = 0
+        for v in vs:
+            m |= 1 << self._resolve(v)
+        return m
 
     # -- m-separation -----------------------------------------------------
 
@@ -383,80 +359,69 @@ class Admg:
 
     # -- editing ----------------------------------------------------------
 
-    def _bi_key(self, a: Vertex, b: Vertex) -> tuple[Vertex, Vertex]:
-        i, j = self._resolve(a), self._resolve(b)
-        return (self.vertices[min(i, j)], self.vertices[max(i, j)])
-
     def with_edge(self, a: Vertex, b: Vertex, kind: str) -> "Admg":
         """Copy of this graph with one more edge; ``kind`` is ``"->"``
         or ``"<->"``."""
-        d = set(self.directed_edges)
-        s = set(self.bidirected_edges)
-        if kind == "->":
-            if (a, b) in d:
-                raise GraphError(f"edge {a} -> {b} already present")
-            d.add((a, b))
-        elif kind == "<->":
-            key = self._bi_key(a, b)
-            if key in s:
-                raise GraphError(f"edge {a} <-> {b} already present")
-            s.add(key)
-        else:
-            raise GraphError(f"unknown edge kind {kind!r}")
-        return Admg(self.vertices, d, s)
+        return self._edit(a, b, kind, True)
 
     def without_edge(self, a: Vertex, b: Vertex, kind: str) -> "Admg":
-        d = set(self.directed_edges)
-        s = set(self.bidirected_edges)
-        if kind == "->":
-            if (a, b) not in d:
-                raise GraphError(f"no edge {a} -> {b}")
-            d.remove((a, b))
-        elif kind == "<->":
-            key = self._bi_key(a, b)
-            if key not in s:
-                raise GraphError(f"no edge {a} <-> {b}")
-            s.remove(key)
-        else:
+        return self._edit(a, b, kind, False)
+
+    def _edit(self, a: Vertex, b: Vertex, kind: str, add: bool) -> "Admg":
+        """Copy of this graph with the edge ``a kind b`` added or
+        removed: its bits flipped in the edge masks, which are then
+        closed again."""
+        if kind not in ("->", "<->"):
             raise GraphError(f"unknown edge kind {kind!r}")
-        return Admg(self.vertices, d, s)
+        i, j = self._resolve(a), self._resolve(b)
+        pa, ch, sp = list(self._pa), list(self._ch), list(self._sp)
+        present = (pa[j] if kind == "->" else sp[j]) >> i & 1
+        if add and present:
+            raise GraphError(f"edge {a} {kind} {b} already present")
+        if not (add or present):
+            raise GraphError(f"no edge {a} {kind} {b}")
+        if i == j:
+            raise GraphError(f"self loop at {a!r}")
+        if kind == "->":
+            if pa[i] >> j & 1:
+                raise GraphError(f"duplicate directed edge between {a!r} and {b!r}")
+            pa[j] ^= 1 << i
+            ch[i] ^= 1 << j
+        else:
+            sp[i] ^= 1 << j
+            sp[j] ^= 1 << i
+        g = Admg.__new__(Admg)
+        g.vertices, g._index = self.vertices, self._index
+        g._close(pa, ch, sp)
+        return g
 
     # -- views -------------------------------------------------------------
 
     @property
     def directed_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
-        return tuple(
-            sorted(
-                ((self.vertices[i], self.vertices[j]) for i, j in self._dir),
-                key=lambda e: (self._index[e[0]], self._index[e[1]]),
-            )
-        )
+        vs = self.vertices
+        return tuple((vs[i], vs[j]) for i in range(len(vs)) for j in _bits(self._ch[i]))
 
     @property
     def bidirected_edges(self) -> tuple[tuple[Vertex, Vertex], ...]:
-        return tuple(
-            sorted(
-                ((self.vertices[i], self.vertices[j]) for i, j in self._bi),
-                key=lambda e: (self._index[e[0]], self._index[e[1]]),
-            )
-        )
+        vs = self.vertices
+        return tuple((vs[i], vs[j]) for i in range(len(vs)) for j in _bits(self._sp[i] >> i << i))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Admg)
             and self.vertices == other.vertices
-            and self._dir == other._dir
-            and self._bi == other._bi
+            and self._pa == other._pa
+            and self._sp == other._sp
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self._dir, self._bi))
+        return hash((self.vertices, self._pa, self._sp))
 
     def __repr__(self) -> str:
-        return (
-            f"Admg({len(self.vertices)} vertices, "
-            f"{len(self._dir)} directed, {len(self._bi)} bidirected)"
-        )
+        n_dir = sum(m.bit_count() for m in self._pa)
+        n_bi = sum(m.bit_count() for m in self._sp) // 2
+        return f"Admg({len(self.vertices)} vertices, {n_dir} directed, {n_bi} bidirected)"
 
 
 def parse_graph(text: str) -> Admg:

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .fitting import FitError, FitOptions, FitResult, _check_counts, fit
-from .graph import Admg, GraphError
+from .graph import Admg
 from .inference import information_criteria
 from .moebius import _share, _shape_count, parametrization
 
@@ -91,22 +91,17 @@ def neighbors(g: Admg) -> list[tuple[str, str, object, object, Admg]]:
     for a, b in g.bidirected_edges:
         out.append(("remove", "<->", a, b, g.without_edge(a, b, "<->")))
     vs = g.vertices
-    directed = set(g.directed_edges)
-    bidirected = set(g.bidirected_edges)
     for i, a in enumerate(vs):
+        # a's children, and its ancestors, which hold a itself and its
+        # parents: a -> b to any of them is an edge already or a cycle
+        taken = g._ch[i] | g._an[i]
         for j, b in enumerate(vs):
-            if i == j:
-                continue
-            if (a, b) in directed or (b, a) in directed:
-                continue
-            try:
+            if not taken >> j & 1:
                 out.append(("add", "->", a, b, g.with_edge(a, b, "->")))
-            except GraphError:
-                pass
     for i, a in enumerate(vs):
-        for b in vs[i + 1 :]:
-            if (a, b) not in bidirected:
-                out.append(("add", "<->", a, b, g.with_edge(a, b, "<->")))
+        for j in range(i + 1, len(vs)):
+            if not g._sp[i] >> j & 1:
+                out.append(("add", "<->", a, vs[j], g.with_edge(a, vs[j], "<->")))
     return out
 
 

@@ -29,6 +29,15 @@ def test_from_rows_aggregates_in_first_seen_order():
     assert ds.n == 6
 
 
+def test_from_rows_refuses_what_load_data_refuses():
+    with pytest.raises(ValueError, match="no variable columns"):
+        Dataset.from_rows([], [])
+    with pytest.raises(ValueError, match="duplicate column names"):
+        Dataset.from_rows(["a", "a"], [(0, 1), (1, 0)])
+    with pytest.raises(ValueError, match="values must be 0 or 1"):
+        Dataset.from_rows(["a", "b"], [(0, 1), (2, 0)])
+
+
 def test_count_vector_is_big_endian_and_reorderable():
     ds = Dataset.from_rows(["a", "b"], [(1, 0), (0, 0), (1, 0), (0, 1)])
     assert list(ds.count_vector()) == [1, 1, 2, 0]  # 00, 01, 10, 11
@@ -366,6 +375,26 @@ def test_load_data_reads_past_the_first_block(tmp_path):
         path.write_text("a,b\n" + rows + bad + "\n" + rows)
         with pytest.raises(ValueError, match=r"long\.csv:20002: values must be 0 or 1$"):
             load_data(path)
+
+
+def test_load_data_reads_utf_8_names_and_every_line_end(tmp_path):
+    """CR, LF and CRLF line ends read alike in both layouts, a header
+    may hold any UTF-8 text, and bytes that are not UTF-8 are refused
+    with a ValueError wherever they are, and with exit 2 from ``fit``."""
+    path = tmp_path / "data.csv"
+    for body in ("0,1,2\n1,1,3\n", " 0 , 1 ,2\n1,1,3\n"):
+        for end in ("\n", "\r\n", "\r"):
+            path.write_bytes(("\u00e9t\u00e9,b,count\n" + body).replace("\n", end).encode())
+            ds = load_data(path)
+            assert ds.names == ("\u00e9t\u00e9", "b")
+            assert ds.states.tolist() == [[0, 1], [1, 1]] and ds.counts.tolist() == [2, 3]
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("vertices: a b\na -> b\n")
+    for raw in (b"a\xff,b,count\n0,1,2\n", b"a,b,count\n0,1,2\n1,1,3\xff\n"):
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError):
+            load_data(path)
+        assert main(["fit", str(gpath), str(path)]) == 2
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -517,3 +517,68 @@ def test_zero_count_fits_never_end_below_their_start():
         assert res.loglik >= loglik(g, initialize(g, counts), counts)
         assert abs(res.loglik - loglik(g, res.q, counts)) < 1e-9
         assert res.p[counts > 0].min() > 0
+
+
+def _chain_district():
+    """The one district of a <-> b <-> c, which has no closed form, at
+    its independence start on positive local counts."""
+    g = Admg(["a", "b", "c"], bidirected=[("a", "b"), ("b", "c")])
+    counts = np.random.default_rng(31).integers(5, 60, 8).astype(float)
+    (dm,) = parametrization(g).maps
+    counts_d = dm.marginal(counts)
+    q_d = fitting._district_start(dm, counts_d)
+    return g, counts, dm, q_d, counts_d
+
+
+@pytest.mark.parametrize("cause", ["parameter", "not_positive_definite", "nan", "inf"])
+def test_newton_phase_hands_back_unchanged(monkeypatch, cause):
+    """A parameter at or below 0, an information matrix that is not
+    positive definite and a decrement that is not finite each hand the
+    district back to the block cycles with its parameters untouched."""
+    _, _, dm, q_d, counts_d = _chain_district()
+    eps = fitting._eps_rows(counts_d)
+    ll = fitting._district_ll(dm, q_d, counts_d)
+    opts = FitOptions()
+    # from this start the phase takes a step
+    moved = q_d.copy()
+    assert fitting._newton_phase(dm, moved, counts_d, eps, ll, opts)[0] > ll
+    assert not np.array_equal(moved, q_d)
+
+    if cause == "parameter":
+        q_d[1] = 0.0
+    else:
+        real = DistrictMaps.observed_information
+
+        def bent(self, q_local, counts):
+            f, g, H = real(self, q_local, counts)
+            if cause == "not_positive_definite":
+                return f, g, -H
+            return f, np.full_like(g, np.nan if cause == "nan" else np.inf), H
+
+        monkeypatch.setattr(DistrictMaps, "observed_information", bent)
+    before = q_d.copy()
+    assert fitting._newton_phase(dm, q_d, counts_d, eps, ll, opts) == (ll, None)
+    assert np.array_equal(q_d, before)
+
+
+def test_a_fit_whose_newton_phase_hands_back_converges_on_its_cycles(monkeypatch):
+    """With the Newton phase always handing back, a district runs block
+    cycles until one gains less than tol, and its certificate is the
+    largest block decrement of that last cycle."""
+    g, counts, dm, _, _ = _chain_district()
+    plain = fit(g, counts)
+    decrements = []
+    ascend = fitting._ascend_vertex
+
+    def spy(*args):
+        out = ascend(*args)
+        decrements.append(out[2])
+        return out
+
+    monkeypatch.setattr(fitting, "_newton_phase", lambda dm, q_d, c, eps, ll, opts: (ll, None))
+    monkeypatch.setattr(fitting, "_ascend_vertex", spy)
+    res = fit(g, counts)
+    assert res.converged and res.cycles > plain.cycles == 2
+    assert len(decrements) == res.cycles * len(dm.members)
+    assert res.kkt == max(decrements[-len(dm.members):])
+    assert abs(res.loglik - plain.loglik) < 1e-8

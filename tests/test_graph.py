@@ -94,6 +94,77 @@ def test_equality_ignores_edge_insertion_order():
              bidirected=[("z", "x")])
     assert a == b
     assert hash(a) == hash(b)
+    # rebuilt in shuffled edge order, with bidirected pairs flipped, a
+    # graph equals and hashes like the original; other graphs stay unequal
+    rng = np.random.default_rng(15)
+    graphs = [random_admg(rng, n_min=2, n_max=5, p_dir=0.3, p_bi=0.3) for _ in range(60)]
+    for g in graphs:
+        di = [g.directed_edges[k] for k in rng.permutation(len(g.directed_edges))]
+        bi = [e[::-1] if rng.random() < 0.5 else e for e in g.bidirected_edges]
+        h = Admg(g.vertices, di, [bi[k] for k in rng.permutation(len(bi))])
+        assert h == g and hash(h) == hash(g)
+        assert (h.directed_edges, h.bidirected_edges) == (g.directed_edges, g.bidirected_edges)
+    for g in graphs:
+        for h in graphs:
+            same = (g.vertices, g.directed_edges, g.bidirected_edges) == (
+                h.vertices, h.directed_edges, h.bidirected_edges)
+            assert (g == h) == same
+
+
+def test_edges_are_listed_in_canonical_order():
+    g = Admg(["c", "a", "b"], directed=[("b", "a"), ("c", "b"), ("c", "a")],
+             bidirected=[("b", "c"), ("a", "b")])
+    assert g.directed_edges == (("c", "a"), ("c", "b"), ("b", "a"))
+    assert g.bidirected_edges == (("c", "b"), ("a", "b"))
+    assert repr(g) == "Admg(3 vertices, 3 directed, 2 bidirected)"
+
+
+def test_edits_refuse_bad_edges():
+    g = Admg(["a", "b", "c"], directed=[("a", "b"), ("b", "c")], bidirected=[("a", "c")])
+    with pytest.raises(GraphError, match="edge a -> b already present"):
+        g.with_edge("a", "b", "->")
+    with pytest.raises(GraphError, match="edge c <-> a already present"):
+        g.with_edge("c", "a", "<->")
+    with pytest.raises(GraphError, match="unknown edge kind '--'"):
+        g.with_edge("a", "c", "--")
+    with pytest.raises(GraphError, match="unknown edge kind '<-'"):
+        g.without_edge("b", "a", "<-")
+    for kind in ("->", "<->"):
+        with pytest.raises(GraphError, match="self loop at 'b'"):
+            g.with_edge("b", "b", kind)
+    with pytest.raises(GraphError, match="duplicate directed edge between 'b' and 'a'"):
+        g.with_edge("b", "a", "->")
+    with pytest.raises(GraphError, match=r"directed cycle through \['a', 'b', 'c'\]"):
+        g.with_edge("c", "a", "->")
+    with pytest.raises(GraphError, match="no edge a -> c"):
+        g.without_edge("a", "c", "->")
+    with pytest.raises(GraphError, match="no edge b -> a"):
+        g.without_edge("b", "a", "->")
+    with pytest.raises(GraphError, match="unknown vertex 'z'"):
+        g.with_edge("a", "z", "<->")
+    # a refused edit leaves the graph as it was
+    assert g == Admg(["a", "b", "c"], directed=[("a", "b"), ("b", "c")], bidirected=[("a", "c")])
+
+
+def test_edits_match_the_constructor():
+    """An edited graph holds the edge masks and closures of the graph
+    built from its edges, and undoing the edit gives the original."""
+    def same(h, built):
+        assert h == built
+        assert (h._ch, h._an, h._de, h._topo) == (built._ch, built._an, built._de, built._topo)
+
+    rng = np.random.default_rng(16)
+    for _ in range(40):
+        g = random_admg(rng, n_min=2, n_max=6, p_dir=0.3, p_bi=0.3)
+        vs, d, b = g.vertices, list(g.directed_edges), list(g.bidirected_edges)
+        for e in d:
+            h = g.without_edge(*e, "->")
+            same(h, Admg(vs, [x for x in d if x != e], b))
+            same(h.with_edge(*e, "->"), g)
+        for e in b:
+            h = g.without_edge(*e[::-1], "<->")
+            same(h, Admg(vs, d, [x for x in b if x != e]))
+            same(h.with_edge(*e, "<->"), g)
 
 
 def test_parse_and_format_round_trip():
@@ -120,6 +191,15 @@ def test_parse_rejects_garbage():
         parse_graph("vertices: a b\na => b\n")
     with pytest.raises(GraphError):
         parse_graph("vertices: a\na -> a\n")
+
+
+def test_parse_rejects_bad_edges_and_empty_text():
+    for text in ("vertices: a b\n -> b\n", "a b -> c\n", "a <-> \n"):
+        with pytest.raises(GraphError, match="line [12]: bad edge"):
+            parse_graph(text)
+    for text in ("", "\n# nothing but a comment\n"):
+        with pytest.raises(GraphError, match="empty graph description"):
+            parse_graph(text)
 
 
 def test_parse_accepts_comments_and_blank_lines():
@@ -253,3 +333,13 @@ def test_walk_for_known_collider_activation():
     walk = g.m_connecting_walk("1", "3", ["4"])
     assert walk is not None
     assert walk[0][0] == "1" and walk[-1][-1] == "3"
+
+
+def test_walk_arguments_are_checked():
+    g = graph_one()
+    for x, y in (([], ["3"]), (["1"], [])):
+        with pytest.raises(GraphError, match="x and y must be nonempty"):
+            g.m_connecting_walk(x, y)
+    for x, y, z in ((["1", "2"], ["2"], []), (["1"], ["3"], ["3"]), (["1"], ["3"], ["1"])):
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            g.m_connecting_walk(x, y, z)

@@ -627,7 +627,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     real_fit = select.fit
 
     def recording_fit(g, counts, opts, **kw):
-        graphs.setdefault((g.vertices, g._dir, g._bi), g)
+        graphs.setdefault((g.vertices, g._pa, g._sp), g)
         return real_fit(g, counts, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
@@ -639,7 +639,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
         moves = select.neighbors(g)
         picks = rng.choice(len(moves), size=min(2, len(moves)), replace=False)
         for h in [g] + [moves[i][4] for i in picks]:
-            graphs.setdefault((k, h.vertices, h._dir, h._bi), h)
+            graphs.setdefault((k, h.vertices, h._pa, h._sp), h)
 
     first, first_shape = {}, {}
     checked = set()

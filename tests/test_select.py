@@ -8,11 +8,11 @@ import pytest
 import admgfit.fitting as fitting
 import admgfit.select as select
 from admgfit.fitting import FitError, FitOptions, fit
-from admgfit.graph import Admg
+from admgfit.graph import Admg, GraphError
 from admgfit.moebius import Parametrization, parametrization, prob_vector
 from admgfit.select import TIE_TOL, neighbors, stepwise
 
-from util import criterion_11_search_inputs, golden_search_inputs
+from util import criterion_11_search_inputs, golden_search_inputs, random_admg
 
 
 def product_counts(margins, n):
@@ -69,6 +69,62 @@ def test_neighbors_never_propose_a_cycle():
     assert ("add", "->", "a", "c") in moves
     for m in moves_list:
         assert isinstance(m[4], Admg)
+
+
+def _reference_neighbors(g):
+    """Every single-edge move built through the constructor: all
+    removals, then every addition of a non-adjacent pair, omitting those
+    the constructor refuses as cyclic."""
+    vs, d, b = g.vertices, list(g.directed_edges), list(g.bidirected_edges)
+    out = [("remove", "->", x, y, Admg(vs, [e for e in d if e != (x, y)], b)) for x, y in d]
+    out += [("remove", "<->", x, y, Admg(vs, d, [e for e in b if e != (x, y)])) for x, y in b]
+    for x in vs:
+        for y in vs:
+            if x != y and (x, y) not in d and (y, x) not in d:
+                try:
+                    out.append(("add", "->", x, y, Admg(vs, d + [(x, y)], b)))
+                except GraphError:
+                    pass
+    for i, x in enumerate(vs):
+        out += [("add", "<->", x, y, Admg(vs, d, b + [(x, y)]))
+                for y in vs[i + 1:] if (x, y) not in b]
+    return out
+
+
+def test_neighbors_match_building_every_addition():
+    rng = np.random.default_rng(71)
+    n_moves = 0
+    for _ in range(250):
+        g = random_admg(rng, n_min=2, n_max=7, p_dir=rng.uniform(0.0, 0.5),
+                        p_bi=rng.uniform(0.0, 0.5))
+        moves, want = neighbors(g), _reference_neighbors(g)
+        assert [m[:4] for m in moves] == [m[:4] for m in want]
+        for m, w in zip(moves, want):
+            assert m[4] == w[4] and hash(m[4]) == hash(w[4])
+            assert m[4].directed_edges == w[4].directed_edges
+            assert m[4].bidirected_edges == w[4].bidirected_edges
+        n_moves += len(moves)
+    assert n_moves > 5000
+
+
+def test_neighbors_build_no_cyclic_addition(monkeypatch):
+    """A directed addition that would close a cycle is skipped before
+    any graph is built for it."""
+    calls = []
+    real = Admg.with_edge
+
+    def recording(self, a, b, kind):
+        calls.append((a, b, kind))
+        return real(self, a, b, kind)
+
+    monkeypatch.setattr(Admg, "with_edge", recording)
+    g = Admg(["a", "b", "c", "d"], directed=[("a", "b"), ("b", "c"), ("c", "d")])
+    moves = neighbors(g)
+    added = [m[1:4] for m in moves if m[0] == "add"]
+    assert calls == [(a, b, kind) for kind, a, b in added]
+    assert [(a, b) for kind, a, b in added if kind == "->"] == [
+        ("a", "c"), ("a", "d"), ("b", "d"),
+    ]
 
 
 def test_invalid_criterion_is_rejected():
