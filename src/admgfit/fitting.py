@@ -11,13 +11,14 @@ states x, with n_D the marginal counts, and the district is fitted on
 them.  A district whose kernel ``p(x_D | x_pa(D))`` the model leaves
 unconstrained, one with ``(2^|D| - 1) 2^|pa(D)|`` parameters
 (``DistrictMaps.saturated``), has its term largest at the empirical
-kernel.  With every local count positive, each of its parameters
-q(H | T = t) is read off the local counts as the share of ``X_H = 0``
-among the counts with ``X_T = t``, and no ascent runs, unless roundoff
-takes a factor of that point to zero.  Every other district is fitted
-by ascent.  Within a district, fitting cycles through its vertices in
-canonical order and maximizes each block with damped Newton ascent
-under the feasibility constraints, backtracking from the unit step.
+kernel.  With every conditioning event ``X_T = t`` observed, each of
+its parameters q(H | T = t) is read off the local counts as the share
+of ``X_H = 0`` among the counts with ``X_T = t``, and no ascent runs,
+unless roundoff takes a factor of that point to zero.  Every other
+district is fitted by ascent.  Within a district, fitting cycles
+through its vertices in canonical order and maximizes each block with
+damped Newton ascent under the feasibility constraints, backtracking
+from the unit step.
 Block coordinate ascent converges only linearly, so a district that
 has not stopped after two cycles enters a district Newton phase: a few
 damped Newton steps on all of its parameters at once, with the
@@ -35,9 +36,10 @@ district, so a district's fit depends only on its structure, its
 marginal counts and the options, and no step forms a joint table.
 Fits that share their counts and options, as the candidate fits of one
 structure search do, can therefore share a dict of fitted districts
-keyed by the districts' placed maps: a district found there is copied
-instead of fitted.  The key is the placement, never the shape that
-several districts share, since each district has its own counts.  No
+keyed by the districts' maps, which are equal for placements of one
+shape on one scope: a district found there is copied instead of
+fitted.  The key is the placement, never the shape that several
+districts share, since each district has its own counts.  No
 kernel is passed between these functions: the block step looks its
 ascent up through ``get_kernels``, and ``DistrictMaps`` looks up its
 own term-product kernel.
@@ -135,7 +137,8 @@ class FitResult:
     dict contributes the values of the fit that produced it.  A
     district solved in closed form contributes 0 cycles, converged and
     a certificate of 0, so ``cycles == 0`` means that every district
-    was solved in closed form."""
+    was solved in closed form.  A closed form with zero counts can leave
+    ``p`` at -1e-16 at a zero-count cell, from roundoff."""
 
     graph: Admg
     q: np.ndarray
@@ -378,13 +381,16 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
     return ll, cycles, converged, kkt
 
 
-def _closed_form(dm: DistrictMaps, counts_d) -> np.ndarray:
+def _closed_form(dm: DistrictMaps, counts_d) -> np.ndarray | None:
     """The parameters of the empirical kernel of a district: every
     q(H | T = t) is the share of ``X_H = 0`` among the local counts
-    with ``X_T = t``.  Requires every tail assignment to be observed."""
+    with ``X_T = t``.  None when some tail assignment is unobserved."""
     table = counts_d.reshape((2,) * len(dm.scope))
-    return np.concatenate([np.divide(*_head_run(table, dm.scope, h_mask, t_mask))
-                           for h_mask, t_mask in dm.heads])
+    runs = [_head_run(table, dm.scope, h_mask, t_mask) for h_mask, t_mask in dm.heads]
+    # positive local counts observe every tail assignment
+    if counts_d.min() <= 0 and min(den.min() for _, den in runs) <= 0:
+        return None
+    return np.concatenate([zero / den for zero, den in runs])
 
 
 def _fit_district_starts(dm: DistrictMaps, counts_d, opts):
@@ -395,14 +401,14 @@ def _fit_district_starts(dm: DistrictMaps, counts_d, opts):
     Returns (q_d, ll, cycles, converged, kkt) of the first start with
     the highest district log-likelihood.
 
-    A saturated district with every local count positive is solved in
-    closed form instead, with no cycle and no restart: its term is
-    largest at the empirical kernel, whose parameters are read off the
-    local counts.  Where roundoff takes a factor of that point to zero,
-    as counts that span more decades than a double resolves can, the
-    district is fitted from its starts after all."""
-    if dm.saturated and counts_d.min() > 0:
-        q_d = _closed_form(dm, counts_d)
+    A saturated district with every conditioning event observed is
+    solved in closed form instead, with no cycle and no restart: its
+    term is largest at the empirical kernel, whose parameters are read
+    off the local counts.  Where roundoff takes a factor of that point
+    to zero, as counts that span more decades than a double resolves
+    can, the district is fitted from its starts after all."""
+    q_d = _closed_form(dm, counts_d) if dm.saturated else None
+    if q_d is not None:
         ll = _district_ll(dm, q_d, counts_d)
         if np.isfinite(ll):
             return q_d, ll, 0, True, 0.0
@@ -426,23 +432,25 @@ def fit(
     """Maximum likelihood fit of the graph's model to a count vector.
 
     ``counts`` holds one nonnegative count per joint state in canonical
-    order.  A saturated district (``DistrictMaps.saturated``) with
-    every local count positive is solved in closed form: its
-    parameters are the conditional zero-probabilities of its local
-    counts.  Each other district is fitted on its local counts from its
-    independence start (see :func:`initialize`) and from
-    ``opts.starts - 1`` jittered restarts, keeping its best term of the
-    likelihood.
+    order.  A saturated district (``DistrictMaps.saturated``) whose
+    conditioning events ``X_T = t`` are all observed is solved in
+    closed form: its parameters are the conditional zero-probabilities
+    of its local counts.  Each other district is fitted on its local
+    counts from its independence start (see :func:`initialize`) and
+    from ``opts.starts - 1`` jittered restarts, keeping its best term
+    of the likelihood.
 
     ``district_fits`` is a dict that fits with the same counts and
     options share, as the candidate fits of one structure search do.
     It maps a district's :class:`DistrictMaps`, the shape placed on
     that district, to the district's fitted
-    ``(q_d, loglik, cycles, converged, kkt)``.  A district whose maps
-    are in it is copied instead of fitted: its term of the likelihood
-    depends only on its structure and its marginal counts.  A
-    successful fit adds the districts it fitted; a failed one adds
-    nothing.
+    ``(q_d, loglik, cycles, converged, kkt)``.  Placements of one
+    shape on one scope are equal keys, so a district that the graphs
+    of one search share, placed through the search's dict of shapes,
+    is found whichever graph fitted it.  A district whose maps are in
+    it is copied instead of fitted: its term of the likelihood depends
+    only on its structure and its marginal counts.  A successful fit
+    adds the districts it fitted; a failed one adds nothing.
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
     par = parametrization(g)

@@ -44,6 +44,8 @@ class HeadTail:
 def _subset_masks(members: Sequence[int]) -> list[int]:
     """Masks of all subsets of ``members`` in binary counting order,
     the first member least significant."""
+    if len(members) > MAX_DISTRICT:
+        raise ValueError(f"district of size {len(members)} is too large to enumerate")
     out = []
     for c_local in range(1 << len(members)):
         c_mask = 0
@@ -87,14 +89,13 @@ def tail(g: Admg, head: Iterable[Vertex]) -> tuple[Vertex, ...]:
 def _district_heads(g: Admg, d_mask: int) -> tuple[tuple[int, int], ...]:
     """(head mask, tail mask) of every head inside the district
     ``d_mask`` in parameter order (see :func:`heads`), memoized on the
-    graph: the district's parametrization is built from this record."""
+    graph.  District maps read the same record off the head partitions
+    of the district's subsets instead (``moebius._Shape``)."""
     key = ("district_heads", d_mask)
     if key not in g._memo:
-        members = list(_bits(d_mask))
-        if len(members) > MAX_DISTRICT:
-            raise ValueError(f"district of size {len(members)} is too large to enumerate")
         g._memo[key] = tuple(
-            (h, _tail_mask(g, h)) for h in _subset_masks(members)[1:] if _is_head_mask(g, h)
+            (h, _tail_mask(g, h)) for h in _subset_masks(list(_bits(d_mask)))[1:]
+            if _is_head_mask(g, h)
         )
     return g._memo[key]
 

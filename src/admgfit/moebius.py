@@ -45,16 +45,14 @@ scope-local masks, so each shape is built once (``_Shape``) and placed
 on every district that has it (:class:`DistrictMaps`); the placement
 keeps what depends on the graph: members, scope, broadcast shape, the
 head record in canonical masks, the plans keyed by canonical position
-and the term labels.  A shape is built from its first district's head
-record, ``heads._district_heads``; :class:`ParamTable` reads the head
-records of the placed maps, so no placed or reused district has its
-heads enumerated.  A parametrization shares shapes among the graph's
-districts; graphs visited by one structure search share one dict of
-placed maps and shapes, so a district that a single-edge move leaves
-unchanged is reused, and a new district whose shape the search has
-seen is placed without a build.  Both keys, ``_maps_key`` and
-``_shape_key``, are read off per-member masks of the graph, so
-looking a district up computes no heads and no head partitions.
+and the term labels.  A shape reads its head record off the head
+partitions that its terms need, and :class:`ParamTable` reads the
+placed maps' records.  A parametrization shares shapes among the
+graph's districts; the graphs of one structure search share one dict
+of shapes, keyed by ``_shape_key``, which is read off per-member masks
+with no head computed.  Placements of one shape on one scope, for one
+vertex order, are equal, so a district that a move leaves unchanged
+finds its fit again.
 
 Canonical orderings
 -------------------
@@ -79,7 +77,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import Admg, Vertex, _bits
-from .heads import _district_heads, _partition_masks, _subset_masks
+from .heads import _district_heads, _partition_masks, _subset_masks, _tail_mask
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -260,20 +258,6 @@ class _VertexPlan:
         self.slot = shape.M_row * self.width + term_theta[shape.M_col]
 
 
-def _maps_key(g: Admg, d_mask: int) -> tuple:
-    """A key from which the maps of the district ``d_mask`` follow: the
-    vertex order, the district, and for each member its parent mask,
-    its ancestors in the district and its bidirected neighbours.
-    Graphs that agree on it have equal maps.  Heads, tails and head
-    partitions of subsets of the district are read off these: a vertex
-    of an(H) outside the district is a proper ancestor of H, so it is
-    never barren there and links no two members bidirectedly.
-    Building the key computes none of them."""
-    members = tuple(_bits(d_mask))
-    return (g.vertices, d_mask, tuple(g._pa[p] for p in members),
-            tuple(g._an[p] & d_mask for p in members), tuple(g._sp[p] for p in members))
-
-
 def _local_mask(mask: int, scope: Sequence[int]) -> int:
     """The part of ``mask`` in ``scope`` in scope-local positions: bit k
     stands for ``scope[k]``."""
@@ -293,12 +277,15 @@ def _graph_mask(local: int, scope: Sequence[int]) -> int:
 
 
 def _shape_key(g: Admg, d_mask: int, scope: Sequence[int]) -> tuple:
-    """``_maps_key`` in scope-local positions and without vertex labels:
-    the size of the scope, the district, and for each member its
-    parents, its ancestors in the district and its bidirected
-    neighbours, all of which lie in the scope.  Relabelling keeps the
-    order of the scope, so districts with equal shape keys, in one
-    graph or in several, have equal local arrays (see :class:`_Shape`)."""
+    """The shape of the district ``d_mask`` with scope ``scope``: the
+    size of the scope, the district, and each member's parents, its
+    ancestors in the district and its bidirected neighbours, all in
+    scope-local positions.  Heads, tails and head partitions of subsets
+    of the district follow from these (a vertex of an(H) outside the
+    district is a proper ancestor of H, never barren there and linking
+    no two members), so districts with equal keys, in one graph or in
+    several, have equal local arrays (see :class:`_Shape`).  Building
+    the key computes none of them."""
     members = tuple(_bits(d_mask))
     return (len(scope), _local_mask(d_mask, scope),
             tuple(_local_mask(g._pa[p], scope) for p in members),
@@ -321,9 +308,10 @@ class _Shape:
     """The local arrays of a district shape, built from one district
     ``d_mask`` of ``g`` with scope ``scope``.  They hold for every
     district with the same ``_shape_key``: M, P, ``term_of``, the
-    Jacobian pairs and the vertex plans.  ``heads`` is the head record
-    ``heads._district_heads`` as (head, tail) masks in scope-local
-    positions, bit k standing for ``scope[k]``; ``theta_cols`` holds,
+    Jacobian pairs and the vertex plans.  ``heads`` is the district's
+    head record, (head, tail) masks in parameter order as
+    ``heads._district_heads`` lists them, in scope-local positions, bit
+    k standing for ``scope[k]``; ``theta_cols`` holds,
     for each member in ascending order, the local parameters whose head
     contains it.  The plans, the pairs of parameters that share a term
     and the scope-local term records are built on first use.
@@ -341,25 +329,15 @@ class _Shape:
         L = len(scope)
         row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(scope)}
 
-        # local offset of each head's parameter run, and the local
-        # parameters whose head holds each member
-        record = _district_heads(g, d_mask)
-        self.heads = tuple((_local_mask(h, scope), _local_mask(t, scope)) for h, t in record)
-        head_tail = dict(record)
-        local_offset: dict[int, int] = {}
-        theta_sets: dict[int, list[int]] = {p: [] for p in members}
-        n_params = 0
-        for h_mask, t_mask in head_tail.items():
-            local_offset[h_mask] = n_params
-            run = range(n_params, n_params + (1 << t_mask.bit_count()))
-            for p in _bits(h_mask):
-                theta_sets[p].extend(run)
-            n_params = run.stop
-        self.theta_cols = tuple(np.array(theta_sets[p], dtype=np.int64) for p in members)
-
         # enumerate terms: subsets C of the district in counting order,
         # then tail assignments of the union of block tails; c_tail is
-        # that union as a mask over the bits of a local state
+        # that union as a mask over the bits of a local state.  C is a
+        # head when it is its own head partition; its blocks are subsets
+        # of it, so each head's (tail, first local parameter) is known
+        # before a term needs it
+        runs: dict[int, tuple[int, int]] = {}
+        theta_sets: dict[int, list[int]] = {p: [] for p in members}
+        n_params = 0
         subsets: list[tuple] = []
         P_rows: list[list[int]] = []
         c_start: list[int] = []
@@ -367,15 +345,22 @@ class _Shape:
         col = 0
         for c_mask in _subset_masks(members):
             blocks = _partition_masks(g, c_mask)
+            if blocks == (c_mask,):
+                t_mask = _tail_mask(g, c_mask)
+                runs[c_mask] = (t_mask, n_params)
+                run = range(n_params, n_params + (1 << t_mask.bit_count()))
+                for p in _bits(c_mask):
+                    theta_sets[p].extend(run)
+                n_params = run.stop
             t_union = 0
             for b in blocks:
-                t_union |= head_tail[b]
+                t_union |= runs[b][0]
             tpos = tuple(_bits(t_union))
             subsets.append((c_mask, blocks, t_union))
             c_start.append(col)
             c_tail.append(sum(row_bit[p] for p in tpos))
             # each block's run offset and the places of its tail in tpos
-            block_runs = [(local_offset[b], [tpos.index(p) for p in _bits(head_tail[b])])
+            block_runs = [(runs[b][1], [tpos.index(p) for p in _bits(runs[b][0])])
                           for b in blocks]
             for s in range(1 << len(tpos)):
                 cols = []
@@ -388,14 +373,14 @@ class _Shape:
                 P_rows.append(cols)
             col += 1 << len(tpos)
         K = col
+        self.heads = tuple((_local_mask(h, scope), _local_mask(t, scope))
+                           for h, (t, _) in runs.items())
+        self.theta_cols = tuple(np.array(theta_sets[p], dtype=np.int64) for p in members)
         self._scope = scope
         self._subsets = tuple(subsets)
         P_indptr = np.zeros(K + 1, dtype=np.int64)
-        for k, cols in enumerate(P_rows):
-            P_indptr[k + 1] = P_indptr[k] + len(cols)
-        P_indices = np.array(
-            [c for cols in P_rows for c in cols], dtype=np.int64
-        )
+        np.cumsum([len(cols) for cols in P_rows], out=P_indptr[1:])
+        P_indices = np.array([c for cols in P_rows for c in cols], dtype=np.int64)
         self.P_indptr = P_indptr
         self.P_indices = P_indices
         self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
@@ -495,7 +480,9 @@ class DistrictMaps:
     district's parameters sit in the graph's parameter vector is kept
     by :class:`Parametrization`, which builds each shape once and
     places it on every district that has it.  ``DistrictMaps(g, d)``
-    builds the shape of ``d`` afresh and places it there.
+    builds the shape of ``d`` afresh and places it there.  Instances
+    are equal, and hash alike, when they place one shape object on one
+    scope for one vertex order, so on one district.
 
     M is held as its nonzeros in row order, columns ascending within a
     row: ``M_row``, ``M_col`` and ``M_sign``; it has ``n_states`` rows
@@ -542,6 +529,13 @@ class DistrictMaps:
         self._shape = shape
         for name in self._SHARED:
             setattr(self, name, getattr(shape, name))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DistrictMaps) and self._shape is other._shape
+                and self.scope == other.scope and self._vertices == other._vertices)
+
+    def __hash__(self) -> int:
+        return hash((id(self._shape), self.scope))
 
     @cached_property
     def plans(self) -> dict[int, _VertexPlan]:
@@ -666,37 +660,26 @@ class DistrictMaps:
         return f, J.T @ w, info
 
 
-def _shared_maps(g: Admg, d_mask: int, maps: dict) -> DistrictMaps:
-    """The maps of the district ``d_mask`` through a shared dict: the
-    maps held under its ``_maps_key``, or else its shape placed on it,
-    the shape built unless the dict holds one under its ``_shape_key``."""
-    key = _maps_key(g, d_mask)
-    dm = maps.get(key)
-    if dm is None:
-        scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
-        shape_key = _shape_key(g, d_mask, scope)
-        shape = maps.get(shape_key)
-        if shape is None:
-            dm = DistrictMaps(g, g._labels(d_mask))
-            maps[shape_key] = dm._shape
-        else:
-            dm = DistrictMaps._placed(g, d_mask, scope, shape)
-        maps[key] = dm
+def _shared_maps(g: Admg, d_mask: int, shapes: dict) -> DistrictMaps:
+    """The maps of the district ``d_mask`` through a dict of shapes
+    keyed by ``_shape_key``: the shape held there placed on the
+    district, or else maps built afresh, whose shape is entered."""
+    scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+    key = _shape_key(g, d_mask, scope)
+    shape = shapes.get(key)
+    if shape is not None:
+        return DistrictMaps._placed(g, d_mask, scope, shape)
+    dm = DistrictMaps(g, g._labels(d_mask))
+    shapes[key] = dm._shape
     return dm
 
 
-def _share(maps: dict, par: Parametrization) -> None:
-    """Enter the maps of ``par`` and their shapes into a shared dict,
+def _share(shapes: dict, par: Parametrization) -> None:
+    """Enter the shapes of the maps of ``par`` into a dict of shapes,
     keeping the entries it already holds."""
     g = par.graph
     for dm in par.maps:
-        maps.setdefault(_maps_key(g, dm.d_mask), dm)
-        maps.setdefault(_shape_key(g, dm.d_mask, dm.scope), dm._shape)
-
-
-def _shape_count(maps: dict) -> int:
-    """The number of shapes a shared dict holds."""
-    return sum(isinstance(v, _Shape) for v in maps.values())
+        shapes.setdefault(_shape_key(g, dm.d_mask, dm.scope), dm._shape)
 
 
 class Parametrization:
@@ -706,14 +689,12 @@ class Parametrization:
     belongs to district ``maps[k]``, read off the table's
     ``district_slices``.  Each district shape is built once and placed
     on every district that has it (see :class:`DistrictMaps`).
-    ``maps``, when given, is a dict that several graphs share: it holds
-    placed maps under their ``_maps_key`` and shapes under their
-    ``_shape_key``, so a district whose key is already there reuses
-    those maps, and one whose shape is there is placed without a build.
-    Without it, the districts of this graph share shapes among
-    themselves only.  The table reads its head records from the maps,
-    so no district whose maps are reused or placed has its heads
-    enumerated.
+    ``maps``, when given, is a dict of shapes keyed by ``_shape_key``
+    that several graphs share: a district whose shape is there is
+    placed without a build, so a district that two such graphs have in
+    common has equal maps in both.  Without it, the districts of this
+    graph share shapes among themselves only.  The table reads its
+    head records from the maps.
     """
 
     def __init__(self, g: Admg, maps: dict | None = None):

@@ -12,11 +12,12 @@ The likelihood splits over districts, and a district's matrices and
 its maximized term depend only on its own structure and, for the term,
 its marginal counts, which one search holds fixed.  So the graphs of
 one search build their parametrizations through one shared dict of
-district maps and shapes, and fit through one shared dict of district
-fits keyed by the placed maps: a move refits only the districts whose
-structure it changes, and builds only those whose shape the search has
-not seen.  The result counts the shapes built and the district fits
-run, each with the district requests served by reuse.
+district shapes, and fit through one shared dict of district fits
+keyed by the districts' maps: placements of one shape on one scope are
+equal, so a move refits only the districts whose structure it changes,
+and builds only those whose shape the search has not seen.  The result
+counts the shapes built and the district fits run, each with the
+district requests served by reuse.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from .fitting import FitError, FitOptions, FitResult, _check_counts, fit
 from .graph import Admg
 from .inference import information_criteria
-from .moebius import _share, _shape_count, parametrization
+from .moebius import _share, parametrization
 
 __all__ = ["Step", "SearchResult", "neighbors", "stepwise"]
 
@@ -58,13 +59,12 @@ class SearchResult:
 
     ``maps_built`` counts the district shapes the search built (see
     :class:`~admgfit.moebius.DistrictMaps`), and ``maps_reused`` the
-    district requests served without a build: a district whose maps an
-    earlier graph of the search already had, or one whose shape the
-    search had already built, placed on it.  A start graph
-    parametrized before the search brings its shapes, which count as
-    neither.  ``districts_fitted`` counts the district fits the search
-    ran, one per placed district, and ``districts_reused`` the district
-    requests of successful candidate fits served by copying one.
+    district requests served without a build, by placing a shape the
+    search already had.  A start graph parametrized before the search
+    brings its shapes, which count as neither.  ``districts_fitted``
+    counts the district fits the search ran, one per placed district,
+    and ``districts_reused`` the district requests of successful
+    candidate fits served by copying one.
     """
 
     graph: Admg
@@ -157,23 +157,23 @@ def stepwise(
     counts = _check_counts(start, counts, opts.allow_zero_counts)
 
     cache: dict = {}
-    # district maps and shapes shared by every graph of this search; a
-    # start graph parametrized before the search brings shapes the
-    # search did not build
-    maps: dict = {}
-    start_par = parametrization(start, maps)
-    built_here = _shape_count(maps)
-    _share(maps, start_par)
-    brought = _shape_count(maps) - built_here
+    # district shapes shared by every graph of this search; a start
+    # graph parametrized before the search brings shapes the search
+    # did not build
+    shapes: dict = {}
+    start_par = parametrization(start, shapes)
+    built_here = len(shapes)
+    _share(shapes, start_par)
+    brought = len(shapes) - built_here
     requests = 0
-    # fitted districts keyed by their shared maps, and the district
-    # requests of the candidate fits that succeeded
+    # fitted districts keyed by their maps, and the district requests
+    # of the candidate fits that succeeded
     district_fits: dict = {}
     fit_requests = 0
 
     def run_fit(g: Admg):
         nonlocal requests, fit_requests
-        n_districts = len(parametrization(g, maps).maps)
+        n_districts = len(parametrization(g, shapes).maps)
         requests += n_districts
         try:
             res = fit(g, counts, opts, district_fits=district_fits)
@@ -216,7 +216,7 @@ def stepwise(
         steps.append(Step(action, kind, a, b, chosen_val))
         current, current_fit, value = g_new, res, chosen_val
 
-    shapes = _shape_count(maps)
+    built = len(shapes) - brought
     return SearchResult(
         graph=current,
         fit=current_fit,
@@ -225,8 +225,8 @@ def stepwise(
         start_value=start_value,
         steps=tuple(steps),
         evaluated=evaluated,
-        maps_built=shapes - brought,
-        maps_reused=requests - shapes + brought,
+        maps_built=built,
+        maps_reused=requests - built,
         districts_fitted=len(district_fits),
         districts_reused=fit_requests - len(district_fits),
     )

@@ -342,9 +342,15 @@ def test_criterion_12_district_size_drives_fit_time():
         g = _bench_graph(family, 7)
         counts = rng.integers(1, 50, size=1 << len(g.vertices)).astype(float)
         fit(g, counts, opts)  # warm up kernels and cached maps
-        t0 = time.perf_counter()
-        fit(g, counts, opts)
-        times[family] = time.perf_counter() - t0
+        # best of five back-to-back fits, as ``admgfit bench --reps``
+        # times them: one sub-millisecond timing is at the mercy of
+        # other load on the machine
+        best = np.inf
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fit(g, counts, opts)
+            best = min(best, time.perf_counter() - t0)
+        times[family] = best
     ratio = times["large"] / times["fixed"]
     ok = times["large"] >= 5.0 * times["fixed"]
     verdict(

@@ -140,6 +140,39 @@ def test_fit_matches_closed_form_on_random_dags():
         checked += 1
 
 
+def _parents_observed(g, counts):
+    """Whether every vertex sees each assignment of its parents in a
+    cell with a positive count."""
+    k = len(g.vertices)
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    for v in g.vertices:
+        pa = [g.vertices.index(u) for u in g.parents(v)]
+        code = bits[:, pa] @ (1 << np.arange(len(pa)))
+        if np.bincount(code, weights=counts, minlength=1 << len(pa)).min() == 0:
+            return False
+    return True
+
+
+def test_zero_count_dags_are_fitted_in_closed_form():
+    """On random DAGs with 30% of the cells zero but every parent
+    configuration observed, every district is saturated with all of
+    its conditioning events observed: the fit is in closed form, at
+    the conditional-proportion maximum."""
+    rng = np.random.default_rng(43)
+    checked = 0
+    while checked < 20:
+        g = random_admg(rng, n_min=4, n_max=7, p_dir=0.4, p_bi=0.0)
+        k = len(g.vertices)
+        counts = random_counts(rng, k)
+        counts[rng.random(1 << k) < 0.3] = 0.0
+        if not _parents_observed(g, counts):
+            continue
+        res = fit(g, counts, FitOptions(allow_zero_counts=True))
+        assert res.cycles == 0 and res.converged and res.kkt == 0.0
+        assert abs(res.loglik - dag_loglik_closed_form(g, counts)) < 1e-9
+        checked += 1
+
+
 def test_fit_reaches_the_saturated_likelihood():
     rng = np.random.default_rng(15)
     g = Admg(["a", "b", "c"], bidirected=[("a", "b"), ("b", "c"), ("a", "c")])
@@ -226,8 +259,10 @@ def test_fully_saturated_fits_reach_the_maximum_over_nine_decades():
 
 
 def test_saturated_districts_fall_back_to_the_ascent(monkeypatch):
-    """A saturated district with a zero local count, or whose closed
-    form rounds a factor to zero, is fitted by the block ascent."""
+    """A saturated district with a zero local count but every
+    conditioning event observed is solved in closed form.  One with an
+    unobserved conditioning event, or whose closed form rounds a factor
+    to zero, is fitted by the block ascent."""
     ascents = []
     real = fitting._fit_district
 
@@ -236,17 +271,27 @@ def test_saturated_districts_fall_back_to_the_ascent(monkeypatch):
         return real(dm, *args)
 
     monkeypatch.setattr(fitting, "_fit_district", recording)
+    zeros = FitOptions(allow_zero_counts=True)
     g = Admg(["a", "b"], bidirected=[("a", "b")])
     dm = parametrization(g).maps[0]
     assert dm.saturated
-    res = fit(g, np.array([5.0, 0.0, 7.0, 3.0]), FitOptions(allow_zero_counts=True))
-    assert ascents == [dm] and res.cycles >= 1 and res.converged
+    counts = np.array([5.0, 0.0, 7.0, 3.0])
+    res = fit(g, counts, zeros)
+    pos = counts > 0
+    saturated = float(counts[pos] @ np.log(counts[pos] / counts.sum()))
+    assert ascents == [] and res.cycles == 0 and res.converged and res.kkt == 0.0
+    assert res.loglik == pytest.approx(saturated, rel=1e-12, abs=0)
+    # c = 1 is never observed, so a's parameter given c = 1 has no
+    # closed form; c's district, with an empty tail, still has one
+    h = Admg(["c", "a"], directed=[("c", "a")])
+    res = fit(h, np.array([5.0, 7.0, 0.0, 0.0]), zeros)
+    assert [d.district for d in ascents] == [("a",)] and res.cycles >= 1 and res.converged
     # the cell with count 1 has factor 1 - q[a] - q[b] + q[a,b] = 1e-17 / 3,
     # which the closed form's roundoff takes to 0
     wide = np.array([1e17, 1e17, 1.0, 1e17])
     assert fitting._district_ll(dm, fitting._closed_form(dm, wide), wide) == -np.inf
     res = fit(g, wide)
-    assert ascents == [dm, dm] and res.cycles >= 1 and np.isfinite(res.loglik)
+    assert ascents[1:] == [dm] and res.cycles >= 1 and np.isfinite(res.loglik)
 
 
 def test_edgeless_fit_is_the_product_of_margins():

@@ -578,22 +578,20 @@ def _chain(n):
 
 
 def test_equal_maps_keys_give_equal_maps(monkeypatch):
-    """The maps and shape keys are read off per-member masks: building
-    them computes no head partition.  Districts with equal maps keys
-    have equal maps, and districts with equal shape keys equal local
-    arrays, on every candidate of the golden and criterion-11 searches,
-    and on random graphs and some of their single-edge neighbours.
-    Every map that a search or a parametrization hands out equals a
-    fresh build for its district, and the 14-vertex chain builds 2
-    shapes for its 7 districts."""
+    """The shape key is read off per-member masks: computing it, and
+    placing the shapes a dict holds, computes no head partition.
+    Equal placements have equal maps, and districts with equal shape
+    keys equal local arrays, on every candidate of the golden and
+    criterion-11 searches, and on random graphs and some of their
+    single-edge neighbours.  Every map that a search or a
+    parametrization hands out equals a fresh build for its district,
+    and the 14-vertex chain builds 2 shapes for its 7 districts."""
     import importlib
 
     import admgfit.moebius as moebius
     import admgfit.select as select
     from admgfit.graph import _bits
-    from admgfit.moebius import (
-        DistrictMaps, Parametrization, _maps_key, _shape_count, _shape_key,
-    )
+    from admgfit.moebius import DistrictMaps, Parametrization, _shape_key
 
     from util import criterion_11_search_inputs, golden_search_inputs
 
@@ -602,22 +600,25 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     heads = importlib.import_module("admgfit.heads")
 
     def refuse(*args):
-        raise AssertionError("a key computed a head partition")
+        raise AssertionError("a key or a placement computed a head partition")
 
+    g = graph_one()
+    d_masks = g._district_masks(g.full_mask)
+    shapes = {}
+    built = Parametrization(g, shapes)
     with monkeypatch.context() as m:
         for module, name in ((heads, "_partition_masks"), (heads, "_phi_masks"),
                              (moebius, "_partition_masks")):
             m.setattr(module, name, refuse)
-        g = graph_one()
-        d_masks = g._district_masks(g.full_mask)
-        keys = [_maps_key(g, d) for d in d_masks]
         shape_keys = [_shape_key(g, d, tuple(_bits(d | g._pa_mask(d)))) for d in d_masks]
-    assert len(set(keys)) == len(keys) == len(set(shape_keys))
+        again = Parametrization(graph_one(), shapes)
+    assert len(set(shape_keys)) == len(d_masks) == len(shapes)
+    assert again.maps == built.maps
 
     chain = _chain(14)
-    maps = {}
-    par = Parametrization(chain, maps)
-    assert len(par.maps) == 7 and _shape_count(maps) == 2
+    shapes = {}
+    par = Parametrization(chain, shapes)
+    assert len(par.maps) == 7 and len(shapes) == 2
     assert len({dm._shape for dm in par.maps}) == 2
     rng = np.random.default_rng(62)
     for dm, d in zip(par.maps, chain.districts()):
@@ -641,24 +642,94 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
         for h in [g] + [moves[i][4] for i in picks]:
             graphs.setdefault((k, h.vertices, h._pa, h._sp), h)
 
+    # every graph placed through one dict of shapes, so that equal
+    # placements are those of one district
+    shapes = {}
     first, first_shape = {}, {}
     checked = set()
     shared = placed = 0
     for g in graphs.values():
         # a searched graph's memo holds the maps its search handed out
-        for handed, d_mask in zip(parametrization(g).maps, g._district_masks(g.full_mask)):
-            dm = DistrictMaps(g, g._labels(d_mask))
-            if handed not in checked:
-                _same_maps(handed, dm, rng)
-                checked.add(handed)
-            key = _maps_key(g, d_mask)
-            shape_key = _shape_key(g, d_mask, dm.scope)
-            if key in first:
-                _same_maps(first[key], dm, rng)
+        handed = parametrization(g).maps
+        for dm, hand, d in zip(Parametrization(g, shapes).maps, handed, g.districts()):
+            fresh = DistrictMaps(g, d)
+            if hand not in checked:
+                _same_maps(hand, fresh, rng)
+                checked.add(hand)
+            shape_key = _shape_key(g, fresh.d_mask, fresh.scope)
+            if dm in first:
+                _same_maps(first[dm], fresh, rng)
                 shared += 1
             elif shape_key in first_shape:
-                _same_local_arrays(first_shape[shape_key], dm, rng)
+                _same_local_arrays(first_shape[shape_key], fresh, rng)
                 placed += 1
-            first.setdefault(key, dm)
-            first_shape.setdefault(shape_key, dm)
+            first.setdefault(dm, fresh)
+            first_shape.setdefault(shape_key, fresh)
     assert searched > 100 and shared > 1000 and placed > 100
+
+
+def test_shape_heads_are_the_district_heads():
+    """A shape reads its head record off the head partitions of the
+    district's subsets: on random districts it is the record that
+    ``_district_heads`` enumerates, in scope-local masks."""
+    import importlib
+
+    from admgfit.graph import _bits
+    from admgfit.moebius import _local_mask, _Shape
+
+    heads = importlib.import_module("admgfit.heads")
+    rng = np.random.default_rng(63)
+    checked = 0
+    while checked < 500:
+        g = random_admg(rng, n_min=2, n_max=7, p_dir=0.3, p_bi=0.4)
+        for d in g._district_masks(g.full_mask):
+            scope = tuple(_bits(d | g._pa_mask(d)))
+            want = tuple((_local_mask(h, scope), _local_mask(t, scope))
+                         for h, t in heads._district_heads(g, d))
+            assert _Shape(g, d, scope).heads == want
+            checked += 1
+
+
+def test_placements_of_one_shape_on_one_scope_are_equal(monkeypatch):
+    """The district that graphs of one search have in common is one
+    key: its placements in those graphs are distinct objects that
+    compare equal and hash alike.  Placements of one shape on
+    different scopes, as on the 14-vertex chain, are not equal, and
+    neither are maps built from separate shapes."""
+    import itertools
+
+    import admgfit.select as select
+    from admgfit.moebius import DistrictMaps
+
+    from util import golden_search_inputs
+
+    real_fit = select.fit
+    fitted = []
+
+    def recording_fit(g, counts, opts, **kw):
+        fitted.append(g)
+        return real_fit(g, counts, opts, **kw)
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    counts, start, criterion = golden_search_inputs()[0]
+    select.stepwise(counts, start, criterion=criterion)
+    groups = {}
+    for g in fitted:
+        for dm in parametrization(g).maps:
+            groups.setdefault((id(dm._shape), dm.scope), []).append((g, dm))
+    repeated = [group for group in groups.values() if len(group) > 1]
+    assert len(repeated) > 10
+    for group in repeated:
+        assert len({id(g) for g, _ in group}) == len(group)
+        dm0 = group[0][1]
+        assert all(dm == dm0 and hash(dm) == hash(dm0) for _, dm in group)
+    firsts = [group[0][1] for group in groups.values()]
+    assert len(set(firsts)) == len(firsts)
+
+    chain = _chain(14)
+    maps = parametrization(chain).maps
+    six = [dm for dm in maps if dm._shape is maps[1]._shape]
+    assert len(six) == 6 and len(set(six)) == 6
+    assert all(a != b for a, b in itertools.combinations(six, 2))
+    d = chain.districts()[1]
+    assert DistrictMaps(chain, d) != DistrictMaps(chain, d)

@@ -266,25 +266,27 @@ def independence_trace(g):
 
 def dag_loglik_closed_form(g, counts):
     """Log likelihood of the conditional-proportion estimates, which
-    are the exact MLE when the graph is a DAG and counts are positive."""
+    are the exact MLE when the graph is a DAG.  Cells with zero counts
+    add nothing, so zero counts are allowed."""
     counts = np.asarray(counts, dtype=float)
     k = len(g.vertices)
     idx = {v: i for i, v in enumerate(g.vertices)}
     states = np.array(
         [[(s >> (k - 1 - i)) & 1 for i in range(k)] for s in range(1 << k)]
     )
+    observed = np.flatnonzero(counts > 0)
     logp = np.zeros(1 << k)
     for v in g.vertices:
         pa = sorted(idx[u] for u in g.parents(v))
         vi = idx[v]
-        for s in range(1 << k):
+        for s in observed:
             mask = np.ones(1 << k, dtype=bool)
             for p_ in pa:
                 mask &= states[:, p_] == states[s, p_]
             den = counts[mask].sum()
             num = counts[mask & (states[:, vi] == states[s, vi])].sum()
             logp[s] += np.log(num / den)
-    return float(counts @ logp)
+    return float(counts[observed] @ logp[observed])
 
 
 # ---------------------------------------------------------------------------
