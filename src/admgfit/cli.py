@@ -14,13 +14,14 @@ runtime failures (fit divergence, singular information).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import time
 
 import numpy as np
 
-from .data import counts_for, load_data, save_data, simulate
+from .data import _csv_text, counts_for, load_data, save_data, simulate
 from .fitting import FitError, FitOptions, fit
 from .graph import Admg, GraphError, format_graph, read_graph
 from .heads import heads
@@ -55,11 +56,6 @@ def _options(args) -> FitOptions:
     )
 
 
-def _counts(g: Admg, path):
-    ds = load_data(path)
-    return counts_for(g, ds)
-
-
 def _write_json(payload: dict, path: str) -> None:
     if path == "-":
         json.dump(payload, sys.stdout, indent=2)
@@ -91,7 +87,7 @@ def _print_report(rep) -> None:
 
 def _cmd_fit(args) -> int:
     g = read_graph(args.graph)
-    counts = _counts(g, args.data)
+    counts = counts_for(g, load_data(args.data))
     opts = _options(args)
     result = fit(g, counts, opts)
     rep = report(result, counts, with_se=not args.no_se)
@@ -257,10 +253,7 @@ def _cmd_simulate(args) -> int:
         save_data(ds, args.out)
         print(f"wrote {ds.n} observations ({len(ds.counts)} distinct states) to {args.out}")
     else:
-        writer = sys.stdout
-        writer.write(",".join(list(ds.names) + ["count"]) + "\n")
-        for row, c in zip(ds.states, ds.counts):
-            writer.write(",".join(str(int(b)) for b in row) + f",{int(c)}\n")
+        sys.stdout.write(_csv_text(ds))
     return 0
 
 
@@ -325,10 +318,8 @@ def _cmd_bench(args) -> int:
         print(f"{args.family:<6} {k:>2} {len(g.vertices):>3} {n_params:>6} "
               f"{best:>9.4f} {cycles:>6} {'yes' if conv else 'no'}")
     if args.csv:
-        import csv as _csv
-
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+            w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             w.writeheader()
             w.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")

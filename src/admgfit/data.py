@@ -4,9 +4,12 @@ A dataset is a table of 0/1 rows over named variables with a
 multiplicity per row.  On disk it is a CSV file with a header of
 variable names and an optional trailing ``count`` column; rows without
 one count once.  A field is an optional sign and ASCII digits within
-int64, padded by any whitespace.  The data rows of a file in the
-layout ``save_data`` writes (one-character 0/1 fields and a count of at
-most 18 digits, split by single commas, no padding) over at most
+int64, padded by any whitespace.  ``save_data`` and ``admgfit
+simulate`` write one layout, ``csv.writer``'s with ``\\n`` line ends,
+and refuse names that would read back otherwise: none, repeated ones,
+or one with a line break or surrounding whitespace.  The data rows of
+a file in that layout (one-character 0/1 fields and a count of at most
+18 digits, split by single commas, no padding) over at most
 ``MAX_VERTICES`` columns are read straight from the file's bytes.
 numpy's C reader, ``np.loadtxt``, reads those of any other ASCII file;
 a line by line reader reads the rest and names the first bad line of a
@@ -17,6 +20,7 @@ cell code of a row up to ``MAX_VERTICES`` columns.
 from __future__ import annotations
 
 import csv
+import io
 import numbers
 import re
 import warnings
@@ -335,13 +339,28 @@ def load_data(path) -> Dataset:
     return _from_codes(names, codes, counts)
 
 
+def _csv_text(ds: Dataset) -> str:
+    """``ds`` in the layout of :func:`save_data`."""
+    if not len(ds.names) or len(set(ds.names)) < len(ds.names):
+        raise ValueError(f"column names {ds.names!r}: none, or some repeated")
+    for name in ds.names:
+        # load_data strips each header field and ends the header at its first line break
+        if not isinstance(name, str) or name != name.strip() or "\n" in name or "\r" in name:
+            raise ValueError(f"column {name!r}: a name with a line break or surrounding "
+                             "whitespace would not read back")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [list(ds.names) + ["count"], *np.column_stack((ds.states, ds.counts)).tolist()])
+    return out.getvalue()
+
+
 def save_data(ds: Dataset, path) -> None:
-    """Write ``ds`` as CSV: a header of the names and ``count``, then
-    one line per distinct state, with ``\\r\\n`` line ends."""
+    """Write ``ds`` in the CSV layout of the module docstring, which
+    :func:`load_data` reads back to an equal Dataset; names it would
+    not read back raise ``ValueError`` before the file is opened."""
+    text = _csv_text(ds)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(ds.names) + ["count"])
-        writer.writerows(np.column_stack((ds.states, ds.counts)).tolist())
+        fh.write(text)
 
 
 def simulate(g: Admg, q: np.ndarray, n: int, seed: int | None = None) -> Dataset:
@@ -366,11 +385,5 @@ def simulate(g: Admg, q: np.ndarray, n: int, seed: int | None = None) -> Dataset
     cum[-1] = 1.0
     idx = np.searchsorted(cum, rng.random(n), side="right")
     cells = np.bincount(idx, minlength=len(p))
-    k = len(g.vertices)
     nz = np.flatnonzero(cells)
-    states = (nz[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return Dataset(
-        tuple(str(v) for v in g.vertices),
-        states.astype(np.int8),
-        cells[nz].astype(np.int64),
-    )
+    return _from_codes([str(v) for v in g.vertices], nz, cells[nz])

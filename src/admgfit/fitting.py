@@ -454,14 +454,14 @@ def fit(
     """
     counts = _check_counts(g, counts, opts.allow_zero_counts)
     par = parametrization(g)
-    fitted = {} if district_fits is None else district_fits
-    new: dict = {}
+    new = []
     q = np.empty(len(par.table))
     ll_total, cycles_max, all_converged, kkt_max = 0.0, 0, True, 0.0
     for dm, sl in zip(par.maps, par.slices):
-        done = fitted.get(dm)
+        done = None if district_fits is None else district_fits.get(dm)
         if done is None:
-            done = new[dm] = _fit_district_starts(dm, dm.marginal(counts), opts)
+            done = _fit_district_starts(dm, dm.marginal(counts), opts)
+            new.append((dm, done))
         q[sl], ll, cycles, converged, kkt = done
         ll_total += ll
         cycles_max = max(cycles_max, cycles)

@@ -165,29 +165,21 @@ def stepwise(
     built_here = len(shapes)
     _share(shapes, start_par)
     brought = len(shapes) - built_here
-    requests = 0
-    # fitted districts keyed by their maps, and the district requests
-    # of the candidate fits that succeeded
+    # fitted districts keyed by their maps
     district_fits: dict = {}
-    fit_requests = 0
 
     def run_fit(g: Admg):
-        nonlocal requests, fit_requests
-        n_districts = len(parametrization(g, shapes).maps)
-        requests += n_districts
+        parametrization(g, shapes)  # so that fit finds g's maps built through the shapes
         try:
-            res = fit(g, counts, opts, district_fits=district_fits)
+            return fit(g, counts, opts, district_fits=district_fits)
         except FitError as exc:
             warnings.warn(f"skipping candidate that failed to fit: {exc}")
             return None
-        fit_requests += n_districts
-        return res
 
     current_fit = run_fit(start)
     if current_fit is None:
         raise FitError("the starting graph cannot be fitted")
     cache[start] = current_fit
-    evaluated = 1
     current = start
     value = _criterion(current_fit, criterion)
     start_value = value
@@ -198,7 +190,6 @@ def stepwise(
         for m in moves:
             if m[4] not in cache:
                 cache[m[4]] = run_fit(m[4])
-                evaluated += 1
         scored = [
             (_criterion(res, criterion), m, res)
             for m in moves
@@ -216,6 +207,10 @@ def stepwise(
         steps.append(Step(action, kind, a, b, chosen_val))
         current, current_fit, value = g_new, res, chosen_val
 
+    # the cache holds the start and every candidate, each fitted once
+    requests = sum(len(parametrization(g).maps) for g in cache)
+    fit_requests = sum(len(parametrization(g).maps)
+                       for g, res in cache.items() if res is not None)
     built = len(shapes) - brought
     return SearchResult(
         graph=current,
@@ -224,7 +219,7 @@ def stepwise(
         value=value,
         start_value=start_value,
         steps=tuple(steps),
-        evaluated=evaluated,
+        evaluated=len(cache),
         maps_built=built,
         maps_reused=requests - built,
         districts_fitted=len(district_fits),

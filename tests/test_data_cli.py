@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 
 from admgfit.cli import main
 from admgfit.data import Dataset, counts_for, load_data, save_data, simulate
-from admgfit.graph import Admg, format_graph
-from admgfit.moebius import MAX_VERTICES, prob_vector
+from admgfit.graph import Admg, format_graph, read_graph
+from admgfit.moebius import MAX_VERTICES, enumerate_params, prob_vector
 
 from util import graph_one, graph_two, random_interior_q, strong_params_graph_one
 
@@ -112,19 +114,109 @@ def test_csv_round_trip(tmp_path):
     ds = Dataset.from_rows(["x", "y", "z"], [(0, 1, 1), (1, 1, 0), (0, 1, 1)])
     path = tmp_path / "data.csv"
     save_data(ds, path)
-    # the bytes of a csv.writer row by row: names quoted as needed, \r\n line ends
-    assert path.read_bytes() == b"x,y,z,count\r\n0,1,1,2\r\n1,1,0,1\r\n"
+    # the bytes of a csv.writer row by row: names quoted as needed, \n line ends
+    assert path.read_bytes() == b"x,y,z,count\n0,1,1,2\n1,1,0,1\n"
     odd = Dataset(("a b", 'say "hi"', "c,d"), np.array([[1, 0, 1], [0, 0, 0]], dtype=np.int8),
                   np.array([2**62, 0]))
     save_data(odd, tmp_path / "odd.csv")
     assert (tmp_path / "odd.csv").read_bytes() == (
-        b'a b,"say ""hi""","c,d",count\r\n1,0,1,4611686018427387904\r\n0,0,0,0\r\n')
+        b'a b,"say ""hi""","c,d",count\n1,0,1,4611686018427387904\n0,0,0,0\n')
     back = load_data(path)
     assert back.names == ds.names
     assert back.n == ds.n
     assert np.array_equal(
         back.count_vector(ds.names), ds.count_vector()
     )
+
+
+def _fuzz_dataset(rng):
+    """A Dataset of 1 to 20 distinct names made of commas, quotes, inner
+    spaces, non-ASCII text, ``count`` and the empty string, with up to
+    30 distinct rows and counts up to 2**62 that sum within int64."""
+    pieces = [",", '"', "a b", "\u00e9", "\u65e5\u672c", "count", "x", "'"]
+    k = int(rng.integers(1, 21))
+    names: list = []
+    while len(names) < k:
+        name = "".join(rng.choice(pieces, size=int(rng.integers(0, 4))))
+        if name not in names:
+            names.append(name)
+    codes = rng.choice(1 << k, int(rng.integers(0, min(30, 1 << k) + 1)), replace=False)
+    states = (codes[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    counts = np.array([rng.integers(0, 2**int(e), endpoint=True)
+                       for e in rng.integers(0, 63, size=len(codes))], dtype=np.int64)
+    while sum(counts.tolist()) > 2**63 - 1:
+        counts[counts.argmax()] //= 2
+    return Dataset(tuple(names), states.astype(np.int8), counts)
+
+
+def test_save_data_round_trips_every_dataset_it_accepts(tmp_path, monkeypatch):
+    """``load_data`` gives back the names, states and counts that
+    ``save_data`` wrote.  The file holds no CR and is read from its
+    bytes, without numpy's reader or the line reader, unless a count
+    has 19 digits or is longer than the header and first row together;
+    a file saved with CRLF line ends, as earlier versions saved it,
+    loads to the same Dataset."""
+    import csv
+
+    import admgfit.data
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read other than from the bytes")
+
+    def same(a, b):
+        return (a.names == b.names and a.states.tolist() == b.states.tolist()
+                and a.counts.tolist() == b.counts.tolist())
+
+    rng = np.random.default_rng(11)
+    path = tmp_path / "data.csv"
+    from_bytes = 0
+    for _ in range(300):
+        ds = _fuzz_dataset(rng)
+        save_data(ds, path)
+        raw = path.read_bytes()
+        assert b"\r" not in raw
+        assert same(load_data(path), ds), raw[:200]
+        # the byte reader reads every count through a window as long as
+        # the longest, ending with its line: the first row's must fit
+        longest = max((len(str(c)) for c in ds.counts.tolist()), default=0)
+        first_end = raw.find(b"\n", raw.find(b"\n") + 1)
+        if longest <= 18 and (first_end < 0 or first_end >= longest):
+            with monkeypatch.context() as m:
+                m.setattr(admgfit.data.np, "loadtxt", refuse)
+                m.setattr(admgfit.data, "_read_lines", refuse)
+                assert same(load_data(path), ds)
+            from_bytes += 1
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(
+                [list(ds.names) + ["count"], *np.column_stack((ds.states, ds.counts)).tolist()])
+        assert b"\r\n" in path.read_bytes()
+        assert same(load_data(path), ds)
+    assert from_bytes > 200
+
+
+def test_save_data_refuses_names_that_would_not_read_back(tmp_path, capsys, monkeypatch):
+    """A name with a line break or surrounding whitespace, a repeated
+    name or no name at all raises ``ValueError`` naming the column
+    before the file is opened, and exits 2 from ``simulate``."""
+    path = tmp_path / "out.csv"
+    for bad in ["\n", "\r", "a\nb", "a\r\nb", " a", "a ", "\ta", "a\u3000", "\x85a", "\x0b"]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            save_data(Dataset.from_rows(["x", bad], [(0, 1)]), path)
+        assert not path.exists()
+    for names in [(), ("a", "a")]:
+        empty = Dataset(names, np.zeros((0, len(names)), dtype=np.int8), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="none, or some repeated"):
+            save_data(empty, path)
+        assert not path.exists()
+    # graph text cannot hold such a label, so the graph is read as one
+    import admgfit.cli
+
+    monkeypatch.setattr(admgfit.cli, "read_graph", lambda path: Admg([" a", "b"], [("b", " a")]))
+    for out in ([], ["--out", str(path)]):
+        assert main(["simulate", "g.txt", "10", "--seed", "1", *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: column ' a'")
+        assert not path.exists()
 
 
 def test_load_data_without_count_column(tmp_path):
@@ -286,6 +378,8 @@ def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
     assert load_data(path).states.tolist() == [[0, 1], [1, 0]]
     path.write_text("a,b\n")
     assert load_data(path).states.shape == (0, 2)
+    path.write_text("a,b\n \t\n")  # numpy's reader finds no row
+    assert load_data(path).states.shape == (0, 2)
     path = tmp_path / "plain.csv.gz"  # the suffix says nothing of the contents
     path.write_text("a,b\n0,1\n")
     assert load_data(path).states.tolist() == [[0, 1]]
@@ -341,7 +435,9 @@ def test_files_in_the_saved_layout_load_without_numpy(tmp_path, monkeypatch, cap
     monkeypatch.setattr(admgfit.data.np, "loadtxt", spy)
     wide = ",".join(f"x{i}" for i in range(MAX_VERTICES + 1)) + "\n" + "1," * MAX_VERTICES + "1\n"
     for text, n in [("a,b\n0, 1\n", 1), ("a,b\n0,+1\n", 1),
-                    ("a,count\n1,1000000000000000000\n", 10**18), (wide, 1)]:
+                    ("a,count\n1,1000000000000000000\n", 10**18), (wide, 1),
+                    # an 18-digit count longer than the header and first row
+                    ("a,count\n1,1\n0,100000000000000000\n", 10**17 + 1)]:
         path.write_text(text)
         calls.clear()
         assert load_data(path).n == n and calls, text
@@ -614,7 +710,7 @@ terms:
 """
 
 
-def test_cli_info_matrices_golden_text(tmp_path, capsys):
+def test_cli_info_matrices_golden_text(tmp_path, capsys, monkeypatch):
     gpath = tmp_path / "g.txt"
     for text, want in (
         (format_graph(graph_two()), INFO_MATRICES_GRAPH_TWO),
@@ -623,6 +719,10 @@ def test_cli_info_matrices_golden_text(tmp_path, capsys):
         gpath.write_text(text)
         assert main(["info", str(gpath), "--matrices"]) == 0
         assert capsys.readouterr().out == want
+    # scipy is optional: without it the matrices end in exit 2 and a hint
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    assert main(["info", str(gpath), "--matrices"]) == 2
+    assert "pip install 'admgfit[matrices]'" in capsys.readouterr().err
 
 
 def test_cli_fit_text_and_json(workdir, capsys):
@@ -641,6 +741,15 @@ def test_cli_fit_text_and_json(workdir, capsys):
     assert len(payload["parameters"]) == 12
     assert payload["converged"] is True
     assert payload["deviance"] >= 0
+
+
+def test_cli_fit_of_a_saturated_graph_prints_no_p_value(tmp_path, capsys):
+    gpath, dpath = tmp_path / "g.txt", tmp_path / "d.csv"
+    gpath.write_text("vertices: a b\na <-> b\n")
+    dpath.write_text("a,b,count\n0,0,5\n0,1,7\n1,0,3\n1,1,9\n")
+    assert main(["fit", str(gpath), str(dpath)]) == 0
+    out = capsys.readouterr().out
+    assert "  df: 0\n" in out and "p-value" not in out
 
 
 def test_cli_fit_exit_three_when_not_converged(workdir, capsys):
@@ -737,25 +846,26 @@ def test_cli_select_refuses_empty_cells_as_fit_does(tmp_path, capsys):
 
 
 def test_cli_simulate_stdout_and_file(tmp_path, capsys):
+    """stdout gets the bytes ``--out`` writes, which ``fit`` reads back,
+    also for labels that CSV must quote."""
     gpath = tmp_path / "g.txt"
-    gpath.write_text(format_graph(graph_two()))
-    assert main(["simulate", str(gpath), "300", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    header, *rows = [ln for ln in out.splitlines() if ln]
-    assert header == "1,2,3,count"
-    assert sum(int(r.split(",")[-1]) for r in rows) == 300
-
     opath = tmp_path / "sim.csv"
-    assert main(
-        ["simulate", str(gpath), "300", "--seed", "2", "--out", str(opath)]
-    ) == 0
-    ds = load_data(opath)
-    assert ds.n == 300
-    stdout_counts = {tuple(int(x) for x in r.split(",")) for r in rows}
-    file_counts = {
-        tuple(list(map(int, s)) + [int(c)]) for s, c in zip(ds.states, ds.counts)
-    }
-    assert stdout_counts == file_counts
+    spath = tmp_path / "stdout.csv"
+    odd = 'vertices: a,b x"y \u00e9 c\na,b -> x"y\nx"y <-> \u00e9\n'
+    for text, header in [(format_graph(graph_two()), "1,2,3,count"),
+                         (odd, '"a,b","x""y",\u00e9,c,count')]:
+        gpath.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(gpath), "2000", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == header
+        assert main(["simulate", str(gpath), "2000", "--seed", "2", "--out", str(opath)]) == 0
+        capsys.readouterr()
+        assert out.encode() == opath.read_bytes()
+        spath.write_bytes(out.encode())
+        ds = load_data(spath)
+        assert ds.n == 2000 and ds.names == tuple(str(v) for v in read_graph(gpath).vertices)
+        assert main(["fit", str(gpath), str(spath), "--allow-zero-counts", "--no-se"]) == 0
+        capsys.readouterr()
 
 
 def test_cli_simulate_with_explicit_params(tmp_path, capsys):
@@ -783,6 +893,13 @@ def test_cli_simulate_with_explicit_params(tmp_path, capsys):
     code = main(["simulate", str(gpath), "10", "--params", str(ppath)])
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    first = enumerate_params(g).params[0]
+    ppath.write_text(json.dumps([{"head": list(first.head), "value": 0.5}]))
+    assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 2
+    assert "missing parameters: q[2|1=0]" in capsys.readouterr().err
+    ppath.write_text(json.dumps("0.5"))
+    assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 2
+    assert "params file must be a list of entries" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_malformed_tail_states(tmp_path, capsys):

@@ -389,6 +389,21 @@ def test_district_fits_stay_per_placed_district():
         assert np.array_equal(res.q[sl], want[0])
 
 
+def test_a_fit_without_district_fits_hashes_no_maps(monkeypatch):
+    """Without a dict of district fits nothing is looked up, so no
+    district's maps are hashed, and the fit is the same."""
+    g = graph_one()
+    counts = random_counts(np.random.default_rng(4), 4)
+    want = fit(g, counts)
+
+    def refuse(self):
+        raise AssertionError("district maps hashed")
+
+    monkeypatch.setattr(DistrictMaps, "__hash__", refuse)
+    got = fit(g, counts)
+    assert np.array_equal(got.q, want.q) and got.loglik == want.loglik
+
+
 def test_tight_cycle_budget_reports_nonconvergence():
     rng = np.random.default_rng(20)
     g = graph_one()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from admgfit.graph import Admg
 from admgfit.heads import barren_blocks, head_partition, heads, is_head, tail
 
 from util import (
@@ -73,6 +74,16 @@ def test_tail_requires_a_head():
     g = graph_one()
     with pytest.raises(ValueError):
         tail(g, ("2", "4"))
+
+
+def test_no_empty_head_and_no_oversized_district():
+    """The empty set is no head, and a district too large to enumerate
+    is refused before its subsets are walked."""
+    assert not is_head(graph_one(), [])
+    names = [f"v{i}" for i in range(21)]
+    big = Admg(names, bidirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+    with pytest.raises(ValueError, match="district of size 21 is too large to enumerate"):
+        heads(big)
 
 
 def test_phi_matches_fixed_point_enumeration():

@@ -73,6 +73,16 @@ def test_fisher_information_is_symmetric_positive_definite():
         assert eig.min() > -1e-8 * max(1.0, eig.max())
 
 
+def test_fisher_information_refuses_a_zero_cell():
+    g = Admg(["a", "b"], bidirected=[("a", "b")])
+    table = enumerate_params(g)
+    q = np.full(3, 0.5)  # q_a = q_ab leaves no mass on a = 0, b = 1
+    assert q[table.index(["a"])] == q[table.index(["a", "b"])]
+    assert prob_vector(g, q)[1] == 0.0
+    with pytest.raises(ValueError, match="strictly positive distribution"):
+        fisher_information(g, q)
+
+
 def test_single_vertex_standard_error_is_exact():
     g = Admg(["a"])
     for qv in (0.2, 0.5, 0.73):

@@ -5,6 +5,7 @@ import pytest
 
 from admgfit.graph import Admg
 from admgfit.moebius import (
+    DistrictMaps,
     enumerate_params,
     parametrization,
     prob_direct,
@@ -362,6 +363,18 @@ def test_q_from_p_rejects_impossible_conditioning():
     p[0] = 1.0  # all mass on one cell: conditioning events have mass zero
     with pytest.raises(ValueError):
         q_from_p(g, p)
+
+
+def test_maps_and_evaluations_refuse_malformed_input():
+    g = Admg(["a", "b"], bidirected=[("a", "b")])
+    with pytest.raises(ValueError, match="district must be in canonical order"):
+        DistrictMaps(g, ("b", "a"))
+    table = enumerate_params(g)
+    assert list(table) == list(table.params) and len(list(table)) == 3
+    with pytest.raises(ValueError, match="state length mismatch"):
+        prob_direct(g, np.full(3, 0.4), (0, 1, 1))
+    with pytest.raises(ValueError, match="probability vector has wrong length"):
+        q_from_p(g, np.full(8, 0.125))
 
 
 def test_vertex_limit_enforced():

@@ -224,6 +224,27 @@ def test_failing_candidates_are_skipped_with_a_warning(monkeypatch):
     assert res.graph != bad
 
 
+def test_a_search_whose_candidates_all_fail_stays_at_the_start(monkeypatch):
+    """With no candidate scored the search ends at its start graph, and
+    only the start's districts count as fitted or reused."""
+    counts = pair_counts(500)
+    start = Admg(["1", "2", "3"])
+    real_fit = select.fit
+
+    def only_the_start(g, counts_, opts=FitOptions(), **kw):
+        if g != start:
+            raise FitError("synthetic failure")
+        return real_fit(g, counts_, opts, **kw)
+
+    monkeypatch.setattr(select, "fit", only_the_start)
+    with pytest.warns(UserWarning, match="skipping candidate"):
+        res = stepwise(counts, start)
+    moves = neighbors(start)
+    assert res.graph == start and res.steps == () and res.evaluated == 1 + len(moves)
+    assert res.districts_fitted + res.districts_reused == len(start.districts())
+    assert res.maps_built + res.maps_reused == sum(len(m[4].districts()) for m in moves) + 3
+
+
 def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
     """Bad counts fail the search with the fit's own error before any
     candidate is fitted, and without a skipped-candidate warning."""
