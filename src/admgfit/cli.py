@@ -253,7 +253,14 @@ def _cmd_simulate(args) -> int:
         save_data(ds, args.out)
         print(f"wrote {ds.n} observations ({len(ds.counts)} distinct states) to {args.out}")
     else:
-        sys.stdout.write(_csv_text(ds))
+        # the bytes save_data writes, whatever encoding stdout has
+        text = _csv_text(ds)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
     return 0
 
 

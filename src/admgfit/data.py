@@ -84,9 +84,7 @@ class Dataset:
         if k > MAX_VERTICES:
             raise ValueError(f"too many variables ({k}): at most {MAX_VERTICES}")
         out = np.zeros(1 << k, dtype=np.int64)
-        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        idx = self.states[:, cols].astype(np.int64) @ weights
-        np.add.at(out, idx, self.counts)
+        np.add.at(out, _row_codes(self.states[:, cols].astype(np.int8, copy=False)), self.counts)
         return out
 
 
@@ -340,7 +338,8 @@ def load_data(path) -> Dataset:
 
 
 def _csv_text(ds: Dataset) -> str:
-    """``ds`` in the layout of :func:`save_data`."""
+    """``ds`` in the layout of :func:`save_data`; a Dataset that
+    :func:`load_data` would not read back equal raises ``ValueError``."""
     if not len(ds.names) or len(set(ds.names)) < len(ds.names):
         raise ValueError(f"column names {ds.names!r}: none, or some repeated")
     for name in ds.names:
@@ -348,9 +347,21 @@ def _csv_text(ds: Dataset) -> str:
         if not isinstance(name, str) or name != name.strip() or "\n" in name or "\r" in name:
             raise ValueError(f"column {name!r}: a name with a line break or surrounding "
                              "whitespace would not read back")
+    states, counts = np.asarray(ds.states), np.asarray(ds.counts)
+    if (states.dtype.kind not in "iu" or states.ndim != 2 or states.shape[1] != len(ds.names)
+            or not np.isin(states, (0, 1)).all()):
+        raise ValueError(f"states must be a 2-D integer array of 0 and 1 with one column "
+                         f"per name, not {states.dtype} of shape {states.shape}")
+    # load_data aggregates equal rows and refuses a count sum past int64
+    if len(np.unique(_row_codes(states.astype(np.int8, copy=False)))) < len(states):
+        raise ValueError("states repeat a row")
+    counts_ok = counts.dtype.kind in "iu" and counts.shape == (len(states),)
+    if not counts_ok or (counts < 0).any() or sum(counts.tolist()) > _INT64.max:
+        raise ValueError("counts must be non-negative integers, one per row, "
+                         "summing to at most 2**63 - 1")
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
-        [list(ds.names) + ["count"], *np.column_stack((ds.states, ds.counts)).tolist()])
+        [list(ds.names) + ["count"], *(s + [c] for s, c in zip(states.tolist(), counts.tolist()))])
     return out.getvalue()
 
 

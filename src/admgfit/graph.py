@@ -47,9 +47,35 @@ def _bits(mask: int):
 def _union(table, mask: int) -> int:
     """Union of ``table[i]`` over the set bits ``i`` of ``mask``."""
     out = 0
-    for i in _bits(mask):
-        out |= table[i]
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
     return out
+
+
+def _barren(an, mask: int) -> int:
+    """The members of ``mask`` that are no proper ancestor of another
+    member, where ``an[i]`` is the mask of vertex i's ancestors, i
+    included."""
+    below = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        below |= an[low.bit_length() - 1] ^ low
+        rest ^= low
+    return mask & ~below
+
+
+def _component(sp, seed: int, within: int) -> int:
+    """The vertices joined to the mask ``seed`` by bidirected paths
+    inside ``within``, ``seed`` included, where ``sp[i]`` is the mask of
+    vertex i's bidirected neighbours."""
+    seen = frontier = seed
+    while frontier:
+        frontier = _union(sp, frontier) & within & ~seen
+        seen |= frontier
+    return seen
 
 
 class Admg:
@@ -179,14 +205,7 @@ class Admg:
     def _district_mask(self, i: int, within: int) -> int:
         """Connected component of vertex ``i`` in the bidirected part
         of the subgraph induced on ``within``; ``i`` must lie in it."""
-        seen = 1 << i
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            new = self._sp[j] & within & ~seen
-            seen |= new
-            stack.extend(_bits(new))
-        return seen
+        return _component(self._sp, 1 << i, within)
 
     def _district_masks(self, within: int) -> list[int]:
         out = []
@@ -199,11 +218,7 @@ class Admg:
         return out
 
     def _barren_mask(self, mask: int) -> int:
-        out = 0
-        for i in _bits(mask):
-            if self._de[i] & mask == 1 << i:
-                out |= 1 << i
-        return out
+        return _barren(self._an, mask)
 
     # -- public relatives ------------------------------------------------
 

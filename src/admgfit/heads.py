@@ -17,6 +17,18 @@ when the connecting vertices lie outside W, while vertices whose only
 bidirected link runs through unrelated parts of W stay separate.
 These partitions drive the inclusion-exclusion expansion of the joint
 probabilities in :mod:`admgfit.moebius`.
+
+The extraction round (``_phi``) and the tail (``_tail``) are written
+once, over tables of masks indexed by position: each vertex's
+ancestors, bidirected neighbours and parents.  The graph-level
+functions pass the graph's own tables, so a partition of an arbitrary
+W runs over the whole graph.  A district shape passes the tables of
+its members in scope-local positions, ancestors cut to the district:
+for a subset of a district, an ancestor outside it is a proper
+ancestor, never barren, and no bidirected path between members leaves
+the district, so the partitions and tails come out the same.
+``_subset_partitions`` fills the partitions of all subsets of a
+district in one pass in counting order.
 """
 
 from __future__ import annotations
@@ -24,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Admg, Vertex, _bits
+from .graph import Admg, Vertex, _barren, _bits, _component, _union
 
 __all__ = ["HeadTail", "is_head", "tail", "heads", "barren_blocks", "head_partition"]
 
@@ -66,11 +78,16 @@ def _is_head_mask(g: Admg, h: int) -> bool:
     return h & ~g._district_mask(first, an) == 0
 
 
+def _tail(an, sp, pa, h: int) -> int:
+    """Tail of the head ``h`` read off ancestor, spouse and parent
+    tables (see :func:`_phi`): the district of h in an(h), with that
+    district's parents, minus h."""
+    dis = _component(sp, h, _union(an, h))
+    return (dis | _union(pa, dis)) & ~h
+
+
 def _tail_mask(g: Admg, h: int) -> int:
-    an = g._an_mask(h)
-    first = (h & -h).bit_length() - 1
-    dis = g._district_mask(first, an)
-    return (dis | g._pa_mask(dis)) & ~h
+    return _tail(g._an, g._sp, g._pa, h)
 
 
 def is_head(g: Admg, vs: Iterable[Vertex]) -> bool:
@@ -117,32 +134,51 @@ def heads(g: Admg) -> tuple[HeadTail, ...]:
     return g._memo["heads"]
 
 
-def _phi_masks(g: Admg, w: int) -> list[int]:
-    """Heads extracted from W in one round.
+def _phi(an, sp, w: int) -> list[int]:
+    """Heads extracted from W in one round, read off the tables ``an``
+    and ``sp``: ``an[i]`` masks vertex i's ancestors, i included, and
+    ``sp[i]`` its bidirected neighbours.
 
     W is split by the districts of the subgraph induced on an(W); each
-    piece then shrinks to the barren part of its own ancestor closure
-    and is re-split by the districts of that closure until stable.  A
-    stable piece is barren and lies in one district of the subgraph on
-    its own ancestors, so every block is a head.  Vertices of a piece
-    below its barren part are left for the next round."""
+    piece then shrinks to the barren part of its own ancestor closure,
+    which is the piece's own barren part, and is re-split by the
+    districts of that closure until stable.  A stable piece is barren
+    and lies in one district of the subgraph on its own ancestors, so
+    every block is a head.  Vertices of a piece below its barren part
+    are left for the next round."""
+    out: list[int] = []
+    within = _union(an, w)
+    left = w
+    while left:
+        d = _component(sp, left & -left, within)
+        left &= ~d
+        # pieces with the closure they lie in one district of
+        stack = [(d & w, within)]
+        while stack:
+            piece, outer = stack.pop()
+            b = _barren(an, piece)
+            closure = _union(an, b)
+            if b == piece and closure == outer:
+                out.append(b)
+                continue
+            parts = []
+            rest = b
+            while rest:
+                part = _component(sp, rest & -rest, closure) & b
+                parts.append((part, closure))
+                rest &= ~part
+            if len(parts) == 1:
+                out.append(b)
+            else:
+                stack.extend(parts)
+    return out
+
+
+def _phi_masks(g: Admg, w: int) -> list[int]:
+    """:func:`_phi` over the whole graph, memoized on it."""
     key = ("phi", w)
     if key not in g._memo:
-        out: list[int] = []
-        for d in g._district_masks(g._an_mask(w)):
-            if not d & w:
-                continue
-            stack = [d & w]
-            while stack:
-                piece = stack.pop()
-                b = g._barren_mask(g._an_mask(piece))
-                parts = [b & dd for dd in g._district_masks(g._an_mask(b))]
-                parts = [x for x in parts if x]
-                if len(parts) == 1:
-                    out.append(b)
-                else:
-                    stack.extend(parts)
-        g._memo[key] = out
+        g._memo[key] = _phi(g._an, g._sp, w)
     return g._memo[key]
 
 
@@ -159,6 +195,30 @@ def _partition_masks(g: Admg, w: int) -> tuple[int, ...]:
         blocks.sort(key=lambda b: b & -b)
         g._memo[key] = tuple(blocks)
     return g._memo[key]
+
+
+def _subset_partitions(an, sp, members: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """(C, head partition of C) for every subset C of ``members`` in
+    binary counting order, the first member least significant, blocks
+    ordered by smallest member, read off the tables ``an`` and ``sp``
+    of :func:`_phi`.  One pass in counting order: the partition of C is
+    Phi(C) with the partition of what Phi(C) leaves, a proper subset of
+    C and so filled in before C."""
+    if len(members) > MAX_DISTRICT:
+        raise ValueError(f"district of size {len(members)} is too large to enumerate")
+    part = {0: ()}
+    out = [(0, ())]
+    for p in members:
+        for c, _ in out[:]:
+            c |= 1 << p
+            phi = _phi(an, sp, c)
+            rest = c
+            for b in phi:
+                rest &= ~b
+            blocks = tuple(sorted(phi + list(part[rest]), key=lambda b: b & -b))
+            part[c] = blocks
+            out.append((c, blocks))
+    return out
 
 
 def barren_blocks(g: Admg, w: Iterable[Vertex]) -> list[tuple[Vertex, ...]]:

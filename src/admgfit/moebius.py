@@ -77,7 +77,7 @@ import numpy as np
 
 from . import _kernels
 from .graph import Admg, Vertex, _bits
-from .heads import _district_heads, _partition_masks, _subset_masks, _tail_mask
+from .heads import _district_heads, _partition_masks, _subset_partitions, _tail
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -284,8 +284,9 @@ def _shape_key(g: Admg, d_mask: int, scope: Sequence[int]) -> tuple:
     of the district follow from these (a vertex of an(H) outside the
     district is a proper ancestor of H, never barren there and linking
     no two members), so districts with equal keys, in one graph or in
-    several, have equal local arrays (see :class:`_Shape`).  Building
-    the key computes none of them."""
+    several, have equal local arrays (see :class:`_Shape`, which is
+    built from the key alone).  Building the key computes none of
+    them."""
     members = tuple(_bits(d_mask))
     return (len(scope), _local_mask(d_mask, scope),
             tuple(_local_mask(g._pa[p], scope) for p in members),
@@ -313,115 +314,135 @@ class _Shape:
     ``heads._district_heads`` lists them, in scope-local positions, bit
     k standing for ``scope[k]``; ``theta_cols`` holds,
     for each member in ascending order, the local parameters whose head
-    contains it.  The plans, the pairs of parameters that share a term
-    and the scope-local term records are built on first use.
+    contains it; ``subsets`` holds (C, head partition of C, union of
+    its blocks' tails) for every subset C of the district in column
+    order, in scope-local masks.  The plans and the pairs of parameters
+    that share a term are built on first use.
+
+    The build reads nothing of the graph but the masks of its
+    ``_shape_key``: each member's ancestors in the district, its
+    bidirected neighbours and its parents, in scope-local positions.
+    One pass over the district's subsets in counting order
+    (``heads._subset_partitions``) gives each C its head partition as
+    the blocks that one extraction round takes from C together with
+    the partition of what the round leaves, a proper subset of C and so
+    already known.  C is a head when it is its own partition; its tail
+    is read off the same masks (``heads._tail``), and every record is
+    scope-local from the start.
 
     M is built in one array pass over the scope, growing the list of
-    its nonzeros (local state r, subset C, sign) one scope vertex at a
-    time: a district vertex at 0 must lie in C, one at 1 lies outside
-    C or inside it with the sign flipped, and a parent only doubles
-    the list.  A nonzero's column is the first column of its C plus
-    the rank of r's values on the tail of C's head partition.
+    its nonzeros (local state r, subset C, sign), each packed into one
+    integer, one scope vertex at a time: a district vertex at 0 must
+    lie in C, one at 1 lies outside C or inside it with the sign
+    flipped, and a parent only doubles the list.  One sort of the
+    packed integers puts them in row order.  A nonzero's column is the
+    first column of its C plus the rank of r's values on the tail of
+    C's head partition.
     """
 
     def __init__(self, g: Admg, d_mask: int, scope: tuple[int, ...]):
-        members = list(_bits(d_mask))
-        L = len(scope)
-        row_bit = {p: 1 << (L - 1 - k) for k, p in enumerate(scope)}
+        L, d_local, pa, an, sp = _shape_key(g, d_mask, scope)
+        members = tuple(_bits(d_local))
+        an_t, sp_t, pa_t = [0] * L, [0] * L, [0] * L
+        for k, p in enumerate(members):
+            an_t[p], sp_t[p], pa_t[p] = an[k], sp[k], pa[k]
 
         # enumerate terms: subsets C of the district in counting order,
-        # then tail assignments of the union of block tails; c_tail is
-        # that union as a mask over the bits of a local state.  C is a
+        # then tail assignments of the union of block tails.  C is a
         # head when it is its own head partition; its blocks are subsets
         # of it, so each head's (tail, first local parameter) is known
-        # before a term needs it
+        # before a term needs it.  A head's term columns are its run of
+        # parameters; any other C's, the ranks of each tail assignment
+        # on its blocks' tails, blocks in parameter order
         runs: dict[int, tuple[int, int]] = {}
         theta_sets: dict[int, list[int]] = {p: [] for p in members}
         n_params = 0
         subsets: list[tuple] = []
-        P_rows: list[list[int]] = []
-        c_start: list[int] = []
-        c_tail: list[int] = []
-        col = 0
-        for c_mask in _subset_masks(members):
-            blocks = _partition_masks(g, c_mask)
-            if blocks == (c_mask,):
-                t_mask = _tail_mask(g, c_mask)
-                runs[c_mask] = (t_mask, n_params)
-                run = range(n_params, n_params + (1 << t_mask.bit_count()))
-                for p in _bits(c_mask):
+        starts: list[int] = []  # first column of each C
+        row_len: list[int] = []  # nonzeros of each row of P
+        P_indices: list[int] = []
+        t_all = 0
+        for c, blocks in _subset_partitions(an_t, sp_t, members):
+            if blocks == (c,):
+                t_union = _tail(an_t, sp_t, pa_t, c)
+                run = range(n_params, n_params + (1 << t_union.bit_count()))
+                runs[c] = (t_union, n_params)
+                for p in _bits(c):
                     theta_sets[p].extend(run)
+                P_indices.extend(run)
                 n_params = run.stop
-            t_union = 0
-            for b in blocks:
-                t_union |= runs[b][0]
-            tpos = tuple(_bits(t_union))
-            subsets.append((c_mask, blocks, t_union))
-            c_start.append(col)
-            c_tail.append(sum(row_bit[p] for p in tpos))
-            # each block's run offset and the places of its tail in tpos
-            block_runs = [(runs[b][1], [tpos.index(p) for p in _bits(runs[b][0])])
-                          for b in blocks]
-            for s in range(1 << len(tpos)):
-                cols = []
-                for offset, places in block_runs:
-                    rank = 0
-                    for j in places:
-                        rank = rank << 1 | (s >> (len(tpos) - 1 - j) & 1)
-                    cols.append(offset + rank)
-                cols.sort()
-                P_rows.append(cols)
-            col += 1 << len(tpos)
-        K = col
-        self.heads = tuple((_local_mask(h, scope), _local_mask(t, scope))
-                           for h, (t, _) in runs.items())
+            else:
+                t_union = 0
+                for b in blocks:
+                    t_union |= runs[b][0]
+                block_cols = []
+                for b in sorted(blocks, key=lambda b: runs[b][1]):
+                    t_b, offset = runs[b]
+                    # the block's rank at each tail assignment of C, in
+                    # counting order with the earliest vertex most
+                    # significant
+                    ranks = [0]
+                    for p in _bits(t_union):
+                        ranks = ([x << 1 | y for x in ranks for y in (0, 1)] if t_b >> p & 1
+                                 else [x for x in ranks for _ in (0, 1)])
+                    block_cols.append([offset + x for x in ranks])
+                P_indices.extend(itertools.chain.from_iterable(zip(*block_cols)))
+            subsets.append((c, blocks, t_union))
+            starts.append(len(row_len))
+            row_len.extend([len(blocks)] * (1 << t_union.bit_count()))
+            t_all |= t_union
+        self.heads = tuple((h, t) for h, (t, _) in runs.items())
         self.theta_cols = tuple(np.array(theta_sets[p], dtype=np.int64) for p in members)
-        self._scope = scope
-        self._subsets = tuple(subsets)
+        self.subsets = tuple(subsets)
+        K = len(row_len)
+        row_len = np.array(row_len, dtype=np.int64)
         P_indptr = np.zeros(K + 1, dtype=np.int64)
-        np.cumsum([len(cols) for cols in P_rows], out=P_indptr[1:])
-        P_indices = np.array([c for cols in P_rows for c in cols], dtype=np.int64)
+        np.cumsum(row_len, out=P_indptr[1:])
+        P_indices = np.array(P_indices, dtype=np.int64)
         self.P_indptr = P_indptr
         self.P_indices = P_indices
-        self.term_of = np.repeat(np.arange(K, dtype=np.int64), np.diff(P_indptr))
+        self.term_of = np.repeat(np.arange(K, dtype=np.int64), row_len)
         self.n_terms = K
         self.n_params = n_params
-        self.saturated = n_params == ((1 << len(members)) - 1) << (L - len(members))
+        n = len(members)
+        self.saturated = n_params == ((1 << n) - 1) << (L - n)
 
         # M: the nonzeros (r, C, sign) with O(r) <= C, sign
-        # (-1)^{|C - O(r)|}, C in local counting order; every tail of a
-        # head in the district lies in the scope
-        r = np.zeros(1, dtype=np.int64)
-        c = np.zeros(1, dtype=np.int64)
-        sign = np.ones(1)
-        for p in scope:
-            w = row_bit[p]
-            if d_mask >> p & 1:
-                bit = 1 << members.index(p)
-                r = np.concatenate([r, r | w, r | w])
-                c = np.concatenate([c | bit, c, c | bit])
-                sign = np.concatenate([sign, sign, -sign])
+        # (-1)^{|C - O(r)|}, C in local counting order, grown one scope
+        # position k at a time, whose row bit is 1 << (L - 1 - k), and
+        # packed into one integer (r, C, sign bit) that sorts in M's
+        # row order.  A nonzero's column is the first column of its C
+        # plus the rank of r's values on the tail of C
+        v = np.zeros(1, dtype=np.int64)
+        c_bit = 2
+        for k in range(L):
+            w = 1 << (L - k + n)
+            if d_local >> k & 1:
+                at_one = v | w
+                v = np.concatenate([v | c_bit, at_one, at_one ^ (c_bit | 1)])
+                c_bit <<= 1
             else:
-                r = np.concatenate([r, r | w])
-                c = np.concatenate([c, c])
-                sign = np.concatenate([sign, sign])
-        tail = np.array(c_tail, dtype=np.int64)[c]
+                v = np.concatenate([v, v | w])
+        v.sort()
+        r = v >> (n + 1)
+        c = v >> 1 & (1 << n) - 1
+        tail = np.array([t for _, _, t in subsets], dtype=np.int64)[c]
         rank = np.zeros_like(r)
-        for w in row_bit.values():
-            rank = np.where(tail & w, rank << 1 | ((r & w) > 0), rank)
-        cols = np.array(c_start, dtype=np.int64)[c] + rank
-        order = np.argsort(r * K + cols)
-        self.M_row, self.M_col, self.M_sign = r[order], cols[order], sign[order]
+        for k in _bits(t_all):
+            rank = np.where(tail >> k & 1, rank << 1 | r >> (L - 1 - k) & 1, rank)
+        M_col = np.array(starts, dtype=np.int64)[c] + rank
+        M_sign = np.where(v & 1, -1.0, 1.0)
+        self.M_row, self.M_col, self.M_sign = r, M_col, M_sign
         self.n_states = 1 << L
 
         # the Jacobian's pairs: every nonzero (r, k) of M with every
         # parameter j of term k, in M's row order, as the flat position
         # r * n_params + j, the term, the parameter and M's sign
-        reps = np.diff(P_indptr)[self.M_col]
+        reps = row_len[M_col]
         ends = np.cumsum(reps)
         e = np.repeat(np.arange(len(reps)), reps)
-        j = P_indices[np.arange(ends[-1]) + (P_indptr[self.M_col] + reps - ends)[e]]
-        self._jac_pairs = (self.M_row[e] * n_params + j, self.M_col[e], j, self.M_sign[e])
+        j = P_indices[np.arange(ends[-1]) + (P_indptr[M_col] + reps - ends)[e]]
+        self._jac_pairs = (r[e] * n_params + j, M_col[e], j, M_sign[e])
 
     @cached_property
     def plans(self) -> tuple[_VertexPlan, ...]:
@@ -441,14 +462,6 @@ class _Shape:
         keep = first != second
         first, second = first[keep], second[keep]
         return term_of[first], self.P_indices[first], self.P_indices[second]
-
-    @cached_property
-    def subsets(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-        """(C, head partition of C, union of its tails) of every subset
-        C of the district in column order, as scope-local masks."""
-        scope = self._scope
-        return tuple((_local_mask(c, scope), tuple(_local_mask(b, scope) for b in blocks),
-                      _local_mask(t, scope)) for c, blocks, t in self._subsets)
 
 
 class DistrictMaps:

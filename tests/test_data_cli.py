@@ -868,6 +868,73 @@ def test_cli_simulate_stdout_and_file(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_simulate_stdout_is_utf8_whatever_its_encoding(tmp_path):
+    """With stdout encoded as latin-1, ``simulate`` without ``--out``
+    writes the UTF-8 bytes that ``--out`` writes, for labels latin-1
+    holds and labels it does not, and ``fit`` reads them (printing its
+    report to a UTF-8 stdout, which can hold the labels)."""
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def admgfit(*argv, encoding="latin-1"):
+        env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", "import sys; from admgfit.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=300)
+
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("vertices: \u00e9 \u65e5 b\n\u00e9 -> \u65e5\n\u65e5 <-> b\n",
+                     encoding="utf-8")
+    opath, spath = tmp_path / "out.csv", tmp_path / "stdout.csv"
+    run = admgfit("simulate", "g.txt", "500", "--seed", "4")
+    assert run.returncode == 0, run.stderr
+    assert admgfit("simulate", "g.txt", "500", "--seed", "4", "--out", "out.csv").returncode == 0
+    assert run.stdout == opath.read_bytes()
+    assert run.stdout.startswith("\u00e9,\u65e5,b,count\n".encode("utf-8"))
+    spath.write_bytes(run.stdout)
+    fitted = admgfit("fit", "g.txt", "stdout.csv", "--allow-zero-counts", "--no-se",
+                     encoding="utf-8")
+    assert fitted.returncode == 0, fitted.stderr
+
+
+def test_save_data_refuses_datasets_that_would_not_read_back(tmp_path):
+    """States that are not a 2-D 0/1 integer array with one column per
+    name, repeated rows, and counts that are not non-negative integers
+    one per row raise ``ValueError`` before the file is opened;
+    datasets from ``from_rows``, ``load_data`` and ``simulate`` save and
+    read back equal."""
+    path = tmp_path / "out.csv"
+    bad = [
+        (Dataset(("a",), np.array([[0], [0]]), np.array([1, 2])), "repeat a row"),
+        (Dataset(("a",), np.array([[0], [2]]), np.array([1, 2])), "0 and 1"),
+        (Dataset(("a", "b"), np.array([[0], [1]]), np.array([1, 2])), "one column per name"),
+        (Dataset(("a",), np.array([0, 1]), np.array([1, 2])), "2-D"),
+        (Dataset(("a",), np.array([[0.0], [1.0]]), np.array([1, 2])), "integer"),
+        (Dataset(("a",), np.array([[0], [1]]), np.array([1, -2])), "non-negative"),
+        (Dataset(("a",), np.array([[0], [1]]), np.array([1.0, 2.0])), "non-negative integers"),
+        (Dataset(("a",), np.array([[0], [1]]), np.array([1])), "one per row"),
+        (Dataset(("a",), np.array([[0], [1]]), np.array([2**62, 2**62])), "2\\*\\*63"),
+    ]
+    for ds, match in bad:
+        with pytest.raises(ValueError, match=match):
+            save_data(ds, path)
+        assert not path.exists()
+
+    def same(a, b):
+        return (a.names == b.names and a.states.tolist() == b.states.tolist()
+                and a.counts.tolist() == b.counts.tolist())
+
+    g = graph_one()
+    raw = tmp_path / "raw.csv"
+    raw.write_text("1,2,3,4\n0,1,1,0\n1,1,1,1\n0,1,1,0\n")
+    for ds in (Dataset.from_rows(["a", "b"], [(0, 1), (1, 1), (0, 1)]), load_data(raw),
+               simulate(g, strong_params_graph_one(), 3000, seed=5)):
+        save_data(ds, path)
+        assert same(load_data(path), ds)
+
+
 def test_cli_simulate_with_explicit_params(tmp_path, capsys):
     g = graph_one()
     gpath = tmp_path / "g.txt"

@@ -1,5 +1,8 @@
 """Parameter enumeration, the term matrices, and probability maps."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
@@ -684,7 +687,10 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
 def test_shape_heads_are_the_district_heads():
     """A shape reads its head record off the head partitions of the
     district's subsets: on random districts it is the record that
-    ``_district_heads`` enumerates, in scope-local masks."""
+    ``_district_heads`` enumerates, every head's tail is the graph's
+    ``_tail_mask``, and every ``subsets`` record holds the graph's
+    ``_partition_masks`` of C with the union of its blocks' tails, all
+    in scope-local masks."""
     import importlib
 
     from admgfit.graph import _bits
@@ -697,10 +703,78 @@ def test_shape_heads_are_the_district_heads():
         g = random_admg(rng, n_min=2, n_max=7, p_dir=0.3, p_bi=0.4)
         for d in g._district_masks(g.full_mask):
             scope = tuple(_bits(d | g._pa_mask(d)))
-            want = tuple((_local_mask(h, scope), _local_mask(t, scope))
-                         for h, t in heads._district_heads(g, d))
-            assert _Shape(g, d, scope).heads == want
+
+            def local(mask):
+                return _local_mask(mask, scope)
+
+            shape = _Shape(g, d, scope)
+            want = tuple((local(h), local(t)) for h, t in heads._district_heads(g, d))
+            assert shape.heads == want
+            assert [t for _, t in shape.heads] == [local(heads._tail_mask(g, h))
+                                                   for h, _ in heads._district_heads(g, d)]
+            tails = {h: t for h, t in shape.heads}
+            members = list(_bits(d))
+            assert len(shape.subsets) == 1 << len(members)
+            for c_local, (c, blocks, t_union) in zip(heads._subset_masks(members), shape.subsets):
+                assert c == local(c_local)
+                assert blocks == tuple(map(local, heads._partition_masks(g, c_local)))
+                assert t_union == functools.reduce(operator.or_, (tails[b] for b in blocks), 0)
             checked += 1
+
+
+def test_a_shape_is_built_from_its_key_alone(monkeypatch):
+    """A shape build computes no head, tail or partition through the
+    graph and leaves the graph's memo empty; it reads its key's masks.
+    A district of more than ``MAX_DISTRICT`` members raises before any
+    table over its subsets is allocated."""
+    import importlib
+    import tracemalloc
+
+    import admgfit.moebius as moebius
+    from admgfit.graph import _bits
+    from admgfit.moebius import _Shape
+
+    heads = importlib.import_module("admgfit.heads")
+
+    def refuse(*args):
+        raise AssertionError("a shape build went through the graph's head functions")
+
+    def graphs():
+        rng = np.random.default_rng(64)
+        names = [f"x{i}" for i in range(5)]
+        complete = Admg(names, bidirected=[(a, b) for a in names for b in names if a < b])
+        return [graph_one(), graph_two(), _chain(8), complete] + [
+            random_admg(rng, n_min=5, n_max=7, p_dir=0.3, p_bi=0.5) for _ in range(20)]
+
+    def build(g):
+        return [_Shape(g, d, tuple(_bits(d | g._pa_mask(d))))
+                for d in g._district_masks(g.full_mask)]
+
+    built = [shape for g in graphs() for shape in build(g)]
+    with monkeypatch.context() as m:
+        for name in ("_partition_masks", "_phi_masks", "_tail_mask", "_is_head_mask"):
+            m.setattr(heads, name, refuse)
+        m.setattr(moebius, "_partition_masks", refuse)
+        again = []
+        for g in graphs():
+            again.extend(build(g))
+            assert g._memo == {}
+    assert len(again) == len(built) > 30
+    for a, b in zip(built, again):
+        assert a.heads == b.heads and a.subsets == b.subsets
+        assert np.array_equal(a.M_col, b.M_col) and np.array_equal(a.P_indices, b.P_indices)
+
+    names = [f"v{i}" for i in range(heads.MAX_DISTRICT + 1)]
+    big = Admg(names, bidirected=list(zip(names, names[1:])))
+    d = big.full_mask
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            _Shape(big, d, tuple(_bits(d)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_placements_of_one_shape_on_one_scope_are_equal(monkeypatch):
