@@ -4,7 +4,8 @@ Subcommands: ``fit`` (maximum likelihood fit of a graph to data),
 ``select`` (stepwise BIC/AIC search), ``msep`` (m-separation queries),
 ``info`` (heads, tails, parameters and optionally the sparse model
 matrices of a graph), ``simulate`` (draw data from a model) and
-``bench`` (fit timing across growing graph families).
+``bench`` (fit timing across growing graph families).  Standard
+output is UTF-8 whatever the locale's encoding.
 
 Exit codes: 0 on success, 2 for unusable input (bad graph or data,
 unparsable arguments) or for ``info --matrices`` without scipy, 3 for
@@ -253,14 +254,9 @@ def _cmd_simulate(args) -> int:
         save_data(ds, args.out)
         print(f"wrote {ds.n} observations ({len(ds.counts)} distinct states) to {args.out}")
     else:
-        # the bytes save_data writes, whatever encoding stdout has
-        text = _csv_text(ds)
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is None:
-            sys.stdout.write(text)
-        else:
-            sys.stdout.flush()
-            buffer.write(text.encode("utf-8"))
+        # stdout is UTF-8 with "\n" line ends (see main): the bytes
+        # save_data writes
+        sys.stdout.write(_csv_text(ds))
     return 0
 
 
@@ -397,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(encoding="utf-8", newline="\n")
     try:
         return args.func(args)
     except (GraphError, ValueError, KeyError, OSError, json.JSONDecodeError,

@@ -18,17 +18,24 @@ bidirected link runs through unrelated parts of W stay separate.
 These partitions drive the inclusion-exclusion expansion of the joint
 probabilities in :mod:`admgfit.moebius`.
 
-The extraction round (``_phi``) and the tail (``_tail``) are written
-once, over tables of masks indexed by position: each vertex's
-ancestors, bidirected neighbours and parents.  The graph-level
-functions pass the graph's own tables, so a partition of an arbitrary
-W runs over the whole graph.  A district shape passes the tables of
-its members in scope-local positions, ancestors cut to the district:
-for a subset of a district, an ancestor outside it is a proper
-ancestor, never barren, and no bidirected path between members leaves
-the district, so the partitions and tails come out the same.
-``_subset_partitions`` fills the partitions of all subsets of a
-district in one pass in counting order.
+Each routine is written once, over tables of masks indexed by
+position: each vertex's ancestors, bidirected neighbours and parents.
+
+- ``_phi``: one extraction round, the heads at the top of W;
+- ``_partition``: the head partition [W] = Phi(W) with [W minus
+  Phi(W)], memoized in a dict that the caller holds;
+- ``_subsets``: the subsets of a district in counting order, refusing
+  more than ``MAX_DISTRICT`` members;
+- ``_tail``: the tail of a head;
+- ``_is_head_mask``: the fast head test on the graph itself.
+
+The graph-level functions pass the graph's own tables, so a partition
+of an arbitrary W runs over the whole graph, memoized on it.  A
+district shape passes the tables of its members in scope-local
+positions, ancestors cut to the district: for a subset of a district,
+an ancestor outside it is a proper ancestor, never barren, and no
+bidirected path between members leaves the district, so the
+partitions and tails come out the same.
 """
 
 from __future__ import annotations
@@ -53,25 +60,19 @@ class HeadTail:
     tail: tuple[Vertex, ...]
 
 
-def _subset_masks(members: Sequence[int]) -> list[int]:
-    """Masks of all subsets of ``members`` in binary counting order,
-    the first member least significant."""
+def _subsets(members: Sequence[int]) -> list[int]:
+    """Masks of all subsets of the positions ``members`` in binary
+    counting order, the first member least significant."""
     if len(members) > MAX_DISTRICT:
         raise ValueError(f"district of size {len(members)} is too large to enumerate")
-    out = []
-    for c_local in range(1 << len(members)):
-        c_mask = 0
-        for k, p in enumerate(members):
-            if c_local >> k & 1:
-                c_mask |= 1 << p
-        out.append(c_mask)
+    out = [0]
+    for p in members:
+        out += [c | 1 << p for c in out]
     return out
 
 
 def _is_head_mask(g: Admg, h: int) -> bool:
-    if h == 0:
-        return False
-    if g._barren_mask(h) != h:
+    if h == 0 or g._barren_mask(h) != h:
         return False
     an = g._an_mask(h)
     first = (h & -h).bit_length() - 1
@@ -86,10 +87,6 @@ def _tail(an, sp, pa, h: int) -> int:
     return (dis | _union(pa, dis)) & ~h
 
 
-def _tail_mask(g: Admg, h: int) -> int:
-    return _tail(g._an, g._sp, g._pa, h)
-
-
 def is_head(g: Admg, vs: Iterable[Vertex]) -> bool:
     """Test whether ``vs`` is a head of ``g``."""
     return _is_head_mask(g, g._as_mask(vs))
@@ -100,7 +97,7 @@ def tail(g: Admg, head: Iterable[Vertex]) -> tuple[Vertex, ...]:
     h = g._as_mask(head)
     if not _is_head_mask(g, h):
         raise ValueError(f"{tuple(head)!r} is not a head")
-    return g._labels(_tail_mask(g, h))
+    return g._labels(_tail(g._an, g._sp, g._pa, h))
 
 
 def _district_heads(g: Admg, d_mask: int) -> tuple[tuple[int, int], ...]:
@@ -111,7 +108,7 @@ def _district_heads(g: Admg, d_mask: int) -> tuple[tuple[int, int], ...]:
     key = ("district_heads", d_mask)
     if key not in g._memo:
         g._memo[key] = tuple(
-            (h, _tail_mask(g, h)) for h in _subset_masks(list(_bits(d_mask)))[1:]
+            (h, _tail(g._an, g._sp, g._pa, h)) for h in _subsets(tuple(_bits(d_mask)))[1:]
             if _is_head_mask(g, h)
         )
     return g._memo[key]
@@ -174,56 +171,38 @@ def _phi(an, sp, w: int) -> list[int]:
     return out
 
 
-def _phi_masks(g: Admg, w: int) -> list[int]:
-    """:func:`_phi` over the whole graph, memoized on it."""
-    key = ("phi", w)
-    if key not in g._memo:
-        g._memo[key] = _phi(g._an, g._sp, w)
-    return g._memo[key]
+def _partition(an, sp, w: int, memo: dict) -> tuple[int, ...]:
+    """Head partition of W over the tables of :func:`_phi`, blocks
+    ordered by smallest member: one round's blocks with the partition
+    of what the round leaves, a proper subset of W.  ``memo`` maps sets
+    to partitions, starts as ``{0: ()}`` and gains each set met."""
+    rounds = []
+    while w not in memo:
+        phi = _phi(an, sp, w)
+        rounds.append((w, phi))
+        # the blocks are disjoint parts of W
+        w -= sum(phi)
+    blocks = memo[w]
+    for v, phi in reversed(rounds):
+        blocks = memo[v] = tuple(sorted([*phi, *blocks], key=lambda b: b & -b))
+    return blocks
 
 
 def _partition_masks(g: Admg, w: int) -> tuple[int, ...]:
-    key = ("partition", w)
-    if key not in g._memo:
-        blocks: list[int] = []
-        left = w
-        while left:
-            new = _phi_masks(g, left)
-            blocks.extend(new)
-            for b in new:
-                left &= ~b
-        blocks.sort(key=lambda b: b & -b)
-        g._memo[key] = tuple(blocks)
-    return g._memo[key]
+    """:func:`_partition` over the whole graph, memoized on it."""
+    return _partition(g._an, g._sp, w, g._memo.setdefault("partitions", {0: ()}))
 
 
 def _subset_partitions(an, sp, members: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """(C, head partition of C) for every subset C of ``members`` in
-    binary counting order, the first member least significant, blocks
-    ordered by smallest member, read off the tables ``an`` and ``sp``
-    of :func:`_phi`.  One pass in counting order: the partition of C is
-    Phi(C) with the partition of what Phi(C) leaves, a proper subset of
-    C and so filled in before C."""
-    if len(members) > MAX_DISTRICT:
-        raise ValueError(f"district of size {len(members)} is too large to enumerate")
-    part = {0: ()}
-    out = [(0, ())]
-    for p in members:
-        for c, _ in out[:]:
-            c |= 1 << p
-            phi = _phi(an, sp, c)
-            rest = c
-            for b in phi:
-                rest &= ~b
-            blocks = tuple(sorted(phi + list(part[rest]), key=lambda b: b & -b))
-            part[c] = blocks
-            out.append((c, blocks))
-    return out
+    the order of :func:`_subsets`, over the tables of :func:`_phi`."""
+    memo = {0: ()}
+    return [(c, _partition(an, sp, c, memo)) for c in _subsets(members)]
 
 
 def barren_blocks(g: Admg, w: Iterable[Vertex]) -> list[tuple[Vertex, ...]]:
     """One extraction round over ``w``, ordered by smallest member."""
-    blocks = _phi_masks(g, g._as_mask(w))
+    blocks = _phi(g._an, g._sp, g._as_mask(w))
     return [g._labels(b) for b in sorted(blocks, key=lambda b: b & -b)]
 
 

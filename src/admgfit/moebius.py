@@ -133,10 +133,13 @@ class Term:
 
 
 def state_index(state: Sequence[int]) -> int:
-    """Row index of a joint 0/1 state, first vertex most significant."""
+    """Row index of a joint 0/1 state, first vertex most significant;
+    raises on a value other than 0 or 1."""
     idx = 0
     for b in state:
-        idx = idx << 1 | (b & 1)
+        if b not in (0, 1):
+            raise ValueError(f"state values must be 0 or 1, got {b!r}")
+        idx = idx << 1 | int(b)
     return idx
 
 
@@ -322,13 +325,14 @@ class _Shape:
     The build reads nothing of the graph but the masks of its
     ``_shape_key``: each member's ancestors in the district, its
     bidirected neighbours and its parents, in scope-local positions.
-    One pass over the district's subsets in counting order
-    (``heads._subset_partitions``) gives each C its head partition as
-    the blocks that one extraction round takes from C together with
-    the partition of what the round leaves, a proper subset of C and so
-    already known.  C is a head when it is its own partition; its tail
-    is read off the same masks (``heads._tail``), and every record is
-    scope-local from the start.
+    ``heads._subset_partitions`` walks the district's subsets in
+    counting order (``heads._subsets``) and gives each C its head
+    partition through ``heads._partition``, with a memo local to the
+    build: the blocks that one extraction round takes from C together
+    with the partition of what the round leaves, a proper subset of C
+    and so already in the memo.  C is a head when it is its own
+    partition; its tail is read off the same masks (``heads._tail``),
+    and every record is scope-local from the start.
 
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign), each packed into one
@@ -780,7 +784,7 @@ def prob_direct(g: Admg, q: np.ndarray, state: Sequence[int]) -> float:
     # bit k for the k-th vertex
     o_mask = 0
     for k, b in enumerate(state):
-        if not b & 1:
+        if b == 0:
             o_mask |= 1 << k
     ones = g.full_mask & ~o_mask
     total = 0.0

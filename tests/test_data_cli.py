@@ -871,15 +871,16 @@ def test_cli_simulate_stdout_and_file(tmp_path, capsys):
 def test_cli_simulate_stdout_is_utf8_whatever_its_encoding(tmp_path):
     """With stdout encoded as latin-1, ``simulate`` without ``--out``
     writes the UTF-8 bytes that ``--out`` writes, for labels latin-1
-    holds and labels it does not, and ``fit`` reads them (printing its
-    report to a UTF-8 stdout, which can hold the labels)."""
+    holds and labels it does not, ``fit`` reads them, and ``fit``,
+    ``select``, ``info`` and ``msep`` exit 0 printing UTF-8 that holds
+    the labels."""
     import subprocess
     from pathlib import Path
 
     src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=src)
 
-    def admgfit(*argv, encoding="latin-1"):
-        env = dict(os.environ, PYTHONIOENCODING=encoding, PYTHONPATH=src)
+    def admgfit(*argv):
         return subprocess.run([sys.executable, "-c", "import sys; from admgfit.cli import main; "
                                "sys.exit(main(sys.argv[1:]))", *argv],
                               cwd=tmp_path, env=env, capture_output=True, timeout=300)
@@ -894,9 +895,13 @@ def test_cli_simulate_stdout_is_utf8_whatever_its_encoding(tmp_path):
     assert run.stdout == opath.read_bytes()
     assert run.stdout.startswith("\u00e9,\u65e5,b,count\n".encode("utf-8"))
     spath.write_bytes(run.stdout)
-    fitted = admgfit("fit", "g.txt", "stdout.csv", "--allow-zero-counts", "--no-se",
-                     encoding="utf-8")
-    assert fitted.returncode == 0, fitted.stderr
+    for argv in (["fit", "g.txt", "stdout.csv", "--allow-zero-counts", "--no-se"],
+                 ["select", "stdout.csv", "--allow-zero-counts", "--no-se"],
+                 ["info", "g.txt"],
+                 ["msep", "g.txt", "\u65e5", "b", "--walk"]):
+        done = admgfit(*argv)
+        assert done.returncode == 0, (argv, done.stderr)
+        assert "\u65e5" in done.stdout.decode("utf-8"), argv
 
 
 def test_save_data_refuses_datasets_that_would_not_read_back(tmp_path):

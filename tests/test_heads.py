@@ -1,10 +1,12 @@
 """Heads, tails, and the recursive head partition."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from admgfit.graph import Admg
-from admgfit.heads import barren_blocks, head_partition, heads, is_head, tail
+from admgfit.heads import _subsets, barren_blocks, head_partition, heads, is_head, tail
 
 from util import (
     graph_one,
@@ -103,6 +105,41 @@ def test_partition_matches_brute_force():
             got = {frozenset(b) for b in head_partition(g, w)}
             want = partition_brute(g, w) if w else set()
             assert got == want, (g, w)
+
+
+def test_memoized_partitions_equal_fresh_ones_in_any_order():
+    """Partitions of every W asked in a shuffled order on one graph,
+    each filling the graph's memo with the sets its rounds leave,
+    equal the brute-force partition and the partition on a fresh copy
+    of the graph, blocks in the same order."""
+    rng = np.random.default_rng(29)
+    for _ in range(15):
+        g = random_admg(rng, n_min=3, n_max=6, p_dir=0.3, p_bi=0.4)
+        ws = list(subsets(g.vertices))
+        for k in rng.permutation(len(ws)):
+            w = ws[k]
+            got = head_partition(g, w)
+            fresh = Admg(g.vertices, g.directed_edges, g.bidirected_edges)
+            assert got == head_partition(fresh, w), (g, w)
+            assert {frozenset(b) for b in got} == (partition_brute(g, w) if w else set())
+
+
+def test_subsets_run_in_counting_order_first_member_least_significant():
+    assert _subsets(()) == [0]
+    assert _subsets((3, 0, 5)) == [0, 8, 1, 9, 32, 40, 33, 41]
+    assert _subsets(range(4)) == list(range(16))
+
+
+def test_partition_needing_more_rounds_than_the_recursion_limit():
+    """On a bow path v0 -> v1 -> ... with each step also bidirected,
+    every extraction round takes only the last vertex left, so the
+    partition of all vertices takes one round per vertex; with more
+    vertices than the recursion limit it still comes out as the
+    singletons."""
+    vs = [f"v{i}" for i in range(sys.getrecursionlimit() + 100)]
+    steps = list(zip(vs, vs[1:]))
+    g = Admg(vs, steps, steps)
+    assert head_partition(g, vs) == [(v,) for v in vs]
 
 
 def test_partition_blocks_are_disjoint_heads_covering_w():

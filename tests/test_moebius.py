@@ -2,6 +2,7 @@
 
 import functools
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_state_index_is_big_endian():
     assert state_index((0, 0, 1)) == 1
     assert state_index((1, 0, 1)) == 5
     assert state_index((1, 1, 1)) == 7
+
+
+def test_states_other_than_zero_and_one_are_refused():
+    """``state_index`` and ``prob_direct`` name a state value that is
+    not 0 or 1 instead of reading its lowest bit."""
+    g = graph_one()
+    q = strong_params_graph_one()
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match=re.escape(f"0 or 1, got {bad!r}")):
+            state_index([bad, 0, 0, 0])
+        with pytest.raises(ValueError, match=re.escape(f"0 or 1, got {bad!r}")):
+            prob_direct(g, q, [0, 0, bad, 0])
+    assert state_index(np.array([1, 0, 1])) == 5
 
 
 # the three-vertex reference graph has a single district {1, 2, 3} with
@@ -623,7 +637,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     shapes = {}
     built = Parametrization(g, shapes)
     with monkeypatch.context() as m:
-        for module, name in ((heads, "_partition_masks"), (heads, "_phi_masks"),
+        for module, name in ((heads, "_partition_masks"), (heads, "_partition"),
                              (moebius, "_partition_masks")):
             m.setattr(module, name, refuse)
         shape_keys = [_shape_key(g, d, tuple(_bits(d | g._pa_mask(d)))) for d in d_masks]
@@ -688,7 +702,7 @@ def test_shape_heads_are_the_district_heads():
     """A shape reads its head record off the head partitions of the
     district's subsets: on random districts it is the record that
     ``_district_heads`` enumerates, every head's tail is the graph's
-    ``_tail_mask``, and every ``subsets`` record holds the graph's
+    ``_tail``, and every ``subsets`` record holds the graph's
     ``_partition_masks`` of C with the union of its blocks' tails, all
     in scope-local masks."""
     import importlib
@@ -710,12 +724,12 @@ def test_shape_heads_are_the_district_heads():
             shape = _Shape(g, d, scope)
             want = tuple((local(h), local(t)) for h, t in heads._district_heads(g, d))
             assert shape.heads == want
-            assert [t for _, t in shape.heads] == [local(heads._tail_mask(g, h))
+            assert [t for _, t in shape.heads] == [local(heads._tail(g._an, g._sp, g._pa, h))
                                                    for h, _ in heads._district_heads(g, d)]
             tails = {h: t for h, t in shape.heads}
             members = list(_bits(d))
             assert len(shape.subsets) == 1 << len(members)
-            for c_local, (c, blocks, t_union) in zip(heads._subset_masks(members), shape.subsets):
+            for c_local, (c, blocks, t_union) in zip(heads._subsets(members), shape.subsets):
                 assert c == local(c_local)
                 assert blocks == tuple(map(local, heads._partition_masks(g, c_local)))
                 assert t_union == functools.reduce(operator.or_, (tails[b] for b in blocks), 0)
@@ -752,7 +766,7 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
 
     built = [shape for g in graphs() for shape in build(g)]
     with monkeypatch.context() as m:
-        for name in ("_partition_masks", "_phi_masks", "_tail_mask", "_is_head_mask"):
+        for name in ("_partition_masks", "_is_head_mask"):
             m.setattr(heads, name, refuse)
         m.setattr(moebius, "_partition_masks", refuse)
         again = []
