@@ -13,9 +13,11 @@ with respect to it.
 
 Internally vertex sets are bit masks over the canonical positions, which
 keeps the subset manipulations in the head/parametrization machinery
-cheap.  Edges are held the same way, and only so: each vertex has a mask
-of its parents, its children and its spouses.  The public API accepts
-iterables of labels and returns tuples of labels in canonical order.
+cheap.  A graph holds, per vertex, the masks of its parents, children
+and spouses and of its reflexive ancestors, and nothing else; every
+other relative is read off those tables by ``_union``, ``_component``
+and ``_barren``.  The public API accepts iterables of labels and
+returns tuples of labels in canonical order.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def _component(sp, seed: int, within: int) -> int:
 class Admg:
     """An acyclic directed mixed graph.
 
+    Per vertex it stores the masks ``_pa``, ``_ch``, ``_sp`` and ``_an``
+    (reflexive ancestors).  Every edge, built or edited, passes the one
+    edge rule of :meth:`_flip`.
+
     Parameters
     ----------
     vertices : iterable of hashable
@@ -93,21 +99,11 @@ class Admg:
     Raises
     ------
     GraphError
-        On duplicate vertices, undeclared edge endpoints, self loops,
-        duplicate edges of the same type, or a directed cycle.
+        On duplicate vertices, an edge that :meth:`_flip` refuses, or
+        a directed cycle.
     """
 
-    __slots__ = (
-        "vertices",
-        "_index",
-        "_pa",
-        "_ch",
-        "_sp",
-        "_de",
-        "_an",
-        "_topo",
-        "_memo",
-    )
+    __slots__ = ("vertices", "_index", "_pa", "_ch", "_sp", "_an", "_memo")
 
     def __init__(
         self,
@@ -121,44 +117,58 @@ class Admg:
             raise GraphError("duplicate vertex labels")
 
         n = len(self.vertices)
-        pa = [0] * n
-        ch = [0] * n
-        sp = [0] * n
+        pa, ch, sp = [0] * n, [0] * n, [0] * n
         for a, b in directed:
-            i, j = self._resolve(a), self._resolve(b)
-            if i == j:
-                raise GraphError(f"self loop at {a!r}")
-            if (ch[i] | pa[i]) >> j & 1:
-                raise GraphError(f"duplicate directed edge between {a!r} and {b!r}")
-            ch[i] |= 1 << j
-            pa[j] |= 1 << i
+            self._flip(pa, ch, sp, a, b, "->", True)
         for a, b in bidirected:
-            i, j = self._resolve(a), self._resolve(b)
-            if i == j:
-                raise GraphError(f"self loop at {a!r}")
-            if sp[i] >> j & 1:
-                raise GraphError(f"duplicate bidirected edge between {a!r} and {b!r}")
-            sp[i] |= 1 << j
-            sp[j] |= 1 << i
+            self._flip(pa, ch, sp, a, b, "<->", True)
         self._close(pa, ch, sp)
 
     # -- construction helpers ------------------------------------------
 
+    def _flip(self, pa: list[int], ch: list[int], sp: list[int],
+              a: Vertex, b: Vertex, kind: str, add: bool) -> None:
+        """Flip the bits of the edge ``a kind b`` in the edge masks, to add
+        it or, ``add`` false, remove it.  Refuses an unknown kind or
+        vertex, adding a present edge or removing a missing one, a self
+        loop, and a directed edge against a present one."""
+        if kind not in ("->", "<->"):
+            raise GraphError(f"unknown edge kind {kind!r}")
+        i, j = self._resolve(a), self._resolve(b)
+        present = (pa[j] if kind == "->" else sp[j]) >> i & 1
+        if add and present:
+            raise GraphError(f"edge {a} {kind} {b} already present")
+        if not (add or present):
+            raise GraphError(f"no edge {a} {kind} {b}")
+        if i == j:
+            raise GraphError(f"self loop at {a!r}")
+        if kind == "->":
+            if pa[i] >> j & 1:
+                raise GraphError(f"duplicate directed edge between {a!r} and {b!r}")
+            pa[j] ^= 1 << i
+            ch[i] ^= 1 << j
+        else:
+            sp[i] ^= 1 << j
+            sp[j] ^= 1 << i
+
     def _close(self, pa: list[int], ch: list[int], sp: list[int]) -> None:
-        """Take the edge masks, then the topological order and the
-        reflexive ancestor and descendant closures that follow from
-        them; raises GraphError on a directed cycle."""
-        self._pa, self._ch, self._sp = tuple(pa), tuple(ch), tuple(sp)
-        self._topo = self._toposort()
+        """Take the edge masks and the reflexive ancestor masks, filled
+        in topological order; raises GraphError on a directed cycle."""
         n = len(self.vertices)
-        de = [0] * n
-        for i in reversed(self._topo):
-            de[i] = 1 << i | _union(de, ch[i])
+        indeg = [m.bit_count() for m in pa]
+        order = [i for i in range(n) if not indeg[i]]
         an = [0] * n
-        for i in self._topo:
+        # the order grows as it is read: a vertex joins once its parents are read
+        for i in order:
             an[i] = 1 << i | _union(an, pa[i])
-        self._de = tuple(de)
-        self._an = tuple(an)
+            for j in _bits(ch[i]):
+                indeg[j] -= 1
+                if not indeg[j]:
+                    order.append(j)
+        if len(order) != n:
+            stuck = [self.vertices[i] for i in range(n) if indeg[i] > 0]
+            raise GraphError(f"directed cycle through {stuck}")
+        self._pa, self._ch, self._sp, self._an = tuple(pa), tuple(ch), tuple(sp), tuple(an)
         self._memo: dict = {}
 
     def _resolve(self, v: Vertex) -> int:
@@ -166,23 +176,6 @@ class Admg:
             return self._index[v]
         except KeyError:
             raise GraphError(f"unknown vertex {v!r}") from None
-
-    def _toposort(self) -> tuple[int, ...]:
-        n = len(self.vertices)
-        indeg = [bin(self._pa[i]).count("1") for i in range(n)]
-        queue = deque(i for i in range(n) if indeg[i] == 0)
-        order = []
-        while queue:
-            i = queue.popleft()
-            order.append(i)
-            for j in _bits(self._ch[i]):
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(order) != n:
-            stuck = [self.vertices[i] for i in range(n) if indeg[i] > 0]
-            raise GraphError(f"directed cycle through {stuck}")
-        return tuple(order)
 
     # -- mask plumbing --------------------------------------------------
 
@@ -193,38 +186,21 @@ class Admg:
     def full_mask(self) -> int:
         return (1 << len(self.vertices)) - 1
 
-    def _an_mask(self, mask: int) -> int:
-        return _union(self._an, mask)
-
-    def _de_mask(self, mask: int) -> int:
-        return _union(self._de, mask)
-
-    def _pa_mask(self, mask: int) -> int:
-        return _union(self._pa, mask)
-
-    def _district_mask(self, i: int, within: int) -> int:
-        """Connected component of vertex ``i`` in the bidirected part
-        of the subgraph induced on ``within``; ``i`` must lie in it."""
-        return _component(self._sp, 1 << i, within)
-
     def _district_masks(self, within: int) -> list[int]:
+        """Districts of the subgraph on ``within``, by smallest member."""
         out = []
         left = within
         while left:
-            i = (left & -left).bit_length() - 1
-            d = self._district_mask(i, within)
+            d = _component(self._sp, left & -left, within)
             out.append(d)
             left &= ~d
         return out
-
-    def _barren_mask(self, mask: int) -> int:
-        return _barren(self._an, mask)
 
     # -- public relatives ------------------------------------------------
 
     def parents(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
         """Union of parents over ``vs``."""
-        return self._labels(self._pa_mask(self._as_mask(vs)))
+        return self._labels(_union(self._pa, self._as_mask(vs)))
 
     def children(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
         return self._labels(_union(self._ch, self._as_mask(vs)))
@@ -234,15 +210,16 @@ class Admg:
 
     def ancestors(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
         """Reflexive ancestor closure: ``vs`` itself is included."""
-        return self._labels(self._an_mask(self._as_mask(vs)))
+        return self._labels(_union(self._an, self._as_mask(vs)))
 
     def descendants(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
-        """Reflexive descendant closure."""
-        return self._labels(self._de_mask(self._as_mask(vs)))
+        """Reflexive descendant closure: the vertices with an ancestor in ``vs``."""
+        m = self._as_mask(vs)
+        return tuple(v for v, an in zip(self.vertices, self._an) if an & m)
 
     def district(self, v: Vertex) -> tuple[Vertex, ...]:
         """The bidirected-connected component of ``v`` in the full graph."""
-        return self._labels(self._district_mask(self._resolve(v), self.full_mask))
+        return self._labels(_component(self._sp, 1 << self._resolve(v), self.full_mask))
 
     def districts(self) -> list[tuple[Vertex, ...]]:
         """All districts, ordered by their smallest canonical member."""
@@ -250,12 +227,12 @@ class Admg:
 
     def barren(self, vs: Iterable[Vertex] | Vertex) -> tuple[Vertex, ...]:
         """Members of ``vs`` with no proper descendant inside ``vs``."""
-        return self._labels(self._barren_mask(self._as_mask(vs)))
+        return self._labels(_barren(self._an, self._as_mask(vs)))
 
     def is_ancestral(self, vs: Iterable[Vertex]) -> bool:
         """True if ``vs`` is closed under taking ancestors."""
         m = self._as_mask(vs)
-        return self._an_mask(m) == m
+        return _union(self._an, m) == m
 
     def _as_mask(self, vs) -> int:
         if isinstance(vs, (str, bytes)) or not isinstance(vs, Iterable):
@@ -298,7 +275,7 @@ class Admg:
         if xm & ym or xm & zm or ym & zm:
             raise GraphError("x, y, z must be pairwise disjoint")
 
-        an_z = self._an_mask(zm)
+        an_z = _union(self._an, zm)
 
         # States are (vertex, arriving mark at that vertex): mark True
         # means the walk reaches the vertex with an arrowhead.  A state
@@ -384,27 +361,9 @@ class Admg:
 
     def _edit(self, a: Vertex, b: Vertex, kind: str, add: bool) -> "Admg":
         """Copy of this graph with the edge ``a kind b`` added or
-        removed: its bits flipped in the edge masks, which are then
-        closed again."""
-        if kind not in ("->", "<->"):
-            raise GraphError(f"unknown edge kind {kind!r}")
-        i, j = self._resolve(a), self._resolve(b)
+        removed by :meth:`_flip`, its masks then closed again."""
         pa, ch, sp = list(self._pa), list(self._ch), list(self._sp)
-        present = (pa[j] if kind == "->" else sp[j]) >> i & 1
-        if add and present:
-            raise GraphError(f"edge {a} {kind} {b} already present")
-        if not (add or present):
-            raise GraphError(f"no edge {a} {kind} {b}")
-        if i == j:
-            raise GraphError(f"self loop at {a!r}")
-        if kind == "->":
-            if pa[i] >> j & 1:
-                raise GraphError(f"duplicate directed edge between {a!r} and {b!r}")
-            pa[j] ^= 1 << i
-            ch[i] ^= 1 << j
-        else:
-            sp[i] ^= 1 << j
-            sp[j] ^= 1 << i
+        self._flip(pa, ch, sp, a, b, kind, add)
         g = Admg.__new__(Admg)
         g.vertices, g._index = self.vertices, self._index
         g._close(pa, ch, sp)

@@ -27,7 +27,7 @@ position: each vertex's ancestors, bidirected neighbours and parents.
 - ``_subsets``: the subsets of a district in counting order, refusing
   more than ``MAX_DISTRICT`` members;
 - ``_tail``: the tail of a head;
-- ``_is_head_mask``: the fast head test on the graph itself.
+- ``_is_head_mask``: the head test on the graph's ``_an`` and ``_sp``.
 
 The graph-level functions pass the graph's own tables, so a partition
 of an arbitrary W runs over the whole graph, memoized on it.  A
@@ -72,11 +72,10 @@ def _subsets(members: Sequence[int]) -> list[int]:
 
 
 def _is_head_mask(g: Admg, h: int) -> bool:
-    if h == 0 or g._barren_mask(h) != h:
-        return False
-    an = g._an_mask(h)
-    first = (h & -h).bit_length() - 1
-    return h & ~g._district_mask(first, an) == 0
+    """Whether ``h`` is nonempty, barren and inside one district of the
+    subgraph on its ancestors, read off ``g._an`` and ``g._sp``."""
+    an = g._an
+    return h != 0 and _barren(an, h) == h and _component(g._sp, h & -h, _union(an, h)) & h == h
 
 
 def _tail(an, sp, pa, h: int) -> int:

@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import get_kernels
 from .fitting import FitResult
 from .graph import Admg
-from .moebius import parametrization
+from .moebius import _head_run, parametrization
 
 __all__ = [
     "dp_dq",
@@ -57,6 +57,9 @@ __all__ = [
 ]
 
 COND_WARN = 1e10
+# a parameter whose conditioning event has fitted probability at most
+# this (zero up to roundoff) is not identified: any value gives one p
+UNIDENTIFIED_MASS = 1e-12
 
 
 def _check_positive(q: np.ndarray) -> None:
@@ -294,9 +297,22 @@ class InferenceReport:
         }
 
 
+def _unidentified(result: FitResult, table) -> list[str]:
+    """Names of the parameters whose conditioning event has fitted
+    probability at most ``UNIDENTIFIED_MASS``, read as ``q_from_p`` does."""
+    n = len(result.graph.vertices)
+    joint = result.p.reshape((2,) * n)
+    names = []
+    for h_mask, t_mask, j in table.runs:
+        _, den = _head_run(joint, range(n), h_mask, t_mask)
+        names += [table.params[j + k].name for k in np.flatnonzero(den <= UNIDENTIFIED_MASS)]
+    return names
+
+
 def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:
     """Bundle a fit with standard errors and fit statistics; ``counts``
-    must be the fit's own, as :func:`deviance` requires."""
+    must be the fit's own, as :func:`deviance` requires.  With a zero
+    count, a note names the parameters the fit leaves unidentified."""
     dev, df, p = deviance(result, counts)
     g = result.graph
     table = parametrization(g).table
@@ -310,6 +326,9 @@ def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:
     bic, aic = information_criteria(result)
     if not result.converged:
         notes.append("fit did not converge within the cycle limit")
+    names = _unidentified(result, table) if (np.asarray(counts) == 0).any() else []
+    if names:
+        notes.append(f"not identified (conditioning event of fitted mass 0): {', '.join(names)}")
     return InferenceReport(
         graph=g,
         params=table.params,

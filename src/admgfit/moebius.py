@@ -76,7 +76,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .graph import Admg, Vertex, _bits
+from .graph import Admg, GraphError, Vertex, _bits, _component, _union
 from .heads import _district_heads, _partition_masks, _subset_partitions, _tail
 
 if TYPE_CHECKING:
@@ -97,6 +97,10 @@ __all__ = [
 ]
 
 MAX_VERTICES = 20  # 2^|V| joint states must stay addressable
+
+# most entries of M, P and the Jacobian pairs together in one district
+# shape: at 30 to 70 bytes an entry the largest build peaks under 1 GB
+MAX_SHAPE_ENTRIES = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,12 @@ def _tail_rank(row: int, n: int, tpos: tuple[int, ...]) -> int:
 def _check_size(g: Admg) -> None:
     if len(g.vertices) > MAX_VERTICES:
         raise ValueError(f"too many vertices ({len(g.vertices)})")
+
+
+def _check_build(count: int, what: str) -> None:
+    if count > MAX_SHAPE_ENTRIES:
+        raise GraphError(f"district shape too large to build: {count} {what}, "
+                         f"over the budget of {MAX_SHAPE_ENTRIES} entries")
 
 
 class ParamTable:
@@ -334,6 +344,10 @@ class _Shape:
     partition; its tail is read off the same masks (``heads._tail``),
     and every record is scope-local from the start.
 
+    A shape over ``MAX_SHAPE_ENTRIES`` nonzeros of M (counted off the
+    key), or entries of M, P and the Jacobian pairs together (counted
+    off the subsets), raises ``GraphError`` before any of them is built.
+
     M is built in one array pass over the scope, growing the list of
     its nonzeros (local state r, subset C, sign), each packed into one
     integer, one scope vertex at a time: a district vertex at 0 must
@@ -347,41 +361,51 @@ class _Shape:
     def __init__(self, g: Admg, d_mask: int, scope: tuple[int, ...]):
         L, d_local, pa, an, sp = _shape_key(g, d_mask, scope)
         members = tuple(_bits(d_local))
+        n = len(members)
+        # each local state r sums over the C >= O(r): 3^|D| 2^|pa(D)| nonzeros
+        entries = 3**n << (L - n)
+        _check_build(entries, "nonzeros of M")
         an_t, sp_t, pa_t = [0] * L, [0] * L, [0] * L
         for k, p in enumerate(members):
             an_t[p], sp_t[p], pa_t[p] = an[k], sp[k], pa[k]
+        # each subset C with its head partition and its blocks' tails; C
+        # is a head when it is its own partition, and its blocks, subsets
+        # of it, come first.  C has a P entry per block of each term, and
+        # 2^|C| 2^|pa(D)| nonzeros of M, each paired with every block
+        tails: dict[int, int] = {}
+        subsets: list[tuple] = []
+        for c, blocks in _subset_partitions(an_t, sp_t, members):
+            if blocks == (c,):
+                tails[c] = _tail(an_t, sp_t, pa_t, c)
+            t_union = 0
+            for b in blocks:
+                t_union |= tails[b]
+            subsets.append((c, blocks, t_union))
+            entries += len(blocks) * ((1 << t_union.bit_count()) + (1 << c.bit_count() + L - n))
+        _check_build(entries, "entries of M, P and the Jacobian pairs")
 
-        # enumerate terms: subsets C of the district in counting order,
-        # then tail assignments of the union of block tails.  C is a
-        # head when it is its own head partition; its blocks are subsets
-        # of it, so each head's (tail, first local parameter) is known
-        # before a term needs it.  A head's term columns are its run of
-        # parameters; any other C's, the ranks of each tail assignment
-        # on its blocks' tails, blocks in parameter order
-        runs: dict[int, tuple[int, int]] = {}
+        # terms: each C's tail assignments.  A head's term columns are its
+        # run of parameters; any other C's, the ranks of each tail
+        # assignment on its blocks' tails, blocks in parameter order
+        first: dict[int, int] = {}  # each head's first local parameter
         theta_sets: dict[int, list[int]] = {p: [] for p in members}
         n_params = 0
-        subsets: list[tuple] = []
         starts: list[int] = []  # first column of each C
         row_len: list[int] = []  # nonzeros of each row of P
         P_indices: list[int] = []
         t_all = 0
-        for c, blocks in _subset_partitions(an_t, sp_t, members):
+        for c, blocks, t_union in subsets:
             if blocks == (c,):
-                t_union = _tail(an_t, sp_t, pa_t, c)
                 run = range(n_params, n_params + (1 << t_union.bit_count()))
-                runs[c] = (t_union, n_params)
+                first[c] = n_params
                 for p in _bits(c):
                     theta_sets[p].extend(run)
                 P_indices.extend(run)
                 n_params = run.stop
             else:
-                t_union = 0
-                for b in blocks:
-                    t_union |= runs[b][0]
                 block_cols = []
-                for b in sorted(blocks, key=lambda b: runs[b][1]):
-                    t_b, offset = runs[b]
+                for b in sorted(blocks, key=first.get):
+                    t_b, offset = tails[b], first[b]
                     # the block's rank at each tail assignment of C, in
                     # counting order with the earliest vertex most
                     # significant
@@ -391,11 +415,10 @@ class _Shape:
                                  else [x for x in ranks for _ in (0, 1)])
                     block_cols.append([offset + x for x in ranks])
                 P_indices.extend(itertools.chain.from_iterable(zip(*block_cols)))
-            subsets.append((c, blocks, t_union))
             starts.append(len(row_len))
             row_len.extend([len(blocks)] * (1 << t_union.bit_count()))
             t_all |= t_union
-        self.heads = tuple((h, t) for h, (t, _) in runs.items())
+        self.heads = tuple(tails.items())
         self.theta_cols = tuple(np.array(theta_sets[p], dtype=np.int64) for p in members)
         self.subsets = tuple(subsets)
         K = len(row_len)
@@ -408,7 +431,6 @@ class _Shape:
         self.term_of = np.repeat(np.arange(K, dtype=np.int64), row_len)
         self.n_terms = K
         self.n_params = n_params
-        n = len(members)
         self.saturated = n_params == ((1 << n) - 1) << (L - n)
 
         # M: the nonzeros (r, C, sign) with O(r) <= C, sign
@@ -521,9 +543,9 @@ class DistrictMaps:
         d_mask = g._as_mask(district)
         if list(_bits(d_mask)) != members:
             raise ValueError("district must be in canonical order")
-        if not d_mask or g._district_mask(members[0], g.full_mask) != d_mask:
+        if not d_mask or _component(g._sp, d_mask & -d_mask, g.full_mask) != d_mask:
             raise KeyError(f"{district!r} is not a district")
-        scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+        scope = tuple(_bits(d_mask | _union(g._pa, d_mask)))
         self._place(g, d_mask, scope, _Shape(g, d_mask, scope))
 
     @classmethod
@@ -681,7 +703,7 @@ def _shared_maps(g: Admg, d_mask: int, shapes: dict) -> DistrictMaps:
     """The maps of the district ``d_mask`` through a dict of shapes
     keyed by ``_shape_key``: the shape held there placed on the
     district, or else maps built afresh, whose shape is entered."""
-    scope = tuple(_bits(d_mask | g._pa_mask(d_mask)))
+    scope = tuple(_bits(d_mask | _union(g._pa, d_mask)))
     key = _shape_key(g, d_mask, scope)
     shape = shapes.get(key)
     if shape is not None:

@@ -151,7 +151,7 @@ def test_edits_match_the_constructor():
     built from its edges, and undoing the edit gives the original."""
     def same(h, built):
         assert h == built
-        assert (h._ch, h._an, h._de, h._topo) == (built._ch, built._an, built._de, built._topo)
+        assert (h._ch, h._an) == (built._ch, built._an)
 
     rng = np.random.default_rng(16)
     for _ in range(40):
@@ -165,6 +165,47 @@ def test_edits_match_the_constructor():
             h = g.without_edge(*e[::-1], "<->")
             same(h, Admg(vs, d, [x for x in b if x != e]))
             same(h.with_edge(*e, "<->"), g)
+
+
+def test_construction_and_edits_refuse_an_edge_alike():
+    """The constructor and an edit pass each edge through one rule, so
+    a bad edge gives one message whichever way it comes."""
+    vs, directed, bidirected = ["a", "b", "c"], [("a", "b")], [("b", "c")]
+    g = Admg(vs, directed, bidirected)
+    cases = [
+        (("a", "b", "->"), "edge a -> b already present"),
+        (("b", "a", "->"), "duplicate directed edge between 'b' and 'a'"),
+        (("b", "c", "<->"), "edge b <-> c already present"),
+        (("c", "b", "<->"), "edge c <-> b already present"),
+        (("a", "a", "->"), "self loop at 'a'"),
+        (("c", "c", "<->"), "self loop at 'c'"),
+        (("a", "z", "->"), "unknown vertex 'z'"),
+        (("z", "a", "<->"), "unknown vertex 'z'"),
+    ]
+    for (a, b, kind), message in cases:
+        with pytest.raises(GraphError) as built:
+            if kind == "->":
+                Admg(vs, directed + [(a, b)], bidirected)
+            else:
+                Admg(vs, directed, bidirected + [(a, b)])
+        with pytest.raises(GraphError) as edited:
+            g.with_edge(a, b, kind)
+        assert str(built.value) == str(edited.value) == message
+
+
+def test_parse_refuses_a_repeated_edge_as_an_edit_does():
+    with pytest.raises(GraphError, match="^edge a -> b already present$"):
+        parse_graph("a -> b\nb <-> c\na -> b\n")
+    with pytest.raises(GraphError, match="^edge b <-> a already present$"):
+        parse_graph("a <-> b\nb <-> a\n")
+
+
+def test_descendants_are_the_vertices_with_an_ancestor_in_the_set():
+    rng = np.random.default_rng(60)
+    for _ in range(60):
+        g = random_admg(rng, n_min=2, n_max=8, p_dir=0.35, p_bi=0.2)
+        for v in g.vertices:
+            assert g.descendants(v) == tuple(w for w in g.vertices if v in g.ancestors(w))
 
 
 def test_parse_and_format_round_trip():

@@ -281,6 +281,32 @@ def test_report_notes_on_failure_paths():
     assert rep.std_errors is None
 
 
+def test_report_names_the_parameters_a_zero_count_fit_leaves_unidentified():
+    """A parameter whose conditioning event has fitted probability zero
+    takes any value for the same p: the report says so in one note and
+    keeps the estimate."""
+    opts = FitOptions(allow_zero_counts=True)
+    cases = [
+        (Admg(["a", "b"], directed=[("a", "b")]), [5, 7, 0, 0], ["q[b|a=1]"]),
+        (Admg(["a", "b", "c"], directed=[("a", "c"), ("b", "c")], bidirected=[("a", "b")]),
+         [1, 2, 3, 4, 0, 0, 7, 8], ["q[c|a,b=10]"]),
+    ]
+    for g, counts, names in cases:
+        counts = np.array(counts, dtype=float)
+        res = fit(g, counts, opts)
+        rep = report(res, counts)
+        notes = [n for n in rep.notes if n.startswith("not identified")]
+        assert notes == ["not identified (conditioning event of fitted mass 0): "
+                         + ", ".join(names)]
+        assert np.array_equal(rep.estimates, res.q)
+    # a zero count that leaves every conditioning event positive adds no note
+    g = graph_two()
+    counts = np.arange(1.0, 9.0)
+    counts[5] = 0
+    rep = report(fit(g, counts, opts), counts, with_se=False)
+    assert rep.notes == ()
+
+
 def test_fisher_information_matches_the_dense_reference(monkeypatch):
     """The district-block information against (J/p)'J - uu' over all
     joint states from the dense Jacobian; entries between districts are

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from admgfit.graph import Admg
+from admgfit.graph import Admg, format_graph
 from admgfit.moebius import (
     DistrictMaps,
     enumerate_params,
@@ -620,7 +620,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
 
     import admgfit.moebius as moebius
     import admgfit.select as select
-    from admgfit.graph import _bits
+    from admgfit.graph import _bits, _union
     from admgfit.moebius import DistrictMaps, Parametrization, _shape_key
 
     from util import criterion_11_search_inputs, golden_search_inputs
@@ -640,7 +640,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
         for module, name in ((heads, "_partition_masks"), (heads, "_partition"),
                              (moebius, "_partition_masks")):
             m.setattr(module, name, refuse)
-        shape_keys = [_shape_key(g, d, tuple(_bits(d | g._pa_mask(d)))) for d in d_masks]
+        shape_keys = [_shape_key(g, d, tuple(_bits(d | _union(g._pa, d)))) for d in d_masks]
         again = Parametrization(graph_one(), shapes)
     assert len(set(shape_keys)) == len(d_masks) == len(shapes)
     assert again.maps == built.maps
@@ -707,7 +707,7 @@ def test_shape_heads_are_the_district_heads():
     in scope-local masks."""
     import importlib
 
-    from admgfit.graph import _bits
+    from admgfit.graph import _bits, _union
     from admgfit.moebius import _local_mask, _Shape
 
     heads = importlib.import_module("admgfit.heads")
@@ -716,7 +716,7 @@ def test_shape_heads_are_the_district_heads():
     while checked < 500:
         g = random_admg(rng, n_min=2, n_max=7, p_dir=0.3, p_bi=0.4)
         for d in g._district_masks(g.full_mask):
-            scope = tuple(_bits(d | g._pa_mask(d)))
+            scope = tuple(_bits(d | _union(g._pa, d)))
 
             def local(mask):
                 return _local_mask(mask, scope)
@@ -745,7 +745,7 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
     import tracemalloc
 
     import admgfit.moebius as moebius
-    from admgfit.graph import _bits
+    from admgfit.graph import _bits, _union
     from admgfit.moebius import _Shape
 
     heads = importlib.import_module("admgfit.heads")
@@ -761,7 +761,7 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
             random_admg(rng, n_min=5, n_max=7, p_dir=0.3, p_bi=0.5) for _ in range(20)]
 
     def build(g):
-        return [_Shape(g, d, tuple(_bits(d | g._pa_mask(d))))
+        return [_Shape(g, d, tuple(_bits(d | _union(g._pa, d))))
                 for d in g._district_masks(g.full_mask)]
 
     built = [shape for g in graphs() for shape in build(g)]
@@ -789,6 +789,67 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_shape_counts_its_entries_before_building():
+    """M has 3^|D| 2^|pa(D)| nonzeros; P has, for each subset C of the
+    district, its blocks times the 2^|tail of C| tail assignments; the
+    Jacobian pairs number 2^|pa(D)| times the sum over C of 2^|C| times
+    its blocks.  These are the counts that the size budget reads
+    before a build."""
+    rng = np.random.default_rng(300)
+    seen = 0
+    for _ in range(300):
+        g = random_admg(rng, n_min=6, n_max=6, p_dir=0.3, p_bi=0.4)
+        for dm in parametrization(g).maps:
+            n_parents = len(dm.scope) - len(dm.members)
+            assert len(dm.M_row) == 3 ** len(dm.members) * 2 ** n_parents
+            subsets = dm._shape.subsets
+            assert len(dm.P_indices) == sum(len(b) << t.bit_count() for _, b, t in subsets)
+            pairs = sum(len(b) << c.bit_count() for c, b, _ in subsets) << n_parents
+            assert len(dm._jac_pairs[0]) == pairs
+            seen += 1
+    assert seen > 400
+
+
+def test_a_shape_over_the_budget_is_refused_before_its_arrays(tmp_path, capsys):
+    """A complete bidirected district of 16 members (3^16 nonzeros of
+    M) raises before anything of its size is allocated, and ``fit`` on
+    it exits 2.  A directed chain of 12 members within a bidirected
+    path has 3^12 nonzeros of M but 35 million entries of P, and raises
+    once its subsets are counted, before M or P is built."""
+    import tracemalloc
+
+    from admgfit.cli import main
+    from admgfit.graph import GraphError, _bits
+    from admgfit.moebius import MAX_SHAPE_ENTRIES, _Shape
+
+    names = [f"v{i}" for i in range(16)]
+    big = Admg(names, bidirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+    chain = Admg(names[:12], directed=list(zip(names[:11], names[1:12])),
+                bidirected=list(zip(names[:11], names[1:12])))
+    for g, peak_bound in ((big, 1 << 20), (chain, 4 << 20)):
+        d = g.full_mask
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match=f"too large to build: .* over the budget of "
+                                                 f"{MAX_SHAPE_ENTRIES} entries"):
+                _Shape(g, d, tuple(_bits(d)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_bound
+    with pytest.raises(GraphError, match=f"{3 ** 16} nonzeros of M"):
+        parametrization(big)
+    with pytest.raises(GraphError, match="40201536 entries of M, P and the Jacobian pairs"):
+        parametrization(chain)
+
+    gpath, dpath = tmp_path / "g.txt", tmp_path / "d.csv"
+    gpath.write_text(format_graph(big))
+    rows = np.random.default_rng(16).integers(0, 2, size=(50, 16))
+    dpath.write_text(",".join(names) + "\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    assert main(["fit", str(gpath), str(dpath), "--allow-zero-counts"]) == 2
+    assert "too large to build" in capsys.readouterr().err
 
 
 def test_placements_of_one_shape_on_one_scope_are_equal(monkeypatch):
