@@ -121,7 +121,8 @@ def _cmd_select(args) -> int:
     print(f"start: {args.criterion}={res.start_value:.4f}")
     for k, step in enumerate(res.steps, 1):
         print(f"step {k}: {step.describe()}  {args.criterion}={step.criterion:.4f}")
-    print(f"evaluated {res.evaluated} candidate fits")
+    print(f"evaluated {res.evaluated} candidates "
+          f"({res.evaluated - res.bounded} candidate fits, {res.bounded} bounded out)")
     print(f"district maps: {res.maps_built} built, {res.maps_reused} reused; "
           f"district fits: {res.districts_fitted} run, {res.districts_reused} reused")
     print("final graph:")
@@ -146,6 +147,7 @@ def _cmd_select(args) -> int:
                 for s in res.steps
             ],
             "evaluated": res.evaluated,
+            "bounded": res.bounded,
             "maps_built": res.maps_built,
             "maps_reused": res.maps_reused,
             "districts_fitted": res.districts_fitted,

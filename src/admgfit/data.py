@@ -14,7 +14,9 @@ a file in that layout (one-character 0/1 fields and a count of at most
 numpy's C reader, ``np.loadtxt``, reads those of any other ASCII file;
 a line by line reader reads the rest and names the first bad line of a
 refused file.  Rows are aggregated through one integer code each, the
-cell code of a row up to ``MAX_VERTICES`` columns.
+cell code of a row up to ``MAX_VERTICES`` columns: over a table of the
+2^k cells when the rows are at least as many, and otherwise by sorting
+the codes.
 """
 
 from __future__ import annotations
@@ -113,12 +115,32 @@ def _row_codes(states: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _first_seen(codes: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct code, in row order, with the sum
+    of the code's rows' ``counts``, or its number of rows when
+    ``counts`` is None; by sorting the codes."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    if counts is None:
+        return first[order], np.bincount(rank[inverse], minlength=len(order))
+    totals = np.zeros(len(order), dtype=np.int64)
+    np.add.at(totals, rank[inverse], counts)
+    return first[order], totals
+
+
 def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | None) -> Dataset:
     """Dataset of the rows with cell codes ``codes`` (first column most
     significant, at most ``MAX_VERTICES`` columns): the distinct rows in
     the order first seen, each with the sum of its rows' ``counts``, or
-    with its number of rows when ``counts`` is None."""
+    with its number of rows when ``counts`` is None.  Fewer rows than
+    the 2^k cells are aggregated by sorting their codes, so that
+    nothing of size 2^k is allocated."""
     k, n = len(names), len(codes)
+    if n < 1 << k:
+        rows, totals = _first_seen(codes, counts)
+        return Dataset(tuple(names), _code_bits(codes[rows], k), totals)
     first = np.full(1 << k, n)
     np.minimum.at(first, codes, np.arange(n))
     # the codes of each cell's first row, in row order
@@ -130,8 +152,13 @@ def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | No
     else:
         totals = np.zeros(1 << k, dtype=np.int64)
         np.add.at(totals, codes, counts)
+    return Dataset(tuple(names), _code_bits(cells, k), totals[cells])
+
+
+def _code_bits(cells: np.ndarray, k: int) -> np.ndarray:
+    """The 0/1 rows of k columns with cell codes ``cells``."""
     bits = np.unpackbits(cells.astype(">u4").view(np.uint8)).reshape(len(cells), 32)
-    return Dataset(tuple(names), bits[:, 32 - k:].astype(np.int8), totals[cells])
+    return bits[:, 32 - k:].astype(np.int8)
 
 
 def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray | None) -> Dataset:
@@ -140,15 +167,8 @@ def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray | No
     number of rows when ``counts`` is None."""
     if len(names) <= MAX_VERTICES:
         return _from_codes(names, _row_codes(states), counts)
-    if counts is None:
-        counts = np.ones(len(states), dtype=np.int64)
-    _, first, inverse = np.unique(_row_codes(states), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    totals = np.zeros(len(order), dtype=np.int64)
-    np.add.at(totals, rank[inverse], counts)
-    return Dataset(tuple(names), states[first[order]].astype(np.int8), totals)
+    rows, totals = _first_seen(_row_codes(states), counts)
+    return Dataset(tuple(names), states[rows].astype(np.int8), totals)
 
 
 # a field freed of its padding by str.strip is an integer when it

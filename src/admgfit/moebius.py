@@ -307,6 +307,18 @@ def _shape_key(g: Admg, d_mask: int, scope: Sequence[int]) -> tuple:
             tuple(_local_mask(g._sp[p], scope) for p in members))
 
 
+def _scope_and_key(g: Admg, d_mask: int) -> tuple[tuple[int, ...], tuple]:
+    """The scope of the district ``d_mask``, its members and their
+    parents in ascending positions, with its ``_shape_key``, memoized
+    on the graph: a shape missing from a dict of shapes is looked up
+    and then built through one key."""
+    memo_key = ("shape_key", d_mask)
+    if memo_key not in g._memo:
+        scope = tuple(_bits(d_mask | _union(g._pa, d_mask)))
+        g._memo[memo_key] = scope, _shape_key(g, d_mask, scope)
+    return g._memo[memo_key]
+
+
 def _sparse():
     """``scipy.sparse``, imported on first use: only the display views
     :attr:`DistrictMaps.M` and :attr:`DistrictMaps.P` need it."""
@@ -319,22 +331,21 @@ def _sparse():
 
 
 class _Shape:
-    """The local arrays of a district shape, built from one district
-    ``d_mask`` of ``g`` with scope ``scope``.  They hold for every
-    district with the same ``_shape_key``: M, P, ``term_of``, the
-    Jacobian pairs and the vertex plans.  ``heads`` is the district's
-    head record, (head, tail) masks in parameter order as
-    ``heads._district_heads`` lists them, in scope-local positions, bit
-    k standing for ``scope[k]``; ``theta_cols`` holds,
-    for each member in ascending order, the local parameters whose head
-    contains it; ``subsets`` holds (C, head partition of C, union of
-    its blocks' tails) for every subset C of the district in column
-    order, in scope-local masks.  The plans and the pairs of parameters
+    """The local arrays of a district shape, built from its
+    ``_shape_key`` alone.  They hold for every district with that key:
+    M, P, ``term_of``, the Jacobian pairs and the vertex plans.
+    ``heads`` is the district's head record, (head, tail) masks in
+    parameter order as ``heads._district_heads`` lists them, in
+    scope-local positions, bit k standing for ``scope[k]``;
+    ``theta_cols`` holds, for each member in ascending order, the
+    local parameters whose head contains it; ``subsets`` holds (C, head
+    partition of C, union of its blocks' tails) for every subset C of
+    the district in column order, in scope-local masks.  The plans and the pairs of parameters
     that share a term are built on first use.
 
-    The build reads nothing of the graph but the masks of its
-    ``_shape_key``: each member's ancestors in the district, its
-    bidirected neighbours and its parents, in scope-local positions.
+    The build reads nothing of a graph, only the masks of the key: each
+    member's ancestors in the district, its bidirected neighbours and
+    its parents, in scope-local positions.
     ``heads._subset_partitions`` walks the district's subsets in
     counting order (``heads._subsets``) and gives each C its head
     partition through ``heads._partition``, with a memo local to the
@@ -358,8 +369,8 @@ class _Shape:
     C's head partition.
     """
 
-    def __init__(self, g: Admg, d_mask: int, scope: tuple[int, ...]):
-        L, d_local, pa, an, sp = _shape_key(g, d_mask, scope)
+    def __init__(self, key: tuple):
+        L, d_local, pa, an, sp = key
         members = tuple(_bits(d_local))
         n = len(members)
         # each local state r sums over the C >= O(r): 3^|D| 2^|pa(D)| nonzeros
@@ -545,8 +556,8 @@ class DistrictMaps:
             raise ValueError("district must be in canonical order")
         if not d_mask or _component(g._sp, d_mask & -d_mask, g.full_mask) != d_mask:
             raise KeyError(f"{district!r} is not a district")
-        scope = tuple(_bits(d_mask | _union(g._pa, d_mask)))
-        self._place(g, d_mask, scope, _Shape(g, d_mask, scope))
+        scope, key = _scope_and_key(g, d_mask)
+        self._place(g, d_mask, scope, _Shape(key))
 
     @classmethod
     def _placed(cls, g: Admg, d_mask: int, scope: tuple[int, ...], shape: _Shape) -> DistrictMaps:
@@ -702,9 +713,9 @@ class DistrictMaps:
 def _shared_maps(g: Admg, d_mask: int, shapes: dict) -> DistrictMaps:
     """The maps of the district ``d_mask`` through a dict of shapes
     keyed by ``_shape_key``: the shape held there placed on the
-    district, or else maps built afresh, whose shape is entered."""
-    scope = tuple(_bits(d_mask | _union(g._pa, d_mask)))
-    key = _shape_key(g, d_mask, scope)
+    district, or else maps built afresh, whose shape is entered.  The
+    build reads the key of the lookup back from the graph's memo."""
+    scope, key = _scope_and_key(g, d_mask)
     shape = shapes.get(key)
     if shape is not None:
         return DistrictMaps._placed(g, d_mask, scope, shape)
@@ -718,7 +729,7 @@ def _share(shapes: dict, par: Parametrization) -> None:
     keeping the entries it already holds."""
     g = par.graph
     for dm in par.maps:
-        shapes.setdefault(_shape_key(g, dm.d_mask, dm.scope), dm._shape)
+        shapes.setdefault(_scope_and_key(g, dm.d_mask)[1], dm._shape)
 
 
 class Parametrization:

@@ -2,22 +2,32 @@
 
 Neighbors of a graph are all graphs reachable by adding or removing a
 single edge (directed or bidirected) while staying acyclic.  Each step
-fits every neighbor exactly as :func:`fit` fits it alone, each
-district from its own starts and restarts, and moves to the neighbor
-with the lowest criterion; the search stops when no neighbor improves
-it.  Criterion values within an absolute tolerance are treated as tied
-and broken deterministically, so a search is reproducible run to run.
+scores every neighbor and moves to the one with the lowest criterion;
+the search stops when no neighbor improves it.  Criterion values
+within an absolute tolerance are treated as tied and broken
+deterministically, so a search is reproducible run to run.
 
-The likelihood splits over districts, and a district's matrices and
-its maximized term depend only on its own structure and, for the term,
-its marginal counts, which one search holds fixed.  So the graphs of
-one search build their parametrizations through one shared dict of
-district shapes, and fit through one shared dict of district fits
-keyed by the districts' maps: placements of one shape on one scope are
-equal, so a move refits only the districts whose structure it changes,
-and builds only those whose shape the search has not seen.  The result
-counts the shapes built and the district fits run, each with the
-district requests served by reuse.
+A neighbor is fitted exactly as :func:`fit` fits it alone, each
+district from its own starts and restarts, unless a bound shows that
+it cannot be accepted.  The likelihood splits over districts, and no
+district's term exceeds its saturated kernel term, read off marginal
+counts, so the criterion of any fit is at least the bound made of
+those terms and the exact parameter count.  A neighbor whose bound is
+at or above the current criterion can neither win nor tie, and it is
+scored by its bound alone: no maps are built for it and no district of
+it is fitted.  A bounded neighbor that would have failed to fit is
+therefore not warned about; only a fit that fails warns.
+
+A district's matrices and its maximized term depend only on its own
+structure and, for the term, its marginal counts, which one search
+holds fixed.  So the graphs of one search build their
+parametrizations through one shared dict of district shapes, and fit
+through one shared dict of district fits keyed by the districts' maps:
+placements of one shape on one scope are equal, so a move refits only
+the districts whose structure it changes, and builds only those whose
+shape the search has not seen.  The result counts the neighbors scored
+by their bound, the shapes built and the district fits run, each with
+the district requests served by reuse.
 """
 
 from __future__ import annotations
@@ -26,8 +36,11 @@ import numbers
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fitting import FitError, FitOptions, FitResult, _check_counts, fit
-from .graph import Admg
+from .graph import Admg, _union
+from .heads import _district_heads
 from .inference import information_criteria
 from .moebius import _share, parametrization
 
@@ -37,6 +50,10 @@ __all__ = ["Step", "SearchResult", "neighbors", "stepwise"]
 TIE_TOL = 1e-6
 
 CRITERIA = ("bic", "aic")
+
+# the cache entry of a candidate scored by its bound alone; None is
+# that of a candidate that failed to fit
+_BOUNDED = object()
 
 
 @dataclass(frozen=True)
@@ -57,14 +74,17 @@ class Step:
 class SearchResult:
     """The outcome of :func:`stepwise`.
 
+    ``evaluated`` counts the distinct graphs the search scored, the
+    start included, and ``bounded`` those of them scored by their
+    bound alone, never parametrized or fitted; the others were fitted.
     ``maps_built`` counts the district shapes the search built (see
     :class:`~admgfit.moebius.DistrictMaps`), and ``maps_reused`` the
-    district requests served without a build, by placing a shape the
-    search already had.  A start graph parametrized before the search
-    brings its shapes, which count as neither.  ``districts_fitted``
-    counts the district fits the search ran, one per placed district,
-    and ``districts_reused`` the district requests of successful
-    candidate fits served by copying one.
+    district requests of the graphs it fitted served without a build,
+    by placing a shape the search already had.  A start graph
+    parametrized before the search brings its shapes, which count as
+    neither.  ``districts_fitted`` counts the district fits the search
+    ran, one per placed district, and ``districts_reused`` the district
+    requests of successful candidate fits served by copying one.
     """
 
     graph: Admg
@@ -74,6 +94,7 @@ class SearchResult:
     start_value: float
     steps: tuple[Step, ...]
     evaluated: int
+    bounded: int
     # together one per district of every graph the search fitted
     maps_built: int
     maps_reused: int
@@ -110,6 +131,39 @@ def _criterion(res: FitResult, which: str) -> float:
     return bic if which == "bic" else aic
 
 
+def _margin_xlogx(counts: np.ndarray, n_vertices: int):
+    """``X(mask)``: the sum of ``m log m`` over the marginal count table
+    of the vertices in ``mask``, memoized by mask, so ``X(0)`` is
+    ``N log N``.  The candidates of one search share most masks."""
+    table = counts.reshape((2,) * n_vertices)
+    memo: dict[int, float] = {}
+
+    def xlogx(mask: int) -> float:
+        if mask not in memo:
+            m = table.sum(axis=tuple(i for i in range(n_vertices) if not mask >> i & 1)).ravel()
+            m = m[m > 0]
+            memo[mask] = float(m @ np.log(m))
+        return memo[mask]
+
+    return xlogx
+
+
+def _bound(g: Admg, penalty: float, xlogx) -> float:
+    """A lower bound on the criterion of any fit of ``g``:
+    ``-2 sum_D [X(D + pa(D)) - X(pa(D))] + penalty * k`` over the
+    districts D, with ``xlogx`` from :func:`_margin_xlogx` and k the
+    exact parameter count, 2^|tail| summed over the heads.  A district's
+    term of the log-likelihood is at most its saturated kernel term
+    ``sum n(x_S) log(n(x_S) / n(x_pa(D)))``, which is the bracket.  No
+    maps are built."""
+    ll, k = 0.0, 0
+    for d in g._district_masks(g.full_mask):
+        pa = _union(g._pa, d) & ~d
+        ll += xlogx(d | pa) - xlogx(pa)
+        k += sum(1 << t.bit_count() for _, t in _district_heads(g, d))
+    return -2.0 * ll + penalty * k
+
+
 def _tie_key(g: Admg):
     # Ties are almost always likelihood-equivalent orientations of one
     # new edge.  Committing to a directed orientation imposes extra
@@ -132,8 +186,11 @@ def stepwise(
 ) -> SearchResult:
     """Greedy single-edge search minimizing BIC or AIC.
 
-    Candidate fits run one after another and are cached by graph; the
+    Candidates are scored one after another and cached by graph; the
     criterion of the accepted sequence is strictly decreasing.  A
+    candidate whose criterion bound (see :func:`_bound`) is at or above
+    the current criterion is scored by the bound alone, since no fit of
+    it could be accepted; every other candidate is fitted.  A
     district already fitted in this search, under any graph, is copied
     into a candidate's fit instead of fitted again (see :func:`fit`).
     A district's fit, restarts included, depends only on its structure,
@@ -155,6 +212,8 @@ def stepwise(
     if opts is None:
         opts = FitOptions(tol=1e-10)
     counts = _check_counts(start, counts, opts.allow_zero_counts)
+    penalty = float(np.log(counts.sum())) if criterion == "bic" else 2.0
+    xlogx = _margin_xlogx(counts, len(start.vertices))
 
     cache: dict = {}
     # district shapes shared by every graph of this search; a start
@@ -188,12 +247,21 @@ def stepwise(
     for _ in range(max_steps):
         moves = neighbors(current)
         for m in moves:
-            if m[4] not in cache:
-                cache[m[4]] = run_fit(m[4])
+            g = m[4]
+            if g not in cache:
+                # A fit's log-likelihood is at most the sum of saturated
+                # district terms, so its criterion is at least the bound.
+                # A move needs a criterion below value - TIE_TOL, which
+                # leaves TIE_TOL of room for the bound's roundoff (up to
+                # about 1e-9 at 1e5 counts), and a candidate tied with
+                # the best one needs a criterion below value.  So a
+                # candidate bounded at value or above can neither win
+                # nor tie, at this step or later, value only falling.
+                cache[g] = _BOUNDED if _bound(g, penalty, xlogx) >= value else run_fit(g)
         scored = [
             (_criterion(res, criterion), m, res)
             for m in moves
-            if (res := cache[m[4]]) is not None
+            if isinstance(res := cache[m[4]], FitResult)
         ]
         if not scored:
             break
@@ -207,10 +275,11 @@ def stepwise(
         steps.append(Step(action, kind, a, b, chosen_val))
         current, current_fit, value = g_new, res, chosen_val
 
-    # the cache holds the start and every candidate, each fitted once
-    requests = sum(len(parametrization(g).maps) for g in cache)
-    fit_requests = sum(len(parametrization(g).maps)
-                       for g, res in cache.items() if res is not None)
+    # the cache holds the start and every candidate, each scored once;
+    # the graphs not bounded were parametrized and fitted
+    tried = [g for g, res in cache.items() if res is not _BOUNDED]
+    requests = sum(len(parametrization(g).maps) for g in tried)
+    fit_requests = sum(len(parametrization(g).maps) for g in tried if cache[g] is not None)
     built = len(shapes) - brought
     return SearchResult(
         graph=current,
@@ -220,6 +289,7 @@ def stepwise(
         start_value=start_value,
         steps=tuple(steps),
         evaluated=len(cache),
+        bounded=len(cache) - len(tried),
         maps_built=built,
         maps_reused=requests - built,
         districts_fitted=len(district_fits),

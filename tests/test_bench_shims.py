@@ -73,16 +73,20 @@ def _patch_points(tracing):
     return points
 
 
-def test_traced_fit_and_search_record_their_spans(tracing):
+def test_traced_fit_and_search_record_their_spans(tracing, monkeypatch):
     """One fit and one search step under the installed tracer: the
     kernel tuple that the tracer rebuilds positionally must still
-    work, and uninstalling restores every patched name."""
+    work, and uninstalling restores every patched name.  The search
+    runs with its criterion bound off, so that it fits every
+    candidate."""
     import numpy as np
 
+    import admgfit.select as select
     from admgfit import Admg, fit, stepwise
 
     from util import graph_one
 
+    monkeypatch.setattr(select, "_bound", lambda *args: -np.inf)
     before = _patch_points(tracing)
     counts = np.random.default_rng(70).integers(1, 60, size=16).astype(float)
     tracer = tracing.Tracer()
@@ -129,12 +133,17 @@ def test_fits_searches_and_reports_build_no_scipy_matrix(monkeypatch):
 
 def test_a_search_calls_select_fit_once_per_candidate(monkeypatch):
     """The tracer's ``fitting.fit`` span wraps ``select.fit``, so its
-    count is the number of candidates only if the search calls it once
-    for each, district fits copied from earlier candidates included."""
+    count is the number of candidates fitted only if the search calls
+    it once for each, district fits copied from earlier candidates
+    included.  With the criterion bound off, every candidate is
+    fitted."""
+    import numpy as np
+
     import admgfit.select as select
 
     from util import golden_search_inputs
 
+    monkeypatch.setattr(select, "_bound", lambda *args: -np.inf)
     calls = []
     real_fit = select.fit
 

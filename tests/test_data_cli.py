@@ -461,6 +461,59 @@ def test_load_data_memory_is_a_small_multiple_of_the_file(tmp_path):
     assert peak < 10 * path.stat().st_size, peak / path.stat().st_size
 
 
+def test_few_rows_aggregate_as_the_cell_table_does(tmp_path):
+    """Files with fewer rows than cells are aggregated by sorting their
+    codes, the others over the table of cells; on a seeded fuzz of
+    both, in the saved layout and padded, with and without counts, the
+    Dataset holds the distinct rows in the order first seen with their
+    summed counts, as int8 states and int64 counts."""
+    rng = np.random.default_rng(91)
+    few = 0
+    for case in range(300):
+        k = int(rng.integers(1, 21))
+        n = int(rng.integers(0, min(1 << k, 40) + 3))
+        pool = rng.integers(0, 2, size=(int(rng.integers(1, 8)), k))
+        rows = pool[rng.integers(0, len(pool), size=n)]
+        has_count = bool(rng.integers(0, 2))
+        counts = rng.integers(0, 5, size=n) if has_count else np.ones(n, dtype=np.int64)
+        want = {}
+        for r, c in zip(map(tuple, rows.tolist()), counts.tolist()):
+            want[r] = want.get(r, 0) + c
+        names = [f"v{i}" for i in range(k)]
+        sep = ", " if case % 3 == 0 else ","
+        lines = [sep.join(map(str, [*r, *([c] if has_count else [])]))
+                 for r, c in zip(rows.tolist(), counts.tolist())]
+        path = tmp_path / f"few{case}.csv"
+        path.write_text(",".join(names + ["count"] * has_count) + "\n"
+                        + "".join(line + "\n" for line in lines))
+        ds = load_data(path)
+        assert ds.names == tuple(names)
+        assert ds.states.dtype == np.int8 and ds.counts.dtype == np.int64
+        assert [tuple(r) for r in ds.states.tolist()] == list(want)
+        assert ds.counts.tolist() == list(want.values())
+        few += n < 1 << k
+    assert 100 < few < 300
+
+
+def test_a_few_row_file_allocates_nothing_of_its_cells(tmp_path):
+    """50 rows of 20 columns load under 1 MiB of traced memory, where a
+    table of the 2^20 cells alone would take 8 MiB."""
+    import tracemalloc
+
+    rows = np.random.default_rng(92).integers(0, 2, size=(50, 20))
+    path = tmp_path / "few.csv"
+    path.write_text(",".join(f"x{i}" for i in range(20)) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
+    tracemalloc.start()
+    try:
+        ds = load_data(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 50
+    assert peak < 1 << 20, peak
+
+
 def test_load_data_reads_past_the_first_block(tmp_path):
     """The lines are read a block of about 65,536 characters at a time."""
     path = tmp_path / "long.csv"
@@ -793,6 +846,9 @@ def test_cli_select_transcript(workdir, capsys):
     payload = json.loads(jpath.read_text())
     assert f"district maps: {payload['maps_built']} built, {payload['maps_reused']} reused" in out
     assert payload["maps_built"] > 0 and payload["maps_reused"] > 0
+    evaluated, bounded = payload["evaluated"], payload["bounded"]
+    assert (f"evaluated {evaluated} candidates ({evaluated - bounded} candidate fits, "
+            f"{bounded} bounded out)") in out
     assert payload["criterion"] == "bic"
     assert payload["steps"]
     assert payload["steps"][0]["action"] == "add"

@@ -708,7 +708,7 @@ def test_shape_heads_are_the_district_heads():
     import importlib
 
     from admgfit.graph import _bits, _union
-    from admgfit.moebius import _local_mask, _Shape
+    from admgfit.moebius import _local_mask, _Shape, _shape_key
 
     heads = importlib.import_module("admgfit.heads")
     rng = np.random.default_rng(63)
@@ -721,7 +721,7 @@ def test_shape_heads_are_the_district_heads():
             def local(mask):
                 return _local_mask(mask, scope)
 
-            shape = _Shape(g, d, scope)
+            shape = _Shape(_shape_key(g, d, scope))
             want = tuple((local(h), local(t)) for h, t in heads._district_heads(g, d))
             assert shape.heads == want
             assert [t for _, t in shape.heads] == [local(heads._tail(g._an, g._sp, g._pa, h))
@@ -746,7 +746,7 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
 
     import admgfit.moebius as moebius
     from admgfit.graph import _bits, _union
-    from admgfit.moebius import _Shape
+    from admgfit.moebius import _Shape, _shape_key
 
     heads = importlib.import_module("admgfit.heads")
 
@@ -761,7 +761,7 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
             random_admg(rng, n_min=5, n_max=7, p_dir=0.3, p_bi=0.5) for _ in range(20)]
 
     def build(g):
-        return [_Shape(g, d, tuple(_bits(d | _union(g._pa, d))))
+        return [_Shape(_shape_key(g, d, tuple(_bits(d | _union(g._pa, d)))))
                 for d in g._district_masks(g.full_mask)]
 
     built = [shape for g in graphs() for shape in build(g)]
@@ -784,11 +784,56 @@ def test_a_shape_is_built_from_its_key_alone(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="too large"):
-            _Shape(big, d, tuple(_bits(d)))
+            _Shape(_shape_key(big, d, tuple(_bits(d))))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_shape_miss_computes_its_key_once(monkeypatch):
+    """Placing districts through a dict of shapes computes each
+    district's ``_shape_key`` once, a miss included: the build reads
+    the key of the lookup.  Each miss builds through ``DistrictMaps``,
+    once per shape entered, and a fresh ``DistrictMaps(g, d)`` computes
+    its key once too."""
+    import admgfit.moebius as moebius
+    from admgfit.moebius import DistrictMaps, Parametrization
+
+    keys, builds = [], []
+    real_key, real_init = moebius._shape_key, DistrictMaps.__init__
+
+    def counting_key(g, d_mask, scope):
+        keys.append(d_mask)
+        return real_key(g, d_mask, scope)
+
+    def counting_init(self, g, district):
+        builds.append(district)
+        real_init(self, g, district)
+
+    monkeypatch.setattr(moebius, "_shape_key", counting_key)
+    monkeypatch.setattr(DistrictMaps, "__init__", counting_init)
+    rng = np.random.default_rng(66)
+    graphs = [graph_one(), graph_two(), _chain(8)] + [
+        random_admg(rng, n_min=3, n_max=6, p_dir=0.3, p_bi=0.4) for _ in range(30)]
+    shapes = {}
+    misses = hits = 0
+    for g in graphs:
+        keys.clear()
+        builds.clear()
+        before = len(shapes)
+        par = Parametrization(g, shapes)
+        assert sorted(keys) == sorted(dm.d_mask for dm in par.maps)
+        assert len(builds) == len(shapes) - before
+        misses += len(builds)
+        hits += len(par.maps) - len(builds)
+    assert misses > 10 and hits > 10
+
+    g = graph_two()
+    for d in g.districts():
+        keys.clear()
+        DistrictMaps(g, d)
+        assert keys == [g._as_mask(d)]
 
 
 def test_a_shape_counts_its_entries_before_building():
@@ -822,7 +867,7 @@ def test_a_shape_over_the_budget_is_refused_before_its_arrays(tmp_path, capsys):
 
     from admgfit.cli import main
     from admgfit.graph import GraphError, _bits
-    from admgfit.moebius import MAX_SHAPE_ENTRIES, _Shape
+    from admgfit.moebius import MAX_SHAPE_ENTRIES, _Shape, _shape_key
 
     names = [f"v{i}" for i in range(16)]
     big = Admg(names, bidirected=[(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
@@ -834,7 +879,7 @@ def test_a_shape_over_the_budget_is_refused_before_its_arrays(tmp_path, capsys):
         try:
             with pytest.raises(GraphError, match=f"too large to build: .* over the budget of "
                                                  f"{MAX_SHAPE_ENTRIES} entries"):
-                _Shape(g, d, tuple(_bits(d)))
+                _Shape(_shape_key(g, d, tuple(_bits(d))))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -127,6 +127,12 @@ def test_neighbors_build_no_cyclic_addition(monkeypatch):
     ]
 
 
+def _no_bound(monkeypatch):
+    """Turn the criterion bound off, so that a search fits every
+    candidate."""
+    monkeypatch.setattr(select, "_bound", lambda *args: -np.inf)
+
+
 def test_invalid_criterion_is_rejected():
     with pytest.raises(ValueError, match="criterion must be one of"):
         stepwise(np.ones(2), Admg(["a"]), criterion="hqc")
@@ -226,7 +232,9 @@ def test_failing_candidates_are_skipped_with_a_warning(monkeypatch):
 
 def test_a_search_whose_candidates_all_fail_stays_at_the_start(monkeypatch):
     """With no candidate scored the search ends at its start graph, and
-    only the start's districts count as fitted or reused."""
+    only the start's districts count as fitted or reused.  The bound is
+    off, so that every candidate is parametrized and fails."""
+    _no_bound(monkeypatch)
     counts = pair_counts(500)
     start = Admg(["1", "2", "3"])
     real_fit = select.fit
@@ -247,9 +255,11 @@ def test_a_search_whose_candidates_all_fail_stays_at_the_start(monkeypatch):
 
 def test_counts_are_checked_once_before_the_first_fit(monkeypatch):
     """Bad counts fail the search with the fit's own error before any
-    candidate is fitted, and without a skipped-candidate warning."""
+    candidate is fitted, and without a skipped-candidate warning.  The
+    bound is off, so that every candidate is fitted."""
     import warnings
 
+    _no_bound(monkeypatch)
     calls = []
     real_fit = select.fit
 
@@ -370,7 +380,9 @@ def test_a_search_fits_each_district_structure_once(monkeypatch):
 def test_new_districts_are_fitted_from_every_start(monkeypatch):
     """Every new district of a search is fitted once: one that is not
     saturated runs the block ascent from every start, and a saturated
-    one is solved in closed form, with no ascent."""
+    one is solved in closed form, with no ascent.  The bound is off, so
+    that every candidate's districts are fitted."""
+    _no_bound(monkeypatch)
     calls = _record_district_fits(monkeypatch)
     ascents = _record_district_fits(monkeypatch, "_fit_district")
     res = stepwise(pair_counts(500), Admg(["1", "2", "3"]),
@@ -504,3 +516,94 @@ def test_a_default_search_forms_no_joint_table(monkeypatch):
         res = stepwise(counts, start, criterion=criterion)
     assert res.steps
     assert np.array_equal(res.fit.p, prob_vector(res.graph, res.fit.q))
+
+
+def _bound_searches():
+    """(counts, start, criterion, opts) of the golden and criterion-11
+    searches, and of a BIC search on the golden BIC counts with 5 of
+    their 16 cells emptied."""
+    opts = FitOptions(tol=1e-10)
+    searches = [(*search, opts)
+                for search in golden_search_inputs() + criterion_11_search_inputs()]
+    counts, start, _ = golden_search_inputs()[0]
+    counts = counts.copy()
+    counts[np.random.default_rng(1).choice(len(counts), size=5, replace=False)] = 0
+    searches.append((counts, start, "bic", FitOptions(tol=1e-10, allow_zero_counts=True)))
+    return searches
+
+
+def test_the_bound_is_sound_and_keeps_every_move(monkeypatch):
+    """With the bound off, every candidate is fitted; each fit's
+    criterion is at least its bound, to within roundoff far inside the
+    tie tolerance, and the bound's parameter count is the fit's.  With
+    the bound on, each search takes the same steps with bitwise equal
+    criteria, ends at a bitwise equal fit and scores as many graphs."""
+    fits = []
+    real_fit, real_bound = select.fit, select._bound
+
+    def recording_fit(g, counts_, opts=FitOptions(), **kw):
+        res = real_fit(g, counts_, opts, **kw)
+        fits.append(res)
+        return res
+
+    for counts, start, criterion, opts in _bound_searches():
+        fits.clear()
+        with monkeypatch.context() as m:
+            m.setattr(select, "fit", recording_fit)
+            _no_bound(m)
+            plain = stepwise(counts, start, criterion, opts)
+        assert plain.bounded == 0 and len(fits) == plain.evaluated
+        penalty = np.log(counts.sum()) if criterion == "bic" else 2.0
+        xlogx = select._margin_xlogx(np.asarray(counts, dtype=float), len(start.vertices))
+        for res in fits:
+            bound = real_bound(res.graph, penalty, xlogx)
+            assert select._criterion(res, criterion) >= bound - TIE_TOL / 100
+            assert real_bound(res.graph, 1.0, lambda mask: 0.0) == res.n_params
+
+        res = stepwise(counts, start, criterion, opts)
+        assert res.start_value == plain.start_value
+        assert [(s.describe(), s.criterion) for s in res.steps] == [
+            (s.describe(), s.criterion) for s in plain.steps]
+        assert res.value == plain.value and res.graph == plain.graph
+        assert res.fit.q.tobytes() == plain.fit.q.tobytes()
+        assert res.evaluated == plain.evaluated
+
+
+def test_bounded_candidates_are_never_parametrized_or_fitted(monkeypatch):
+    """Every graph a search scores is either fitted once or scored by
+    its bound alone, at or above the search's final criterion; a
+    bounded graph never reaches ``select.fit`` or a parametrization,
+    and the maps and district counts cover the fitted graphs only."""
+    fitted, parametrized, bounds = [], [], {}
+    real_fit, real_bound, real_init = select.fit, select._bound, Parametrization.__init__
+
+    def recording_fit(g, counts_, opts=FitOptions(), **kw):
+        fitted.append(g)
+        return real_fit(g, counts_, opts, **kw)
+
+    def recording_bound(g, *args):
+        bounds[g] = real_bound(g, *args)
+        return bounds[g]
+
+    def recording_init(self, g, maps=None):
+        parametrized.append(g)
+        real_init(self, g, maps)
+
+    monkeypatch.setattr(select, "fit", recording_fit)
+    monkeypatch.setattr(select, "_bound", recording_bound)
+    monkeypatch.setattr(Parametrization, "__init__", recording_init)
+    searches = _bound_searches()
+    for counts, start, criterion, opts in searches[:2] + searches[-1:]:
+        fitted.clear()
+        parametrized.clear()
+        bounds.clear()
+        res = stepwise(counts, start, criterion, opts)
+        assert len(set(fitted)) == len(fitted)
+        assert res.evaluated == len(fitted) + res.bounded
+        bounded = set(bounds) - set(fitted)
+        assert len(bounded) == res.bounded > 0
+        assert all(bounds[g] >= res.value for g in bounded)
+        assert set(parametrized) <= set(fitted) and not bounded & set(parametrized)
+        requests = sum(len(g.districts()) for g in fitted)
+        assert res.maps_built + res.maps_reused == requests
+        assert res.districts_fitted + res.districts_reused == requests
