@@ -6,7 +6,7 @@ of an ADMG, evaluates joint probabilities through sparse
 inclusion-exclusion matrices, and maximizes the multinomial likelihood
 by block coordinate ascent: a damped Newton ascent with feasibility
 backtracking on each vertex block, and damped Newton steps on a whole
-district once the block cycles slow down.
+district after every block cycle.
 """
 
 from .data import Dataset, counts_for, load_data, save_data, simulate

@@ -211,7 +211,8 @@ def _cmd_info(args) -> int:
 
 def _load_params(g: Admg, path) -> np.ndarray:
     table = enumerate_params(g)
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig skips one leading byte-order mark, which json refuses
+    with open(path, "r", encoding="utf-8-sig") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict) and "values" in payload:
         values = payload["values"]

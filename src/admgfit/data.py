@@ -21,6 +21,7 @@ the codes.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import numbers
@@ -63,7 +64,7 @@ class Dataset:
         states = np.array(list(rows), dtype=np.int64).reshape(-1, len(names))
         if not np.isin(states, (0, 1)).all():
             raise ValueError("values must be 0 or 1")
-        return _aggregate(names, states, None)
+        return _from_codes(names, _row_codes(states), None, states)
 
     def count_vector(self, order: Sequence | None = None) -> np.ndarray:
         """Counts of all 2^k joint states in canonical row order.
@@ -130,17 +131,21 @@ def _first_seen(codes: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarra
     return first[order], totals
 
 
-def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | None) -> Dataset:
-    """Dataset of the rows with cell codes ``codes`` (first column most
-    significant, at most ``MAX_VERTICES`` columns): the distinct rows in
-    the order first seen, each with the sum of its rows' ``counts``, or
-    with its number of rows when ``counts`` is None.  Fewer rows than
-    the 2^k cells are aggregated by sorting their codes, so that
-    nothing of size 2^k is allocated."""
+def _from_codes(names: Sequence[str], codes: np.ndarray, counts: np.ndarray | None,
+                states: np.ndarray | None = None) -> Dataset:
+    """Dataset of the rows with codes ``codes``: the distinct rows in the
+    order first seen, each with the sum of its rows' ``counts``, or with
+    its number of rows when ``counts`` is None.  ``states`` holds the
+    rows themselves when the caller has them.  Over at most
+    ``MAX_VERTICES`` columns a code is the cell code of its row (first
+    column most significant); rows wider than that, which need
+    ``states``, or fewer than the 2^k cells are aggregated by sorting
+    their codes, so that nothing of size 2^k is allocated."""
     k, n = len(names), len(codes)
-    if n < 1 << k:
+    if k > MAX_VERTICES or n < 1 << k:
         rows, totals = _first_seen(codes, counts)
-        return Dataset(tuple(names), _code_bits(codes[rows], k), totals)
+        bits = _code_bits(codes[rows], k) if states is None else states[rows].astype(np.int8)
+        return Dataset(tuple(names), bits, totals)
     first = np.full(1 << k, n)
     np.minimum.at(first, codes, np.arange(n))
     # the codes of each cell's first row, in row order
@@ -159,16 +164,6 @@ def _code_bits(cells: np.ndarray, k: int) -> np.ndarray:
     """The 0/1 rows of k columns with cell codes ``cells``."""
     bits = np.unpackbits(cells.astype(">u4").view(np.uint8)).reshape(len(cells), 32)
     return bits[:, 32 - k:].astype(np.int8)
-
-
-def _aggregate(names: Sequence[str], states: np.ndarray, counts: np.ndarray | None) -> Dataset:
-    """Dataset of the distinct 0/1 rows of ``states`` in the order
-    first seen, each with the sum of its rows' ``counts``, or with its
-    number of rows when ``counts`` is None."""
-    if len(names) <= MAX_VERTICES:
-        return _from_codes(names, _row_codes(states), counts)
-    rows, totals = _first_seen(_row_codes(states), counts)
-    return Dataset(tuple(names), states[rows].astype(np.int8), totals)
 
 
 # a field freed of its padding by str.strip is an integer when it
@@ -319,14 +314,17 @@ def load_data(path) -> Dataset:
     A file in the layout ``save_data`` writes, over at most
     ``MAX_VERTICES`` columns, is read from its bytes in a fixed number
     of numpy passes; any other file by numpy's reader, or line by line.
-    All three give the same Dataset for the same rows.  Lines of nothing
-    but whitespace and commas are skipped.  Errors name the file and its
+    All three give the same Dataset for the same rows.  One leading
+    UTF-8 byte-order mark is skipped, and so are lines of nothing but
+    whitespace and commas.  Errors name the file and its
     first bad line, the header being line 1, with the first reason that
     holds: the wrong number of fields, a non-integer value, a negative
     count, a state other than 0/1.  Counts that sum past 2**63 - 1 are
     refused too."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if raw.startswith(codecs.BOM_UTF8):  # as Excel's "CSV UTF-8" writes
+        raw = raw[len(codecs.BOM_UTF8):]
     text = raw.decode("utf-8")
     if "\r" in text:  # the newlines a text-mode read gives
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -353,7 +351,8 @@ def load_data(path) -> Dataset:
     if has_count and counts.sum(dtype=float) >= 2.0**62 and sum(counts.tolist()) > _INT64.max:
         raise ValueError(f"{path}: counts sum past 2**63 - 1")
     if read is None:
-        return _aggregate(names, values[:, :k].astype(np.int8), counts)
+        states = values[:, :k].astype(np.int8)
+        return _from_codes(names, _row_codes(states), counts, states)
     return _from_codes(names, codes, counts)
 
 

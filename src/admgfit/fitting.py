@@ -19,9 +19,9 @@ district is fitted by ascent.  Within a district, fitting cycles
 through its vertices in canonical order and maximizes each block with
 damped Newton ascent under the feasibility constraints, backtracking
 from the unit step.
-Block coordinate ascent converges only linearly, so a district that
-has not stopped after two cycles enters a district Newton phase: a few
-damped Newton steps on all of its parameters at once, with the
+Block coordinate ascent converges only linearly, so every block cycle
+that does not stop a district is followed by a district Newton phase:
+a few damped Newton steps on all of its parameters at once, with the
 observed information of its local term as the Hessian.  The phase
 stops the district once the Newton decrement falls below the block
 ascent's inner tolerance, which certifies it stationary, and hands
@@ -55,7 +55,7 @@ import numpy as np
 
 from ._kernels import _line_search, get_kernels
 from .graph import Admg
-from .moebius import DistrictMaps, _head_run, parametrization, prob_vector, q_from_p
+from .moebius import DistrictMaps, _head_runs, parametrization, prob_vector, q_from_p
 
 __all__ = [
     "FitOptions",
@@ -245,33 +245,27 @@ def vertex_block(g: Admg, q: np.ndarray, v) -> tuple[np.ndarray, np.ndarray, np.
     par = parametrization(g)
     q = par.param_vector(q)
     pos = g._resolve(v)
-    other = np.ones((2,) * len(g.vertices))
     target, target_sl = par.district_of(pos)
-    for dm, sl in zip(par.maps, par.slices):
-        if dm is not target:
-            other *= dm.factor(q[sl]).reshape(dm.broadcast_shape)
-    other = other.ravel()
+    other = par.product([np.ones(dm.n_states) if dm is target else dm.factor(q[sl])
+                         for dm, sl in zip(par.maps, par.slices)])
     A, b, theta_local = target.affine(q[target_sl], pos)
     idx = theta_local + target_sl.start
     return other[:, None] * target.joint(A), other * target.joint(b), idx
 
 
-def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, eps0, opts):
+def _ascend_vertex(dm: DistrictMaps, q_d, pos, counts, opts):
     """One block maximization in the district-factor form, on the
-    district's local counts and row bounds; ``q_d`` is the district's
-    run of the parameter vector, updated in place.  Returns the new
-    district log-likelihood contribution, whether theta moved and the
-    block's Newton decrement at its start."""
+    district's local counts; ``q_d`` is the district's run of the
+    parameter vector, updated in place.  Returns the new district
+    log-likelihood contribution, whether theta moved and the block's
+    Newton decrement at its start."""
     A, b, theta_local = dm.affine(q_d, pos)
     theta = q_d[theta_local]
     f = A @ theta - b
-    pos_rows = counts > 0
-    if f[pos_rows].min() <= 0:
+    if f[counts > 0].min() <= 0:
         raise FitError("infeasible point: zero factor at an observed cell")
-    # keep the current point strictly inside the working constraints
-    eps = np.minimum(eps0, np.where(pos_rows, f / 2.0, 0.0))
     theta, ll_d, _, moved, decrement = get_kernels().ascent(
-        A, b, counts, eps, theta, 0.01 * opts.tol
+        A, b, counts, _row_floor(counts, f), theta, 0.01 * opts.tol
     )
     q_d[theta_local] = theta
     return ll_d, moved, decrement
@@ -286,16 +280,17 @@ def update_vertex(g: Admg, q: np.ndarray, v, counts, opts: FitOptions = FitOptio
     pos = g._resolve(v)
     dm, sl = par.district_of(pos)
     q = par.param_vector(q).copy()
-    counts_d = dm.marginal(counts)
-    _ascend_vertex(dm, q[sl], pos, counts_d, _eps_rows(counts_d), opts)
+    _ascend_vertex(dm, q[sl], pos, dm.marginal(counts), opts)
     return q
 
 
-def _eps_rows(counts: np.ndarray) -> np.ndarray:
-    """Row bounds: a local state with a positive count, that is with a
-    positive count in one of its joint cells, keeps its factor at or
-    above the feasibility floor."""
-    return np.where(counts > 0, _FEAS_EPS, 0.0)
+def _row_floor(counts: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Row bounds that keep the current point strictly inside the
+    working constraints: a local state with a positive count, that is
+    with a positive count in one of its joint cells, keeps its factor
+    ``f`` at or above the feasibility floor or half its current value,
+    whichever is lower."""
+    return np.where(counts > 0, np.minimum(_FEAS_EPS, f / 2.0), 0.0)
 
 
 def _district_ll(dm: DistrictMaps, q_d, counts) -> float:
@@ -306,7 +301,7 @@ def _district_ll(dm: DistrictMaps, q_d, counts) -> float:
     return float(counts[pos] @ np.log(f[pos]))
 
 
-def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts):
+def _newton_phase(dm: DistrictMaps, q_d, counts, ll, opts):
     """Damped Newton ascent on all of a district's parameters at once.
 
     Each step solves ``H d = g`` for the district's score g and observed
@@ -338,8 +333,8 @@ def _newton_phase(dm: DistrictMaps, q_d, counts, eps0, ll, opts):
             return ll, 0.5 * gd
         if steps == _NEWTON_STEPS:
             break
-        eps = np.minimum(eps0, np.where(pos, f / 2.0, 0.0))
-        found = _line_search(dm.factor, q_d, d, gd, ll, c, pos, eps, _NEWTON_MIN_STEP)
+        found = _line_search(dm.factor, q_d, d, gd, ll, c, pos, _row_floor(counts, f),
+                             _NEWTON_MIN_STEP)
         if found is None:
             return ll, None
         q_d[:] = found[0]
@@ -351,7 +346,6 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
     """Fit one district to convergence on its local counts from the
     start ``q_d``, updated in place.  Returns (ll, cycles, converged,
     kkt) of the district."""
-    eps_d = _eps_rows(counts_d)
     ll = _district_ll(dm, q_d, counts_d)
     if not np.isfinite(ll):
         raise FitError("infeasible starting point")
@@ -362,7 +356,7 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
         kkt = 0.0
         for pos in dm.members:
             ll_prev = ll
-            ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, eps_d, opts)
+            ll, moved, decrement = _ascend_vertex(dm, q_d, pos, counts_d, opts)
             kkt = max(kkt, decrement)
             if ll < ll_prev - _MONO_SLACK * (1.0 + abs(ll_prev)):
                 raise FitError(
@@ -372,12 +366,11 @@ def _fit_district(dm: DistrictMaps, q_d, counts_d, opts):
         if not any_moved or ll - ll_cycle_start < opts.tol:
             converged = True
             break
-        if cycles >= 2:
-            ll, decrement = _newton_phase(dm, q_d, counts_d, eps_d, ll, opts)
-            if decrement is not None:
-                kkt = decrement
-                converged = True
-                break
+        ll, decrement = _newton_phase(dm, q_d, counts_d, ll, opts)
+        if decrement is not None:
+            kkt = decrement
+            converged = True
+            break
     return ll, cycles, converged, kkt
 
 
@@ -385,12 +378,11 @@ def _closed_form(dm: DistrictMaps, counts_d) -> np.ndarray | None:
     """The parameters of the empirical kernel of a district: every
     q(H | T = t) is the share of ``X_H = 0`` among the local counts
     with ``X_T = t``.  None when some tail assignment is unobserved."""
-    table = counts_d.reshape((2,) * len(dm.scope))
-    runs = [_head_run(table, dm.scope, h_mask, t_mask) for h_mask, t_mask in dm.heads]
+    zero, den = _head_runs(counts_d.reshape((2,) * len(dm.scope)), dm.scope, dm.heads)
     # positive local counts observe every tail assignment
-    if counts_d.min() <= 0 and min(den.min() for _, den in runs) <= 0:
+    if counts_d.min() <= 0 and den.min() <= 0:
         return None
-    return np.concatenate([zero / den for zero, den in runs])
+    return zero / den
 
 
 def _fit_district_starts(dm: DistrictMaps, counts_d, opts):

@@ -460,5 +460,7 @@ def format_graph(g: Admg) -> str:
 
 
 def read_graph(path) -> Admg:
-    with open(path, "r", encoding="utf-8") as fh:
+    """The graph in the file at ``path``, read by :func:`parse_graph`
+    after one leading UTF-8 byte-order mark, if any."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_graph(fh.read())

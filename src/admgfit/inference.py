@@ -41,7 +41,7 @@ import numpy as np
 from ._kernels import get_kernels
 from .fitting import FitResult
 from .graph import Admg
-from .moebius import _head_run, parametrization
+from .moebius import _head_runs, parametrization
 
 __all__ = [
     "dp_dq",
@@ -76,16 +76,12 @@ def dp_dq(g: Admg, q: np.ndarray) -> np.ndarray:
     if len(q) != len(par.table):
         raise ValueError(f"expected {len(par.table)} parameters")
     _check_positive(q)
-    R = 1 << len(g.vertices)
     local = [dm.jacobian(q[sl]) for dm, sl in zip(par.maps, par.slices)]
-    factors = [dm.joint(f) for dm, (f, _) in zip(par.maps, local)]
-    J = np.empty((R, len(q)))
+    factors = [f for f, _ in local]
+    J = np.empty((1 << len(g.vertices), len(q)))
     for k, (dm, sl) in enumerate(zip(par.maps, par.slices)):
         # product rule: the other districts' factors scale this block
-        other = np.ones(R)
-        for kk, f in enumerate(factors):
-            if kk != k:
-                other *= f
+        other = par.product(factors[:k] + [np.ones(dm.n_states)] + factors[k + 1:])
         J[:, sl] = other[:, None] * dm.joint(local[k][1])
     return J
 
@@ -301,12 +297,8 @@ def _unidentified(result: FitResult, table) -> list[str]:
     """Names of the parameters whose conditioning event has fitted
     probability at most ``UNIDENTIFIED_MASS``, read as ``q_from_p`` does."""
     n = len(result.graph.vertices)
-    joint = result.p.reshape((2,) * n)
-    names = []
-    for h_mask, t_mask, j in table.runs:
-        _, den = _head_run(joint, range(n), h_mask, t_mask)
-        names += [table.params[j + k].name for k in np.flatnonzero(den <= UNIDENTIFIED_MASS)]
-    return names
+    _, den = _head_runs(result.p.reshape((2,) * n), range(n), [(h, t) for h, t, _ in table.runs])
+    return [table.params[j].name for j in np.flatnonzero(den <= UNIDENTIFIED_MASS)]
 
 
 def report(result: FitResult, counts, with_se: bool = True) -> InferenceReport:

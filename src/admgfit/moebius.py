@@ -847,26 +847,29 @@ def q_from_p(g: Admg, p: np.ndarray) -> np.ndarray:
     n = len(g.vertices)
     if len(p) != 1 << n:
         raise ValueError("probability vector has wrong length")
-    joint = p.reshape((2,) * n)
-    q = np.empty(len(table))
-    for h_mask, t_mask, j in table.runs:
-        zero, den = _head_run(joint, range(n), h_mask, t_mask)
-        bad = np.flatnonzero(den <= 0)
-        if bad.size:
-            name = table.params[j + bad[0]].name
-            raise ValueError(f"conditioning event of {name} has mass {den[bad[0]]}")
-        q[j : j + len(den)] = zero / den
-    return q
+    zero, den = _head_runs(p.reshape((2,) * n), range(n), [(h, t) for h, t, _ in table.runs])
+    bad = np.flatnonzero(den <= 0)
+    if bad.size:
+        name = table.params[bad[0]].name
+        raise ValueError(f"conditioning event of {name} has mass {den[bad[0]]}")
+    return zero / den
 
 
-def _head_run(table: np.ndarray, axes: Sequence[int], h_mask: int, t_mask: int):
+def _head_runs(table: np.ndarray, axes: Sequence[int], heads: Iterable[tuple[int, int]]):
     """The mass of ``X_H = 0`` and the mass of each tail assignment of
-    one head, tail assignments in counting order, read off a table of
+    every (head, tail) mask pair in ``heads``, read off a table of
     probabilities or counts whose axis k is the canonical position
-    ``axes[k]``; their ratio is the head's run of parameters."""
-    hpos, tpos = list(_bits(h_mask)), list(_bits(t_mask))
-    keep = sorted(hpos + tpos)
-    marg = table.sum(axis=tuple(k for k, a in enumerate(axes) if a not in keep))
-    # rows: tail assignments in counting order; columns: head states
-    marg = marg.transpose([keep.index(a) for a in tpos + hpos]).reshape(1 << len(tpos), -1)
-    return marg[:, 0], marg.sum(axis=1)
+    ``axes[k]``: one run per head, tail assignments in counting order,
+    the runs one after another.  Their ratio is the heads' runs of
+    parameters."""
+    # an empty start keeps a graph without vertices, and so without heads
+    zeros, dens = [np.empty(0)], [np.empty(0)]
+    for h_mask, t_mask in heads:
+        hpos, tpos = list(_bits(h_mask)), list(_bits(t_mask))
+        keep = sorted(hpos + tpos)
+        marg = table.sum(axis=tuple(k for k, a in enumerate(axes) if a not in keep))
+        # rows: tail assignments in counting order; columns: head states
+        marg = marg.transpose([keep.index(a) for a in tpos + hpos]).reshape(1 << len(tpos), -1)
+        zeros.append(marg[:, 0])
+        dens.append(marg.sum(axis=1))
+    return np.concatenate(zeros), np.concatenate(dens)

@@ -1,5 +1,6 @@
 """Dataset handling, CSV round trips, simulation, and the command line."""
 
+import codecs
 import json
 import os
 import re
@@ -14,7 +15,9 @@ from admgfit.data import Dataset, counts_for, load_data, save_data, simulate
 from admgfit.graph import Admg, format_graph, read_graph
 from admgfit.moebius import MAX_VERTICES, enumerate_params, prob_vector
 
-from util import graph_one, graph_two, random_interior_q, strong_params_graph_one
+from util import (
+    graph_one, graph_one_zero_counts, graph_two, random_interior_q, strong_params_graph_one,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +809,13 @@ def test_cli_fit_of_a_saturated_graph_prints_no_p_value(tmp_path, capsys):
 
 
 def test_cli_fit_exit_three_when_not_converged(workdir, capsys):
-    _, gpath, dpath = workdir
-    code = main(["fit", gpath, dpath, "--max-cycles", "1", "--tol", "1e-14"])
+    """Zero counts keep the fit from being certified within one cycle."""
+    tmp, gpath, _ = workdir
+    counts = graph_one_zero_counts(20)
+    dpath = tmp / "zeros.csv"
+    rows = [list(map(int, np.binary_repr(i, 4))) + [int(c)] for i, c in enumerate(counts) if c]
+    dpath.write_text("1,2,3,4,count\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    code = main(["fit", gpath, str(dpath), "--allow-zero-counts", "--max-cycles", "1", "--no-se"])
     captured = capsys.readouterr()
     assert code == 3
     assert "converged: no" in captured.out
@@ -1028,6 +1036,38 @@ def test_cli_simulate_with_explicit_params(tmp_path, capsys):
     ppath.write_text(json.dumps("0.5"))
     assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 2
     assert "params file must be a list of entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "a,b,count\n0,0,3\n0,1,5\n1,1,2\n",
+    " a , b ,count\r\n0, 0 ,3\r\n 0,1,5\r\n\r\n1,1 , 2\r\n",
+], ids=["saved_layout", "padded"])
+def test_load_data_skips_a_leading_byte_order_mark(tmp_path, text):
+    """Excel's "CSV UTF-8" starts the file with a byte-order mark, which
+    is not part of the first name."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(codecs.BOM_UTF8 + text.encode())
+    want, got = load_data(plain), load_data(marked)
+    assert got.names == want.names == ("a", "b")
+    assert np.array_equal(got.states, want.states) and got.states.dtype == want.states.dtype
+    assert np.array_equal(got.counts, want.counts) and got.counts.dtype == want.counts.dtype
+
+
+def test_cli_reads_inputs_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    """A graph, a data file and a params file saved with a byte-order
+    mark read as they do without one."""
+    g = graph_one()
+    gpath, dpath, ppath = tmp_path / "g.txt", tmp_path / "d.csv", tmp_path / "params.json"
+    gpath.write_bytes(codecs.BOM_UTF8 + format_graph(g).encode())
+    save_data(simulate(g, strong_params_graph_one(), 2000, seed=5), dpath)
+    dpath.write_bytes(codecs.BOM_UTF8 + dpath.read_bytes())
+    ppath.write_bytes(codecs.BOM_UTF8
+                      + json.dumps({"values": list(strong_params_graph_one())}).encode())
+    assert read_graph(gpath) == g
+    assert main(["fit", str(gpath), str(dpath), "--no-se"]) == 0
+    assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_malformed_tail_states(tmp_path, capsys):

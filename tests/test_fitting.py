@@ -24,6 +24,7 @@ from admgfit.moebius import (
 from util import (
     dag_loglik_closed_form,
     graph_one,
+    graph_one_zero_counts,
     graph_two,
     random_admg,
     random_interior_q,
@@ -405,13 +406,15 @@ def test_a_fit_without_district_fits_hashes_no_maps(monkeypatch):
 
 
 def test_tight_cycle_budget_reports_nonconvergence():
-    rng = np.random.default_rng(20)
+    """Zero counts keep the Newton phase from certifying these fits
+    within their one cycle."""
     g = graph_one()
-    counts = random_counts(rng, 4)
-    res = fit(g, counts, FitOptions(max_cycles=1, tol=1e-14))
-    assert res.cycles == 1
-    assert not res.converged
-    assert np.isfinite(res.loglik)
+    opts = FitOptions(max_cycles=1, allow_zero_counts=True)
+    for seed in range(20, 34):
+        res = fit(g, graph_one_zero_counts(seed), opts)
+        assert res.cycles == 1
+        assert not res.converged
+        assert np.isfinite(res.loglik)
 
 
 def test_multi_district_fits_are_stationary_and_consistent():
@@ -533,10 +536,10 @@ def test_zero_count_block_with_singular_hessian():
 
 
 def test_converged_fits_carry_a_stationarity_certificate(monkeypatch):
-    """With positive counts every district stops within two block
-    cycles or on a Newton decrement below the inner tolerance, so the
-    reported certificate is below tol and a much tighter fit gains
-    nothing."""
+    """With positive counts every district stops on a block cycle that
+    gains less than tol or on a Newton decrement below the inner
+    tolerance, so the reported certificate is below tol and a much
+    tighter fit gains nothing."""
     certified = []
     phase = fitting._newton_phase
 
@@ -596,12 +599,11 @@ def test_newton_phase_hands_back_unchanged(monkeypatch, cause):
     positive definite and a decrement that is not finite each hand the
     district back to the block cycles with its parameters untouched."""
     _, _, dm, q_d, counts_d = _chain_district()
-    eps = fitting._eps_rows(counts_d)
     ll = fitting._district_ll(dm, q_d, counts_d)
     opts = FitOptions()
     # from this start the phase takes a step
     moved = q_d.copy()
-    assert fitting._newton_phase(dm, moved, counts_d, eps, ll, opts)[0] > ll
+    assert fitting._newton_phase(dm, moved, counts_d, ll, opts)[0] > ll
     assert not np.array_equal(moved, q_d)
 
     if cause == "parameter":
@@ -617,7 +619,7 @@ def test_newton_phase_hands_back_unchanged(monkeypatch, cause):
 
         monkeypatch.setattr(DistrictMaps, "observed_information", bent)
     before = q_d.copy()
-    assert fitting._newton_phase(dm, q_d, counts_d, eps, ll, opts) == (ll, None)
+    assert fitting._newton_phase(dm, q_d, counts_d, ll, opts) == (ll, None)
     assert np.array_equal(q_d, before)
 
 
@@ -635,10 +637,30 @@ def test_a_fit_whose_newton_phase_hands_back_converges_on_its_cycles(monkeypatch
         decrements.append(out[2])
         return out
 
-    monkeypatch.setattr(fitting, "_newton_phase", lambda dm, q_d, c, eps, ll, opts: (ll, None))
+    monkeypatch.setattr(fitting, "_newton_phase", lambda dm, q_d, c, ll, opts: (ll, None))
     monkeypatch.setattr(fitting, "_ascend_vertex", spy)
     res = fit(g, counts)
-    assert res.converged and res.cycles > plain.cycles == 2
+    assert res.converged and res.cycles > plain.cycles == 1
     assert len(decrements) == res.cycles * len(dm.members)
     assert res.kkt == max(decrements[-len(dm.members):])
     assert abs(res.loglik - plain.loglik) < 1e-8
+
+
+def test_a_positive_count_district_certifies_in_its_first_cycle(monkeypatch):
+    """On positive counts the Newton phase that follows the first block
+    cycle stops an ascended district on its decrement, so the fit takes
+    one cycle and reports that decrement as its certificate."""
+    decrements = []
+    phase = fitting._newton_phase
+
+    def spy(*args):
+        out = phase(*args)
+        decrements.append(out[1])
+        return out
+
+    monkeypatch.setattr(fitting, "_newton_phase", spy)
+    g, counts, _, _, _ = _chain_district()
+    res = fit(g, counts)
+    assert res.cycles == 1 and res.converged
+    assert len(decrements) == 1 and decrements[0] is not None
+    assert res.kkt == decrements[0] <= 0.01 * FitOptions().tol

@@ -302,6 +302,16 @@ def graph_one():
     )
 
 
+def graph_one_zero_counts(seed):
+    """A count table for graph_one, uniform draws from 1 to 59 with 4
+    cells set to zero, whose fit the district Newton phase cannot
+    certify within one block cycle (seeds 20 to 33)."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, 60, 16).astype(float)
+    counts[rng.choice(16, 4, replace=False)] = 0.0
+    return counts
+
+
 def graph_two():
     """Three vertices: 1 -> 2 with 1 <-> 3 and 2 <-> 3."""
     return Admg(
