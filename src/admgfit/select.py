@@ -12,11 +12,15 @@ district from its own starts and restarts, unless a bound shows that
 it cannot be accepted.  The likelihood splits over districts, and no
 district's term exceeds its saturated kernel term, read off marginal
 counts, so the criterion of any fit is at least the bound made of
-those terms and the exact parameter count.  A neighbor whose bound is
-at or above the current criterion can neither win nor tie, and it is
-scored by its bound alone: no maps are built for it and no district of
-it is fitted.  A bounded neighbor that would have failed to fit is
-therefore not warned about; only a fit that fails warns.
+those terms and the exact parameter count.  A step visits the new
+neighbors best bound first and keeps the lowest criterion fitted so
+far.  A neighbor whose bound is at or above the current criterion, or
+at or above that lowest criterion plus twice the tie tolerance, can
+neither win nor tie, at this step or later, and it is scored by its
+bound alone: no maps are built for it and no district of it is
+fitted.  The bounds ascend, so every neighbor after it is bounded too.
+A bounded neighbor that would have failed to fit is therefore not
+warned about; only a fit that fails warns.
 
 A district's matrices and its maximized term depend only on its own
 structure and, for the term, its marginal counts, which one search
@@ -76,7 +80,9 @@ class SearchResult:
 
     ``evaluated`` counts the distinct graphs the search scored, the
     start included, and ``bounded`` those of them scored by their
-    bound alone, never parametrized or fitted; the others were fitted.
+    bound alone, never parametrized or fitted, their bound at or above
+    the criterion of their step or the best fit of it plus twice the
+    tie tolerance; the others were fitted.
     ``maps_built`` counts the district shapes the search built (see
     :class:`~admgfit.moebius.DistrictMaps`), and ``maps_reused`` the
     district requests of the graphs it fitted served without a build,
@@ -187,10 +193,14 @@ def stepwise(
     """Greedy single-edge search minimizing BIC or AIC.
 
     Candidates are scored one after another and cached by graph; the
-    criterion of the accepted sequence is strictly decreasing.  A
-    candidate whose criterion bound (see :func:`_bound`) is at or above
-    the current criterion is scored by the bound alone, since no fit of
-    it could be accepted; every other candidate is fitted.  A
+    criterion of the accepted sequence is strictly decreasing.  Each
+    step scores its uncached candidates in ascending order of their
+    criterion bound (see :func:`_bound`), ties in move order, and
+    tracks the lowest criterion fitted in the step.  From the first
+    candidate bounded at or above the current criterion, or at or above
+    that lowest criterion plus ``2 * TIE_TOL``, the candidates are
+    scored by their bound alone, since no fit of them could be accepted
+    or tie with the one that is; the others are fitted.  A
     district already fitted in this search, under any graph, is copied
     into a candidate's fit instead of fitted again (see :func:`fit`).
     A district's fit, restarts included, depends only on its structure,
@@ -246,18 +256,28 @@ def stepwise(
 
     for _ in range(max_steps):
         moves = neighbors(current)
-        for m in moves:
-            g = m[4]
-            if g not in cache:
-                # A fit's log-likelihood is at most the sum of saturated
-                # district terms, so its criterion is at least the bound.
-                # A move needs a criterion below value - TIE_TOL, which
-                # leaves TIE_TOL of room for the bound's roundoff (up to
-                # about 1e-9 at 1e5 counts), and a candidate tied with
-                # the best one needs a criterion below value.  So a
-                # candidate bounded at value or above can neither win
-                # nor tie, at this step or later, value only falling.
-                cache[g] = _BOUNDED if _bound(g, penalty, xlogx) >= value else run_fit(g)
+        # uncached moves best bound first, ties in move order
+        fresh = sorted(((_bound(m[4], penalty, xlogx), m[4]) for m in moves if m[4] not in cache),
+                       key=lambda bg: bg[0])
+        best = np.inf
+        for i, (bound, g) in enumerate(fresh):
+            # A fit's log-likelihood is at most the sum of saturated
+            # district terms, so its criterion is at least the bound,
+            # up to roundoff (about 1e-9 at 1e5 counts).  A candidate
+            # ties with the step's winner only within TIE_TOL of the
+            # lowest criterion fitted, best, and a move needs a
+            # criterion below value - TIE_TOL.  So a candidate bounded
+            # at min(value, best + 2 TIE_TOL) or above, one TIE_TOL for
+            # the tie and one for roundoff, can neither win nor tie;
+            # nor can it later, the next value being at most the
+            # step's best + TIE_TOL.  The bounds ascend, so neither can
+            # any candidate after it.
+            if bound >= min(value, best + 2 * TIE_TOL):
+                cache.update((h, _BOUNDED) for _, h in fresh[i:])
+                break
+            cache[g] = res = run_fit(g)
+            if res is not None:
+                best = min(best, _criterion(res, criterion))
         scored = [
             (_criterion(res, criterion), m, res)
             for m in moves

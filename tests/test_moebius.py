@@ -615,7 +615,8 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
     criterion-11 searches, and on random graphs and some of their
     single-edge neighbours.  Every map that a search or a
     parametrization hands out equals a fresh build for its district,
-    and the 14-vertex chain builds 2 shapes for its 7 districts."""
+    and the 14-vertex chain builds 2 shapes for its 7 districts.  The
+    searches' bound is off, so that they fit every candidate."""
     import importlib
 
     import admgfit.moebius as moebius
@@ -662,6 +663,7 @@ def test_equal_maps_keys_give_equal_maps(monkeypatch):
         return real_fit(g, counts, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
+    monkeypatch.setattr(select, "_bound", lambda *args: -np.inf)
     for counts, start, criterion in golden_search_inputs() + criterion_11_search_inputs():
         select.stepwise(counts, start, criterion=criterion)
     searched = len(graphs)
@@ -902,7 +904,8 @@ def test_placements_of_one_shape_on_one_scope_are_equal(monkeypatch):
     key: its placements in those graphs are distinct objects that
     compare equal and hash alike.  Placements of one shape on
     different scopes, as on the 14-vertex chain, are not equal, and
-    neither are maps built from separate shapes."""
+    neither are maps built from separate shapes.  The search's bound is
+    off, so that it fits every candidate."""
     import itertools
 
     import admgfit.select as select
@@ -918,6 +921,7 @@ def test_placements_of_one_shape_on_one_scope_are_equal(monkeypatch):
         return real_fit(g, counts, opts, **kw)
 
     monkeypatch.setattr(select, "fit", recording_fit)
+    monkeypatch.setattr(select, "_bound", lambda *args: -np.inf)
     counts, start, criterion = golden_search_inputs()[0]
     select.stepwise(counts, start, criterion=criterion)
     groups = {}

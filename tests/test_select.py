@@ -12,7 +12,7 @@ from admgfit.graph import Admg, GraphError
 from admgfit.moebius import Parametrization, parametrization, prob_vector
 from admgfit.select import TIE_TOL, neighbors, stepwise
 
-from util import criterion_11_search_inputs, golden_search_inputs, random_admg
+from util import criterion_11_search_inputs, golden_search_inputs, random_admg, random_interior_q
 
 
 def product_counts(margins, n):
@@ -351,7 +351,9 @@ def test_a_search_fits_each_district_structure_once(monkeypatch):
     """With one start, every district maps instance of a search is
     fitted exactly once, the start graph's included, and every other
     district request is a copy.  Fits stay per placed district: there
-    are more of them than shapes built."""
+    are more of them than shapes built.  The bound is off, so that the
+    search fits every candidate."""
+    _no_bound(monkeypatch)
     calls = _record_district_fits(monkeypatch)
     counts, g0, _ = golden_search_inputs()[0]
     starts = [(Admg(g0.vertices), False), (Admg(g0.vertices, directed=[("1", "2")]), True)]
@@ -398,7 +400,9 @@ def test_a_failed_candidate_leaves_no_district_fit(monkeypatch):
     """A candidate whose second start fails has fitted a new district
     in its first start; the shared dict is left as it was.  The new
     district, {1, 2} with parent 3, is not saturated, so it runs the
-    block ascent from both starts."""
+    block ascent from both starts.  The bound is off, so that the
+    candidate is fitted."""
+    _no_bound(monkeypatch)
     start = Admg(["1", "2", "3"], directed=[("3", "1")])
     bad = start.with_edge("1", "2", "<->")
     seen = {}
@@ -470,7 +474,9 @@ def test_search_candidates_are_plain_fits(monkeypatch):
     of a search with seeded restarts, and every entry of each search's
     shared district dict, equals bitwise a plain ``fit`` of the
     candidate's graph, rebuilt so that it shares no maps with the
-    search."""
+    search.  The bound is off, so that the searches fit every
+    candidate."""
+    _no_bound(monkeypatch)
     fits = []
     real_fit = select.fit
 
@@ -569,11 +575,73 @@ def test_the_bound_is_sound_and_keeps_every_move(monkeypatch):
         assert res.evaluated == plain.evaluated
 
 
+def test_the_step_bound_keeps_every_move(monkeypatch):
+    """On the bound searches and on 20 searches from the empty graph on
+    counts drawn from random graphs, the step bound changes no move: the
+    steps, their criteria, the final q and the graphs scored are bitwise
+    those of the search with the bound off.  At every step that moves,
+    each neighbour whose bound-off criterion is within the tie
+    tolerance of the step's best is fitted with the bound on.  At the
+    last step, where no neighbour improves, one tied with the current
+    graph may be bounded."""
+    rng = np.random.default_rng(31)
+    searches = [(counts, start, criterion) for counts, start, criterion, _ in _bound_searches()]
+    for k in range(20):
+        g = random_admg(rng, n_min=3, n_max=5, p_dir=0.3, p_bi=0.3)
+        p = prob_vector(g, random_interior_q(g, rng))
+        counts = rng.multinomial(2000, p / p.sum()) + 1.0
+        searches.append((counts, Admg(g.vertices), ("bic", "aic")[k % 2]))
+    opts = FitOptions(tol=1e-10, allow_zero_counts=True)
+    real_fit, real_neighbors = select.fit, select.neighbors
+
+    def run(counts, start, criterion, bound):
+        """The search, the criterion of each graph it fitted and the
+        graphs of each step's moves."""
+        fitted, steps = {}, []
+
+        def recording_fit(g, counts_, opts_=FitOptions(), **kw):
+            res = real_fit(g, counts_, opts_, **kw)
+            fitted[g] = select._criterion(res, criterion)
+            return res
+
+        def recording_neighbors(g):
+            moves = real_neighbors(g)
+            steps.append([m[4] for m in moves])
+            return moves
+
+        with monkeypatch.context() as m:
+            m.setattr(select, "fit", recording_fit)
+            m.setattr(select, "neighbors", recording_neighbors)
+            if not bound:
+                _no_bound(m)
+            return stepwise(counts, start, criterion, opts), fitted, steps
+
+    bounded = 0
+    for counts, start, criterion in searches:
+        plain, every, plain_steps = run(counts, start, criterion, bound=False)
+        res, fitted, steps = run(counts, start, criterion, bound=True)
+        assert res.start_value == plain.start_value
+        assert [(s.describe(), s.criterion) for s in res.steps] == [
+            (s.describe(), s.criterion) for s in plain.steps]
+        assert res.value == plain.value and res.graph == plain.graph
+        assert res.fit.q.tobytes() == plain.fit.q.tobytes()
+        assert res.evaluated == plain.evaluated and plain.bounded == 0
+        assert steps == plain_steps
+        values = [plain.start_value] + [s.criterion for s in plain.steps]
+        for moves, value in zip(plain_steps, values):
+            best = min(every[g] for g in moves)
+            if best < value - TIE_TOL:
+                assert all(g in fitted for g in moves if every[g] <= best + TIE_TOL)
+        bounded += res.bounded
+    assert bounded > 0
+
+
 def test_bounded_candidates_are_never_parametrized_or_fitted(monkeypatch):
     """Every graph a search scores is either fitted once or scored by
     its bound alone, at or above the search's final criterion; a
     bounded graph never reaches ``select.fit`` or a parametrization,
-    and the maps and district counts cover the fitted graphs only."""
+    and the maps and district counts cover the fitted graphs only.  The
+    golden BIC search bounds at least 60 of its 81 graphs."""
     fitted, parametrized, bounds = [], [], {}
     real_fit, real_bound, real_init = select.fit, select._bound, Parametrization.__init__
 
@@ -593,7 +661,7 @@ def test_bounded_candidates_are_never_parametrized_or_fitted(monkeypatch):
     monkeypatch.setattr(select, "_bound", recording_bound)
     monkeypatch.setattr(Parametrization, "__init__", recording_init)
     searches = _bound_searches()
-    for counts, start, criterion, opts in searches[:2] + searches[-1:]:
+    for i, (counts, start, criterion, opts) in enumerate(searches[:2] + searches[-1:]):
         fitted.clear()
         parametrized.clear()
         bounds.clear()
@@ -607,3 +675,5 @@ def test_bounded_candidates_are_never_parametrized_or_fitted(monkeypatch):
         requests = sum(len(g.districts()) for g in fitted)
         assert res.maps_built + res.maps_reused == requests
         assert res.districts_fitted + res.districts_reused == requests
+        if i == 0:  # the golden BIC search
+            assert res.bounded >= 60
