@@ -209,6 +209,11 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    """Whether a JSON value is a number (true and false are not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _load_params(g: Admg, path) -> np.ndarray:
     table = enumerate_params(g)
     # utf-8-sig skips one leading byte-order mark, which json refuses
@@ -216,14 +221,20 @@ def _load_params(g: Admg, path) -> np.ndarray:
         payload = json.load(fh)
     if isinstance(payload, dict) and "values" in payload:
         values = payload["values"]
+        if not isinstance(values, list) or not all(map(_is_number, values)):
+            raise ValueError("'values' must be a flat list of numbers")
         if len(values) != len(table):
             raise ValueError(f"expected {len(table)} values, got {len(values)}")
         return np.asarray(values, dtype=float)
     if isinstance(payload, list):
         q = np.full(len(table), np.nan)
         for entry in payload:
+            if not (isinstance(entry, dict) and isinstance(entry.get("tail_state", []), list)
+                    and _is_number(entry.get("value"))):
+                raise ValueError(f"parameter entry {entry!r}: expected an object with a "
+                                 "'head', a number 'value' and an optional list 'tail_state'")
             j = table.index(entry["head"], entry.get("tail_state", ()))
-            q[j] = float(entry["value"])
+            q[j] = entry["value"]
         if np.isnan(q).any():
             missing = [p.name for p, v in zip(table.params, q) if np.isnan(v)]
             raise ValueError(f"missing parameters: {', '.join(missing[:5])}")

@@ -10,13 +10,12 @@ and refuse names that would read back otherwise: none, repeated ones,
 or one with a line break or surrounding whitespace.  The data rows of
 a file in that layout (one-character 0/1 fields and a count of at most
 18 digits, split by single commas, no padding) over at most
-``MAX_VERTICES`` columns are read straight from the file's bytes.
-numpy's C reader, ``np.loadtxt``, reads those of any other ASCII file;
-a line by line reader reads the rest and names the first bad line of a
-refused file.  Rows are aggregated through one integer code each, the
-cell code of a row up to ``MAX_VERTICES`` columns: over a table of the
-2^k cells when the rows are at least as many, and otherwise by sorting
-the codes.
+``MAX_VERTICES`` columns are read straight from the file's bytes, as
+they are or once the file's ASCII padding is deleted.  A line by line
+reader reads the rest and names the first bad line of a refused file.
+Rows are aggregated through one integer code each, the cell code of a
+row up to ``MAX_VERTICES`` columns: over a table of the 2^k cells when
+the rows are at least as many, and otherwise by sorting the codes.
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import csv
 import io
 import numbers
 import re
-import warnings
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -170,16 +167,16 @@ def _code_bits(cells: np.ndarray, k: int) -> np.ndarray:
 # matches and lies within int64
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64 = np.iinfo(np.int64)
-# what a blank line of an ASCII file is made of
-_BLANK = "".join(filter(str.isspace, map(chr, range(128)))) + ","
+# the ASCII padding str.strip removes, line ends aside
+_PAD = b"\t\x0b\x0c\x1c\x1d\x1e\x1f "
 
 
-def _read_lines(path, lines, width: int, has_count: bool) -> np.ndarray:
-    """The data rows of ``lines``, the lines after the header, read one
+def _read_lines(path, body: str, width: int, has_count: bool) -> np.ndarray:
+    """The data rows of ``body``, the text after the header, read one
     line at a time.  Raises ``ValueError`` naming the first bad line,
     the header being line 1, and the first reason that holds for it."""
     rows = []
-    for lineno, line in enumerate(lines, 2):
+    for lineno, line in enumerate(body.split("\n"), 2):
         fields = [f.strip() for f in line.split(",")]
         if not any(fields):
             continue
@@ -199,35 +196,10 @@ def _read_lines(path, lines, width: int, has_count: bool) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, width)
 
 
-def _blocks(text: str, size: int = 1 << 16):
-    """``text.split("\\n")`` in lists of about ``size`` characters, so
-    that the lines of a large file are never all held at once."""
-    start = 0
-    while (end := text.find("\n", start + size)) >= 0:
-        yield text[start:end].split("\n")
-        start = end + 1
-    yield text[start:].split("\n")
-
-
-def _loadtxt(lines, width: int, has_count: bool) -> np.ndarray | None:
-    """The data rows as numpy's C reader reads ``lines``, or None when
-    it refuses them or they hold a state other than 0/1 or a negative
-    count."""
-    try:
-        with warnings.catch_warnings():
-            # a file without data rows is valid; numpy before 2.0 reads
-            # "1.5" as 1 behind a DeprecationWarning
-            warnings.simplefilter("ignore", UserWarning)
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.loadtxt(lines, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, DeprecationWarning):
-        return None
-    if not values.size:
-        return values.reshape(0, width)
-    k = width - has_count
-    if values.shape[1] != width or (values[:, :k] & ~1).any() or (values[:, k:] < 0).any():
-        return None
-    return values
+def _digit_pairs(data: np.ndarray) -> int:
+    """The number of adjacent pairs of ASCII digits in ``data``."""
+    digit = data - np.uint8(ord("0")) < 10
+    return np.count_nonzero(digit[:-1] & digit[1:])
 
 
 def _windows(data: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
@@ -288,35 +260,15 @@ def _read_bytes(data: np.ndarray, k: int, has_count: bool):
     return codes, (window * inside) @ 10 ** np.arange(longest - 1, -1, -1, dtype=np.int64)
 
 
-def _read_text(path, body: str, width: int, has_count: bool) -> np.ndarray:
-    """The data rows of ``body``, the text after the header: read by
-    numpy's reader when it is ASCII and numpy takes it, else line by
-    line, which names the first bad line of a refused file."""
-    values = None
-    # numpy's reader is given ASCII only: numpy 2.4.6 reads some other
-    # characters as digits ("\u0968" as 2360) and crashes on others
-    if body.isascii():
-        # numpy refuses blank lines other than empty ones, so a file with
-        # a line that starts with a comma goes straight to the second try
-        if not body.startswith(",") and "\n," not in body:
-            values = _loadtxt(chain.from_iterable(_blocks(body)), width, has_count)
-        if values is None:
-            kept = ([line for line in block if line.strip(_BLANK)] for block in _blocks(body))
-            values = _loadtxt(chain.from_iterable(kept), width, has_count)
-    if values is None:
-        values = _read_lines(path, chain.from_iterable(_blocks(body)), width, has_count)
-    return values
-
-
 def load_data(path) -> Dataset:
     """Read a CSV of 0/1 columns with an optional ``count`` column.
 
     A file in the layout ``save_data`` writes, over at most
     ``MAX_VERTICES`` columns, is read from its bytes in a fixed number
-    of numpy passes; any other file by numpy's reader, or line by line.
-    All three give the same Dataset for the same rows.  One leading
-    UTF-8 byte-order mark is skipped, and so are lines of nothing but
-    whitespace and commas.  Errors name the file and its
+    of numpy passes, as it is or without its ASCII padding; any other
+    file line by line.  Both give the same Dataset for the same rows.
+    One leading UTF-8 byte-order mark is skipped, and so are lines of
+    nothing but whitespace and commas.  Errors name the file and its
     first bad line, the header being line 1, with the first reason that
     holds: the wrong number of fields, a non-integer value, a negative
     count, a state other than 0/1.  Counts that sum past 2**63 - 1 are
@@ -342,8 +294,16 @@ def load_data(path) -> Dataset:
         raise ValueError(f"{path}: duplicate column names")
     k = len(names)
     read = _read_bytes(np.frombuffer(raw, np.uint8), k, has_count) if k <= MAX_VERTICES else None
+    if read is None and k <= MAX_VERTICES:
+        # a file in the layout once its padding is deleted, the header's
+        # too (only its end is read), reads so, unless that joins two
+        # digits of one field ("1 2"), which the line reader refuses;
+        # other padding inside a field leaves the layout anyway
+        unpadded = np.frombuffer(raw.translate(None, _PAD), np.uint8)
+        if _digit_pairs(unpadded) == _digit_pairs(np.frombuffer(raw, np.uint8)):
+            read = _read_bytes(unpadded, k, has_count)
     if read is None:
-        values = _read_text(path, raw.decode("utf-8")[start:], len(header), has_count)
+        values = _read_lines(path, raw.decode("utf-8")[start:], len(header), has_count)
         counts = values[:, k] if has_count else None
     else:
         codes, counts = read

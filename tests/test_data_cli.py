@@ -5,7 +5,6 @@ import json
 import os
 import re
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -155,10 +154,10 @@ def _fuzz_dataset(rng):
 def test_save_data_round_trips_every_dataset_it_accepts(tmp_path, monkeypatch):
     """``load_data`` gives back the names, states and counts that
     ``save_data`` wrote.  The file holds no CR and is read from its
-    bytes, without numpy's reader or the line reader, unless a count
-    has 19 digits or is longer than the header and first row together;
-    a file saved with CRLF line ends, as earlier versions saved it,
-    loads to the same Dataset."""
+    bytes, without the line reader, unless a count has 19 digits or is
+    longer than the header and first row together; a file saved with
+    CRLF line ends, as earlier versions saved it, loads to the same
+    Dataset."""
     import csv
 
     import admgfit.data
@@ -185,7 +184,6 @@ def test_save_data_round_trips_every_dataset_it_accepts(tmp_path, monkeypatch):
         first_end = raw.find(b"\n", raw.find(b"\n") + 1)
         if longest <= 18 and (first_end < 0 or first_end >= longest):
             with monkeypatch.context() as m:
-                m.setattr(admgfit.data.np, "loadtxt", refuse)
                 m.setattr(admgfit.data, "_read_lines", refuse)
                 assert same(load_data(path), ds)
             from_bytes += 1
@@ -316,19 +314,31 @@ def _load_rows_reference(path):
     return names, list(agg), list(agg.values())
 
 
-@pytest.mark.parametrize("tokens, weights", [
+@pytest.mark.parametrize("tokens, weights, seps, blanks", [
     pytest.param(["0", "1", " 1", "0 ", "\t1\t", "+1", "-0", "", "10", "2", "-1", "x", "1 1", "1-",
                   "\xa01", "0" * 18 + "1", "1_0", "１", "٣", "\x1c0"],
                  [8, 8, 2, 2, 1, 1, 1, 2, 1, 0.3, 0.3, 0.2, 0.2, 0.2, 0.3, 0.3,
                   0.2, 0.2, 0.2, 0.3],
+                 [","], [],
                  id="mixed"),
     # mostly the layout read from bytes, and the ways a line leaves it
     pytest.param(["0", "1", "12", "007", "1" + "0" * 18, " 1", "+1", "01", "2", "", "1,"],
                  [40, 40, 2, 1, 0.5, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2],
+                 [","], [],
                  id="canonical"),
+    # fields padded at their ends, read from the bytes without the
+    # padding, and padding between a field's characters, which the line
+    # reader refuses
+    pytest.param(["0", "1", "1 ", "\t0", "\x0b1\x1c", "\x1f0\x0c", "12", " 7 ", "2",
+                  "1 1", "0\t1", "+ 1"],
+                 [20, 20, 4, 4, 1, 1, 4, 2, 0.3, 0.3, 0.3, 0.3],
+                 [",", ", ", " , ", ",\t"], [" ", "\t", "\x0b\x0c", "\x1c \x1d\x1e\x1f"],
+                 id="padded"),
 ])
-def test_load_data_agrees_with_row_by_row_reading(tmp_path, tokens, weights):
+def test_load_data_agrees_with_row_by_row_reading(tmp_path, tokens, weights, seps, blanks):
     rng = np.random.default_rng(14)
+    # separators and padding-only lines, drawn apart from the fields
+    layout = np.random.default_rng(15)
     weights = np.array(weights)
     path = tmp_path / "fuzz.csv"
     for k in range(400):
@@ -337,7 +347,10 @@ def test_load_data_agrees_with_row_by_row_reading(tmp_path, tokens, weights):
         lines = []
         for _ in range(rng.integers(0, 8)):
             n = width if rng.random() < 0.95 else int(rng.integers(0, width + 2))
-            lines.append(",".join(rng.choice(tokens, size=n, p=weights / weights.sum())))
+            fields = rng.choice(tokens, size=n, p=weights / weights.sum())
+            if blanks and layout.random() < 0.1:
+                lines.append(layout.choice(blanks))
+            lines.append(layout.choice(seps).join(fields))
         path.write_text(header + "\n".join(lines) + rng.choice(["", "\n"]))
         want = _load_rows_reference(path)
         try:
@@ -366,6 +379,9 @@ def test_load_data_field_rule(tmp_path):
 
 
 def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
+    """Fields padded by ASCII whitespace at their ends, and lines of
+    such padding only, are read from the bytes once the padding is
+    deleted."""
     import admgfit.data
 
     def refuse(*args):
@@ -373,38 +389,46 @@ def test_valid_files_load_without_the_line_reader(tmp_path, monkeypatch):
 
     monkeypatch.setattr(admgfit.data, "_read_lines", refuse)
     path = tmp_path / "loose.csv"
-    path.write_text("a,b,count\n\n 1 , 0 , 2\n,,\n  \n0,1,3\r\n\t, ,\x0b\n+1,0,1\n\t0\t,1,0\n")
+    path.write_text("a,b,count\n\n 1 , 0 , 2\n  \n0,1,3\r\n\t \x0b\n1,0,1\n\t0\t,1,0\x1c\n")
     ds = load_data(path)
     assert [tuple(r) for r in ds.states] == [(1, 0), (0, 1)]
     assert list(ds.counts) == [3, 3]
     path.write_text("a,b\n0,1\n \t\n1 ,0\n\x0c\n")
     assert load_data(path).states.tolist() == [[0, 1], [1, 0]]
+    path.write_text("a,b,c,d,e,count\n" + "0, 1, 1, 0, 1, 12\n1 ,\t0 , 0,1,\x1f1 ,7 \n" * 3)
+    ds = load_data(path)
+    assert ds.states.tolist() == [[0, 1, 1, 0, 1], [1, 0, 0, 1, 1]]
+    assert ds.counts.tolist() == [36, 21]
     path.write_text("a,b\n")
     assert load_data(path).states.shape == (0, 2)
-    path.write_text("a,b\n \t\n")  # numpy's reader finds no row
+    path.write_text("a,b\n \t\n")  # padding only: no row
     assert load_data(path).states.shape == (0, 2)
     path = tmp_path / "plain.csv.gz"  # the suffix says nothing of the contents
     path.write_text("a,b\n0,1\n")
     assert load_data(path).states.tolist() == [[0, 1]]
 
 
-def test_files_in_the_saved_layout_load_without_numpy(tmp_path, monkeypatch, capsys):
+def test_files_in_the_saved_layout_load_from_their_bytes(tmp_path, monkeypatch, capsys):
     """0/1 fields and a count of at most 18 digits, split by single
-    commas, over at most MAX_VERTICES columns, are read from the bytes;
-    any other file through numpy's reader."""
+    commas, over at most MAX_VERTICES columns, are read from the bytes
+    as they are, with no check for padding; signed fields, ``01``
+    states, comma-only lines, 19-digit counts, counts longer than the
+    header and first row, and files of more columns reach the line
+    reader."""
     import admgfit.data
 
-    loadtxt = np.loadtxt
+    read_lines = admgfit.data._read_lines
     calls = []
 
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy's reader called")
+        raise AssertionError("read other than from the bytes as they are")
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return loadtxt(*args, **kwargs)
+        return read_lines(*args, **kwargs)
 
-    monkeypatch.setattr(admgfit.data.np, "loadtxt", refuse)
+    monkeypatch.setattr(admgfit.data, "_digit_pairs", refuse)
+    monkeypatch.setattr(admgfit.data, "_read_lines", refuse)
     path = tmp_path / "f.csv"
     rows = np.random.default_rng(5).integers(0, 2, size=(300, 4))
     path.write_text("a,b,c,d\n" + "".join(",".join(map(str, r)) + "\n" for r in rows))
@@ -435,10 +459,12 @@ def test_files_in_the_saved_layout_load_without_numpy(tmp_path, monkeypatch, cap
     with pytest.raises(ValueError, match=r"f\.csv: counts sum past 2\*\*63 - 1$"):
         load_data(path)
 
-    monkeypatch.setattr(admgfit.data.np, "loadtxt", spy)
+    monkeypatch.undo()
+    monkeypatch.setattr(admgfit.data, "_read_lines", spy)
     wide = ",".join(f"x{i}" for i in range(MAX_VERTICES + 1)) + "\n" + "1," * MAX_VERTICES + "1\n"
-    for text, n in [("a,b\n0, 1\n", 1), ("a,b\n0,+1\n", 1),
-                    ("a,count\n1,1000000000000000000\n", 10**18), (wide, 1),
+    for text, n in [("a,b\n0,+1\n", 1), ("a,b\n0, -0\n1,1\n", 2), ("a,b\n01,1\n", 1),
+                    ("a,b\n0,1\n,\n", 1), ("a,count\n1,1000000000000000000\n", 10**18),
+                    (wide, 1), (wide.replace(",", ", "), 1),
                     # an 18-digit count longer than the header and first row
                     ("a,count\n1,1\n0,100000000000000000\n", 10**17 + 1)]:
         path.write_text(text)
@@ -447,8 +473,8 @@ def test_files_in_the_saved_layout_load_without_numpy(tmp_path, monkeypatch, cap
 
 
 def test_load_data_memory_is_a_small_multiple_of_the_file(tmp_path):
-    """Reading 100,000 raw rows of 4 columns peaks below 10 times the
-    file's bytes of traced memory; numpy's reader needs about 13."""
+    """Reading 100,000 raw rows of 4 columns from their bytes peaks
+    below 10 times the file's bytes of traced memory."""
     import tracemalloc
 
     rows = np.random.default_rng(8).integers(0, 2, size=(100_000, 4))
@@ -518,12 +544,15 @@ def test_a_few_row_file_allocates_nothing_of_its_cells(tmp_path):
 
 
 def test_load_data_reads_past_the_first_block(tmp_path):
-    """The lines are read a block of about 65,536 characters at a time."""
+    """A long file that leaves the byte reader, with or without its
+    padding, is read by the line reader to its end, and its first bad
+    line is named, far past its first 65,536 characters."""
     path = tmp_path / "long.csv"
     rows = "0,1\n1,0\n" * 10000
     path.write_text("a,b\n" + rows + " , \n")
     assert load_data(path).counts.tolist() == [10000, 10000]
-    for bad in ["0,2", "\xa00,2"]:  # read by numpy first, by the line reader only
+    # refused from the raw bytes, without the padding, or by the line reader only
+    for bad in ["0,2", " 0 ,2", "\xa00,2"]:
         path.write_text("a,b\n" + rows + bad + "\n" + rows)
         with pytest.raises(ValueError, match=r"long\.csv:20002: values must be 0 or 1$"):
             load_data(path)
@@ -560,22 +589,6 @@ def test_load_data_reads_the_file_once():
     finally:
         os.close(r)
     assert ds.states.tolist() == [[0], [1]] and ds.counts.tolist() == [2, 3]
-
-
-def test_a_value_read_through_a_float_is_refused(tmp_path, monkeypatch):
-    """numpy before 2.0 reads "1.5" as the int64 1 and warns only."""
-    import admgfit.data
-
-    def float_fallback(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
-                      DeprecationWarning)
-        return np.array([[0, 1]])
-
-    monkeypatch.setattr(admgfit.data.np, "loadtxt", float_fallback)
-    path = tmp_path / "f.csv"
-    path.write_text("a,count\n0,1.5\n")
-    with pytest.raises(ValueError, match=r"f\.csv:2: non-integer value$"):
-        load_data(path)
 
 
 def test_load_data_refuses_counts_that_overflow(tmp_path):
@@ -1088,6 +1101,16 @@ def test_cli_simulate_rejects_malformed_tail_states(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "tail state" in err
     assert "Traceback" not in err
+    # three parameters on a -> b: entries that are not objects, and
+    # values that are not a flat list of numbers
+    gpath.write_text(format_graph(Admg(["a", "b"], directed=[("a", "b")])))
+    for payload in ([1, 2], {"values": 5}, {"values": [[0.5], [0.5], [0.5]]},
+                    {"values": [True, 0.5, 0.5]}, [{"head": ["a"], "value": [0.5]}],
+                    [{"head": ["a"], "tail_state": 0, "value": 0.5}]):
+        ppath.write_text(json.dumps(payload))
+        assert main(["simulate", str(gpath), "10", "--params", str(ppath)]) == 2, payload
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_bench_runs_and_writes_csv(tmp_path, capsys):

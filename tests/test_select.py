@@ -538,52 +538,18 @@ def _bound_searches():
     return searches
 
 
-def test_the_bound_is_sound_and_keeps_every_move(monkeypatch):
-    """With the bound off, every candidate is fitted; each fit's
-    criterion is at least its bound, to within roundoff far inside the
-    tie tolerance, and the bound's parameter count is the fit's.  With
-    the bound on, each search takes the same steps with bitwise equal
-    criteria, ends at a bitwise equal fit and scores as many graphs."""
-    fits = []
-    real_fit, real_bound = select.fit, select._bound
-
-    def recording_fit(g, counts_, opts=FitOptions(), **kw):
-        res = real_fit(g, counts_, opts, **kw)
-        fits.append(res)
-        return res
-
-    for counts, start, criterion, opts in _bound_searches():
-        fits.clear()
-        with monkeypatch.context() as m:
-            m.setattr(select, "fit", recording_fit)
-            _no_bound(m)
-            plain = stepwise(counts, start, criterion, opts)
-        assert plain.bounded == 0 and len(fits) == plain.evaluated
-        penalty = np.log(counts.sum()) if criterion == "bic" else 2.0
-        xlogx = select._margin_xlogx(np.asarray(counts, dtype=float), len(start.vertices))
-        for res in fits:
-            bound = real_bound(res.graph, penalty, xlogx)
-            assert select._criterion(res, criterion) >= bound - TIE_TOL / 100
-            assert real_bound(res.graph, 1.0, lambda mask: 0.0) == res.n_params
-
-        res = stepwise(counts, start, criterion, opts)
-        assert res.start_value == plain.start_value
-        assert [(s.describe(), s.criterion) for s in res.steps] == [
-            (s.describe(), s.criterion) for s in plain.steps]
-        assert res.value == plain.value and res.graph == plain.graph
-        assert res.fit.q.tobytes() == plain.fit.q.tobytes()
-        assert res.evaluated == plain.evaluated
-
-
 def test_the_step_bound_keeps_every_move(monkeypatch):
     """On the bound searches and on 20 searches from the empty graph on
-    counts drawn from random graphs, the step bound changes no move: the
-    steps, their criteria, the final q and the graphs scored are bitwise
-    those of the search with the bound off.  At every step that moves,
-    each neighbour whose bound-off criterion is within the tie
-    tolerance of the step's best is fitted with the bound on.  At the
-    last step, where no neighbour improves, one tied with the current
-    graph may be bounded."""
+    counts drawn from random graphs, the bound is sound and the step
+    bound changes no move.  With the bound off, every candidate is
+    fitted once; each fit's criterion is at least its bound, to within
+    roundoff far inside the tie tolerance, and the bound's parameter
+    count is the fit's.  With the bound on, the steps, their criteria,
+    the final q and the graphs scored are bitwise those of the search
+    with the bound off.  At every step that moves, each neighbour whose
+    bound-off criterion is within the tie tolerance of the step's best
+    is fitted with the bound on.  At the last step, where no neighbour
+    improves, one tied with the current graph may be bounded."""
     rng = np.random.default_rng(31)
     searches = [(counts, start, criterion) for counts, start, criterion, _ in _bound_searches()]
     for k in range(20):
@@ -592,16 +558,23 @@ def test_the_step_bound_keeps_every_move(monkeypatch):
         counts = rng.multinomial(2000, p / p.sum()) + 1.0
         searches.append((counts, Admg(g.vertices), ("bic", "aic")[k % 2]))
     opts = FitOptions(tol=1e-10, allow_zero_counts=True)
-    real_fit, real_neighbors = select.fit, select.neighbors
+    real_fit, real_neighbors, real_bound = select.fit, select.neighbors, select._bound
 
     def run(counts, start, criterion, bound):
         """The search, the criterion of each graph it fitted and the
-        graphs of each step's moves."""
+        graphs of each step's moves; with the bound off, each fit is
+        checked against its bound."""
         fitted, steps = {}, []
+        penalty = np.log(counts.sum()) if criterion == "bic" else 2.0
+        xlogx = select._margin_xlogx(np.asarray(counts, dtype=float), len(start.vertices))
 
         def recording_fit(g, counts_, opts_=FitOptions(), **kw):
             res = real_fit(g, counts_, opts_, **kw)
+            assert g not in fitted
             fitted[g] = select._criterion(res, criterion)
+            if not bound:
+                assert fitted[g] >= real_bound(g, penalty, xlogx) - TIE_TOL / 100
+                assert real_bound(g, 1.0, lambda mask: 0.0) == res.n_params
             return res
 
         def recording_neighbors(g):
@@ -625,7 +598,7 @@ def test_the_step_bound_keeps_every_move(monkeypatch):
             (s.describe(), s.criterion) for s in plain.steps]
         assert res.value == plain.value and res.graph == plain.graph
         assert res.fit.q.tobytes() == plain.fit.q.tobytes()
-        assert res.evaluated == plain.evaluated and plain.bounded == 0
+        assert res.evaluated == plain.evaluated == len(every) and plain.bounded == 0
         assert steps == plain_steps
         values = [plain.start_value] + [s.criterion for s in plain.steps]
         for moves, value in zip(plain_steps, values):
